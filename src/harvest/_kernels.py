@@ -1,38 +1,13 @@
-"""Time-stepping kernels for the delayed-system Monte Carlo integrator.
+"""Time-stepping kernel for the delayed-system Monte Carlo integrator.
 
-Two interchangeable lanes produce bit-identical trajectories: a compiled
-per-trajectory kernel (numba) and a vectorized kernel (numpy) that steps the
-whole ensemble in lockstep.  Both consume the same pregenerated standard-normal
-streams and apply the same floating-point operations in the same order, so
-their outputs agree to the last bit.  The lane is chosen at import time;
-setting the environment variable HARVEST_NO_NUMBA=1 forces the numpy lane.
+The whole ensemble advances in lockstep: each step is a handful of numpy
+operations over the trajectory axis, reading pregenerated standard-normal
+streams, one row per trajectory.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency normally
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-USE_NUMBA = _HAVE_NUMBA and os.environ.get("HARVEST_NO_NUMBA", "") not in (
-    "1",
-    "true",
-    "yes",
-)
 
 # Store nothing, the displacement only, or displacement/velocity/voltage.
 STORE_NONE = 0
@@ -40,91 +15,6 @@ STORE_X = 1
 STORE_XVV = 2
 
 DIVERGENCE_LIMIT = 1.0e3
-
-
-@njit(cache=True)
-def _chunk_scalar(
-    x,
-    v,
-    V,
-    xi,
-    xbuf,
-    vbuf,
-    s0,
-    n,
-    forcing,
-    draws,
-    dt,
-    beta,
-    delta1,
-    delta3,
-    kappa,
-    alpha,
-    mu,
-    nu,
-    k1,
-    f1,
-    k2,
-    f2,
-    E_ou,
-    S_ou,
-    skip,
-    hist,
-    x_min,
-    dx,
-    nx,
-    v_min,
-    dv,
-    nv,
-    acc,
-    series,
-    store,
-):
-    """Advance one trajectory by n Euler steps; returns (x, v, V, xi, alive)."""
-    L = xbuf.shape[0]
-    for i in range(n):
-        s = s0 + i
-        j = s % L
-        xbuf[j] = x
-        vbuf[j] = v
-        j1 = (s - k1) % L
-        j1m = (s - k1 - 1) % L
-        xd = xbuf[j1] * (1.0 - f1) + xbuf[j1m] * f1
-        j2 = (s - k2) % L
-        j2m = (s - k2 - 1) % L
-        vd = vbuf[j2] * (1.0 - f2) + vbuf[j2m] * f2
-        drive = xi + forcing[i]
-        if s >= skip:
-            acc[0] += v * drive
-            acc[1] += V * V
-            acc[2] += 1.0
-            ix = int(np.floor((x - x_min) / dx))
-            iv = int(np.floor((v - v_min) / dv))
-            if 0 <= ix < nx and 0 <= iv < nv:
-                hist[ix, iv] += 1
-            if store >= STORE_X:
-                series[0, s - skip] = x
-            if store == STORE_XVV:
-                series[1, s - skip] = v
-                series[2, s - skip] = V
-        a = (
-            -beta * v
-            + delta1 * x
-            - delta3 * x * x * x
-            - kappa * V
-            + mu * xd
-            + nu * vd
-            + drive
-        )
-        # semi-implicit step: position advances with the updated velocity,
-        # which avoids the secular energy injection of the fully explicit form
-        V = V + dt * (v - alpha * V)
-        v = v + dt * a
-        x = x + dt * v
-        xi = xi * E_ou + S_ou * draws[i]
-        if abs(x) > DIVERGENCE_LIMIT:
-            return x, v, V, xi, False
-    return x, v, V, xi, True
 
 
 def _chunk_batch(
@@ -165,10 +55,13 @@ def _chunk_batch(
     series,
     store,
 ):
-    """Lockstep version of _chunk_scalar over the whole ensemble.
+    """Advance every trajectory of the ensemble by n Euler steps.
 
     State arrays have shape (m,), buffers (m, L), draws (m, n), acc (m, 3),
-    series (m, 3 or 1, n_post).  Mutates everything in place.
+    series (m, 3 or 1, n_post).  Steps s0 .. s0+n-1 are taken; samples from
+    step skip on are accumulated.  A trajectory whose |x| exceeds
+    DIVERGENCE_LIMIT is frozen and cleared from alive.  Mutates everything in
+    place.
     """
     L = xbuf.shape[1]
     for i in range(n):
@@ -205,6 +98,8 @@ def _chunk_batch(
             + nu * vd
             + drive
         )
+        # semi-implicit step: position advances with the updated velocity,
+        # which avoids the secular energy injection of the fully explicit form
         np.copyto(V, V + dt * (v - alpha * V), where=alive)
         np.copyto(v, v + dt * a, where=alive)
         np.copyto(x, x + dt * v, where=alive)

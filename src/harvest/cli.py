@@ -67,18 +67,11 @@ def _config_hash(doc: dict) -> str:
 def _versions() -> dict:
     import scipy
 
-    versions = {
+    return {
         "harvest": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
     }
-    try:
-        import numba
-
-        versions["numba"] = numba.__version__
-    except ImportError:
-        versions["numba"] = None
-    return versions
 
 
 def _base_meta(cfg: RunConfig, subcommand: str, t0: float) -> dict:
@@ -157,16 +150,8 @@ def _cmd_snr(cfg: RunConfig, out_dir, t0) -> int:
     return 0
 
 
-def _mcs_estimates(cfg: RunConfig) -> mcs.EnsembleEstimates:
-    est = mcs.run_ensemble(cfg.system, cfg.noise, cfg.excitation, cfg.sim)
-    if cfg.sim.psd is not None:
-        psd = mcs.estimate_snr_psd(cfg.system, cfg.noise, cfg.excitation, cfg.sim)
-        est = dataclasses.replace(est, psd_snr=psd)
-    return est
-
-
 def _cmd_mcs(cfg: RunConfig, out_dir, t0) -> int:
-    est = _mcs_estimates(cfg)
+    est = mcs.run_ensemble(cfg.system, cfg.noise, cfg.excitation, cfg.sim)
     header = [
         "mean_power", "v_rms", "efficiency_pct", "efficiency_defined",
         "n_divergent", "n_samples", "psd_snr", "psd_snr_stderr",
@@ -195,7 +180,7 @@ def _cmd_mcs(cfg: RunConfig, out_dir, t0) -> int:
 
 def _cmd_compare(cfg: RunConfig, out_dir, t0) -> int:
     analytic = averaging.mean_power(cfg.system, cfg.noise)
-    est = _mcs_estimates(cfg)
+    est = mcs.run_ensemble(cfg.system, cfg.noise, cfg.excitation, cfg.sim)
     gap = (
         abs(est.mean_power - analytic) / abs(analytic) if analytic != 0 else math.nan
     )
@@ -228,6 +213,10 @@ def _axis_values(ax) -> np.ndarray:
     return np.linspace(ax.start, ax.stop, ax.count)
 
 
+# Quantities read off one shared Monte Carlo ensemble run per cell.
+_ENSEMBLE_QUANTITIES = ("v_rms", "efficiency")
+
+
 def _sweep_cell(args):
     cfg, assignments, quantities = args
     for param, value in assignments:
@@ -235,6 +224,8 @@ def _sweep_cell(args):
     values = {}
     error = ""
     for q in quantities:
+        if q in values:
+            continue
         try:
             if q == "power":
                 values[q] = averaging.mean_power(cfg.system, cfg.noise)
@@ -246,14 +237,19 @@ def _sweep_cell(args):
                 )
             elif q == "omega_eq":
                 values[q] = resonance.snr_equilibria(cfg.system)[2]
-            elif q in ("v_rms", "efficiency"):
+            elif q in _ENSEMBLE_QUANTITIES:
+                # a sweep has no spectral SNR column, so it stores no series
+                # and runs no periodograms
                 est = mcs.run_ensemble(
-                    cfg.system, cfg.noise, cfg.excitation, cfg.sim
+                    cfg.system, cfg.noise, cfg.excitation,
+                    dataclasses.replace(cfg.sim, psd=None),
                 )
                 values["v_rms"] = est.v_rms
                 values["efficiency"] = est.efficiency_pct
-        except HarvestError as e:
-            values[q] = math.nan
+        except Exception as e:
+            # any failure is confined to this cell so the other rows survive
+            failed = _ENSEMBLE_QUANTITIES if q in _ENSEMBLE_QUANTITIES else (q,)
+            values.update(dict.fromkeys(failed, math.nan))
             error = error or type(e).__name__
     return values, error
 

@@ -122,8 +122,16 @@ class EnsembleEstimates:
 
 
 def lane() -> str:
-    """Which stepping lane is active: 'numba' or 'numpy'."""
-    return "numba" if _kernels.USE_NUMBA else "numpy"
+    """The stepping lane, recorded in run provenance: the numpy lockstep
+    kernel is the only one."""
+    return "numpy"
+
+
+def _ou_coefficients(noise: NoiseParams, dt: float) -> tuple[float, float]:
+    """Decay and innovation scale of the exact one-step colored-noise update."""
+    decay = math.exp(-dt / noise.c)
+    scale = math.sqrt(noise.D / noise.c * (1.0 - math.exp(-2.0 * dt / noise.c)))
+    return decay, scale
 
 
 def ou_path_step(
@@ -132,8 +140,7 @@ def ou_path_step(
     """Exact one-step update of the exponentially correlated noise."""
     if not dt > 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    decay = math.exp(-dt / noise.c)
-    scale = math.sqrt(noise.D / noise.c * (1.0 - math.exp(-2.0 * dt / noise.c)))
+    decay, scale = _ou_coefficients(noise, dt)
     return xi * decay + scale * gaussian_draw
 
 
@@ -164,11 +171,15 @@ def _run_params(p: SystemParams, noise: NoiseParams, cfg: SimConfig):
     k1, f1 = _delay_offsets(p.tau1, cfg.dt)
     k2, f2 = _delay_offsets(p.tau2, cfg.dt)
     buf_len = max(k1, k2) + 2
-    decay = math.exp(-cfg.dt / noise.c)
-    scale = math.sqrt(
-        noise.D / noise.c * (1.0 - math.exp(-2.0 * cfg.dt / noise.c))
-    )
+    decay, scale = _ou_coefficients(noise, cfg.dt)
     return k1, f1, k2, f2, buf_len, decay, scale
+
+
+def _step_counts(ex: ExcitationParams, cfg: SimConfig) -> tuple[int, int]:
+    """Total steps and the number of leading transient steps discarded."""
+    n_steps = int(round(cfg.t_total / cfg.dt))
+    skip = int(round(cfg.resolved_transient(ex) / cfg.dt))
+    return n_steps, skip
 
 
 def _forcing_chunk(ex: ExcitationParams, dt: float, s0: int, n: int) -> np.ndarray:
@@ -206,126 +217,33 @@ def _kernel_args(p: SystemParams, cfg: SimConfig, k1, f1, k2, f2, decay, scale, 
     ), (g.x_min, dx, g.nx, g.v_min, dv, g.nv)
 
 
-def simulate_trajectory(
-    p: SystemParams,
-    noise: NoiseParams,
-    ex: ExcitationParams,
-    cfg: SimConfig,
-    traj_seed,
-    x_init: float | None = None,
-) -> TrajectoryResult:
-    """Integrate one trajectory; deterministic given traj_seed.
-
-    traj_seed may be an integer or a numpy SeedSequence.  The delay history
-    before t=0 is held constant at the initial condition.
-    """
-    _validate_step(p, noise, cfg)
-    n_steps = int(round(cfg.t_total / cfg.dt))
-    skip = int(round(cfg.resolved_transient(ex) / cfg.dt))
-    n_post = n_steps - skip
-    k1, f1, k2, f2, buf_len, decay, scale = _run_params(p, noise, cfg)
-    coeffs, hspec = _kernel_args(p, cfg, k1, f1, k2, f2, decay, scale, skip)
-
-    rng = np.random.default_rng(traj_seed)
-    x = float(x_init) if x_init is not None else float(
-        _initial_positions(p, cfg, 1)[0]
-    )
-    v, V = cfg.v0, cfg.V0
-    xi = ou_initial_draw(noise, rng.standard_normal())
-    xbuf = np.full(buf_len, x)
-    vbuf = np.full(buf_len, v)
-    hist = np.zeros((cfg.grid.nx, cfg.grid.nv), dtype=np.int64)
-    acc = np.zeros(3)
-    series = np.zeros((3, max(n_post, 1)))
-
-    alive = True
-    s0 = 0
-    while s0 < n_steps and alive:
-        n = min(_CHUNK, n_steps - s0)
-        forcing = _forcing_chunk(ex, cfg.dt, s0, n)
-        draws = rng.standard_normal(n)
-        x, v, V, xi, alive = _kernels._chunk_scalar(
-            x, v, V, xi, xbuf, vbuf, s0, n, forcing, draws,
-            *coeffs, hist, *hspec, acc, series, _kernels.STORE_XVV,
-        )
-        if not alive:
-            break
-        s0 += n
-
-    n_samples = int(acc[2])
-    t = (skip + np.arange(n_samples)) * cfg.dt
-    return TrajectoryResult(
-        t=t,
-        x=series[0, :n_samples].copy(),
-        v=series[1, :n_samples].copy(),
-        V=series[2, :n_samples].copy(),
-        power_sum=p.kappa * p.alpha * acc[1],
-        input_power_sum=acc[0],
-        n_samples=n_samples,
-        divergent=not alive,
-        final_state=(x, v, V, xi),
-    )
-
-
 def _ensemble_core(
     p: SystemParams,
     noise: NoiseParams,
     ex: ExcitationParams,
     cfg: SimConfig,
+    gens: list[np.random.Generator],
+    x0: np.ndarray,
     store: int,
 ):
-    """Run the full ensemble on the active lane.
+    """Step one trajectory per generator in lockstep, starting from x0.
 
-    Returns (acc (n_traj, 3), hist counts, divergent mask, series or None).
-    Both lanes draw per-trajectory standard-normal streams from generators
-    spawned off the master seed, so their results agree bit for bit.
+    Returns acc (m, 3), the histogram counts, the divergent mask, the stored
+    series (m, columns, n_post) or None, and the final (x, v, V, xi) arrays.
+    Trajectory i reads only from gens[i], so its path does not depend on the
+    other rows.
     """
     _validate_step(p, noise, cfg)
-    n_steps = int(round(cfg.t_total / cfg.dt))
-    skip = int(round(cfg.resolved_transient(ex) / cfg.dt))
+    n_steps, skip = _step_counts(ex, cfg)
     if skip >= n_steps:
         raise ParameterError("transient discard leaves no samples")
     n_post = n_steps - skip
     k1, f1, k2, f2, buf_len, decay, scale = _run_params(p, noise, cfg)
     coeffs, hspec = _kernel_args(p, cfg, k1, f1, k2, f2, decay, scale, skip)
 
-    m = cfg.n_traj
-    children = np.random.SeedSequence(cfg.seed).spawn(m)
-    gens = [np.random.default_rng(c) for c in children]
-    x0 = _initial_positions(p, cfg, m)
+    m = len(gens)
     hist = np.zeros((cfg.grid.nx, cfg.grid.nv), dtype=np.int64)
-
-    if _kernels.USE_NUMBA:
-        acc = np.zeros((m, 3))
-        divergent = np.zeros(m, dtype=bool)
-        n_cols = 1 if store == _kernels.STORE_X else 3
-        series = (
-            np.zeros((m, n_cols, n_post)) if store != _kernels.STORE_NONE else None
-        )
-        dummy = np.zeros((1, 1))
-        for i in range(m):
-            rng = gens[i]
-            x = float(x0[i])
-            v, V = cfg.v0, cfg.V0
-            xi = ou_initial_draw(noise, rng.standard_normal())
-            xbuf = np.full(buf_len, x)
-            vbuf = np.full(buf_len, v)
-            ser = series[i] if series is not None else dummy
-            s0 = 0
-            alive = True
-            while s0 < n_steps and alive:
-                n = min(_CHUNK, n_steps - s0)
-                forcing = _forcing_chunk(ex, cfg.dt, s0, n)
-                draws = rng.standard_normal(n)
-                x, v, V, xi, alive = _kernels._chunk_scalar(
-                    x, v, V, xi, xbuf, vbuf, s0, n, forcing, draws,
-                    *coeffs, hist, *hspec, acc[i], ser, store,
-                )
-                s0 += n
-            divergent[i] = not alive
-        return acc, hist, divergent, series
-
-    x = x0.copy()
+    x = np.array(x0, dtype=float)
     v = np.full(m, cfg.v0)
     V = np.full(m, cfg.V0)
     xi = np.array(
@@ -353,7 +271,47 @@ def _ensemble_core(
         )
         s0 += n
     out_series = series if store != _kernels.STORE_NONE else None
-    return acc, hist, ~alive, out_series
+    return acc, hist, ~alive, out_series, (x, v, V, xi)
+
+
+def simulate_trajectory(
+    p: SystemParams,
+    noise: NoiseParams,
+    ex: ExcitationParams,
+    cfg: SimConfig,
+    traj_seed,
+    x_init: float | None = None,
+) -> TrajectoryResult:
+    """Integrate one trajectory; deterministic given traj_seed.
+
+    traj_seed may be an integer or a numpy SeedSequence.  This is the
+    ensemble stepping on one row, so seeding it with the first child of
+    SeedSequence(cfg.seed) and starting it where run_ensemble starts its
+    first trajectory reproduces the one-trajectory ensemble bit for bit.
+    The delay history before t=0 is held constant at the initial condition.
+    """
+    x0 = (
+        _initial_positions(p, cfg, 1) if x_init is None
+        else np.array([float(x_init)])
+    )
+    acc, _, divergent, series, final = _ensemble_core(
+        p, noise, ex, cfg, [np.random.default_rng(traj_seed)], x0,
+        _kernels.STORE_XVV,
+    )
+    _, skip = _step_counts(ex, cfg)
+    n_samples = int(acc[0, 2])
+    t = (skip + np.arange(n_samples)) * cfg.dt
+    return TrajectoryResult(
+        t=t,
+        x=series[0, 0, :n_samples].copy(),
+        v=series[0, 1, :n_samples].copy(),
+        V=series[0, 2, :n_samples].copy(),
+        power_sum=p.kappa * p.alpha * acc[0, 1],
+        input_power_sum=acc[0, 0],
+        n_samples=n_samples,
+        divergent=bool(divergent[0]),
+        final_state=tuple(float(a[0]) for a in final),
+    )
 
 
 def _histogram_density(cfg: SimConfig, hist: np.ndarray) -> DensityField:
@@ -374,18 +332,31 @@ def run_ensemble(
     noise: NoiseParams,
     ex: ExcitationParams,
     cfg: SimConfig,
-    _store: int = _kernels.STORE_NONE,
-    _series_out: list | None = None,
 ) -> EnsembleEstimates:
     """Ensemble estimates pooled over all post-transient samples.
 
+    Trajectory i draws from the i-th child of SeedSequence(cfg.seed).
     Merging is a fixed-order sum over trajectory index, so the result does not
     depend on scheduling.  Divergent trajectories contribute the samples they
-    collected before diverging and are counted in n_divergent.
+    collected before diverging and are counted in n_divergent.  With a psd
+    block the displacement series is stored in the same pass and psd_snr is
+    estimated from it; storing it does not change the other estimates.
     """
-    acc, hist, divergent, series = _ensemble_core(p, noise, ex, cfg, _store)
-    if _series_out is not None:
-        _series_out.append((series, divergent))
+    if cfg.psd is not None:
+        drive_period = 2.0 * math.pi / ex.Omega
+        if cfg.psd.segment_time < 10.0 * drive_period:
+            raise ParameterError(
+                f"segment_time={cfg.psd.segment_time} must cover >= 10 drive "
+                f"periods ({10.0 * drive_period:.6g})"
+            )
+    gens = [
+        np.random.default_rng(c)
+        for c in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
+    ]
+    store = _kernels.STORE_NONE if cfg.psd is None else _kernels.STORE_X
+    acc, hist, divergent, series, _ = _ensemble_core(
+        p, noise, ex, cfg, gens, _initial_positions(p, cfg, cfg.n_traj), store
+    )
     pm_sum = float(np.sum(acc[:, 0]))
     vsq_sum = float(np.sum(acc[:, 1]))
     n = float(np.sum(acc[:, 2]))
@@ -404,7 +375,10 @@ def run_ensemble(
         histogram=_histogram_density(cfg, hist),
         n_divergent=int(np.sum(divergent)),
         n_samples=int(n),
-        psd_snr=None,
+        psd_snr=(
+            None if cfg.psd is None
+            else estimate_snr_psd(series, divergent, ex, cfg)
+        ),
     )
 
 
@@ -440,28 +414,28 @@ def _snr_from_mean(mean_spec: np.ndarray, j: int) -> float:
 
 
 def estimate_snr_psd(
-    p: SystemParams,
-    noise: NoiseParams,
+    series: np.ndarray | SystemParams,
+    divergent: np.ndarray | NoiseParams,
     ex: ExcitationParams,
     cfg: SimConfig,
 ) -> PsdSnr:
     """Periodogram SNR of the displacement at the drive frequency.
 
-    Averages Hann periodograms over overlapping segments of every clean
-    trajectory, subtracts the noise floor interpolated from neighboring bins,
-    and attaches a bootstrap standard error over segments.
+    series[i, 0] is trajectory i's post-transient displacement and divergent
+    marks the trajectories to leave out; cfg.psd sets the segments.  Averages
+    Hann periodograms over overlapping segments of every clean trajectory,
+    subtracts the noise floor interpolated from neighboring bins, and attaches
+    a bootstrap standard error over segments.
+
+    Called as estimate_snr_psd(p, noise, ex, cfg), with the system and noise
+    parameters in the first two places, it returns
+    run_ensemble(p, noise, ex, cfg).psd_snr; perfbench/make_reference.py
+    calls it that way.
     """
-    if cfg.psd is None:
-        raise ParameterError("psd settings are required for spectral estimation")
-    drive_period = 2.0 * math.pi / ex.Omega
-    if cfg.psd.segment_time < 10.0 * drive_period:
-        raise ParameterError(
-            f"segment_time={cfg.psd.segment_time} must cover >= 10 drive periods "
-            f"({10.0 * drive_period:.6g})"
-        )
-    out: list = []
-    run_ensemble(p, noise, ex, cfg, _store=_kernels.STORE_X, _series_out=out)
-    series, divergent = out[0]
+    if isinstance(series, SystemParams):
+        if cfg.psd is None:
+            raise ParameterError("psd settings are required for spectral estimation")
+        return run_ensemble(series, divergent, ex, cfg).psd_snr
     if np.all(divergent):
         raise ParameterError("all trajectories diverged; no spectra available")
 

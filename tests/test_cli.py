@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from harvest import mcs, resonance
 from harvest.cli import main, run_sweep
 from harvest.config import (
     SWEEP_QUANTITIES,
@@ -181,7 +182,7 @@ class TestCliCommands:
         assert meta["subcommand"] == "power"
         assert meta["seed"] == 7
         assert len(meta["config_hash"]) == 64
-        assert meta["lane"] in ("numba", "numpy")
+        assert meta["lane"] == "numpy"
         assert meta["exclusion_band"] > 0
 
     def test_freq_output_monotone_energy(self, tmp_path):
@@ -318,6 +319,55 @@ class TestSweep:
             assert r[-1] == "BistabilityLossError"
         for r in good:
             assert math.isfinite(float(r[1]))
+
+    def test_unexpected_exception_keeps_other_rows(self, tmp_path, monkeypatch):
+        snr = resonance.snr
+
+        def failing(p, noise, ex):
+            if 5e-3 < noise.D < 5e-2:  # the middle cell
+                raise ZeroDivisionError("injected")
+            return snr(p, noise, ex)
+
+        monkeypatch.setattr(resonance, "snr", failing)
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
+                                 "stop": 1e-1, "count": 3, "scale": "log"}],
+                       "quantities": ["snr", "well_depth"]})
+        cfg_path = write_cfg(tmp_path, d)
+        rc = main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                   "--threads", "1"])
+        assert rc == 1
+        _, rows = read_csv(tmp_path / "harvest_sweep.csv")
+        assert len(rows) == 3
+        assert [r[-1] for r in rows] == ["", "ZeroDivisionError", ""]
+        assert rows[1][1] == "nan"
+        assert all(math.isfinite(float(r[2])) for r in rows)
+        assert all(math.isfinite(float(r[1])) for r in (rows[0], rows[2]))
+
+    def test_one_ensemble_run_per_cell(self, tmp_path, monkeypatch):
+        calls = []
+        run_ensemble = mcs.run_ensemble
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(mcs, "run_ensemble", counting)
+        # The psd block's segment is far shorter than ten drive periods: a
+        # sweep has no spectral column, so it must neither check nor run it.
+        d = doc(sweep={"axes": [{"param": "excitation.Omega", "start": 0.05,
+                                 "stop": 0.5, "count": 2}],
+                       "quantities": ["v_rms", "efficiency"]})
+        d["sim"]["t_total"] = 40.0
+        d["sim"]["t_transient"] = 10.0
+        d["sim"]["psd"] = {"segment_time": 5.0}
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                     "--threads", "1"]) == 0
+        assert len(calls) == 2
+        assert all(args[3].psd is None for args in calls)
+        _, rows = read_csv(tmp_path / "harvest_sweep.csv")
+        assert all(math.isfinite(float(v)) for r in rows for v in r[1:3])
+        assert all(r[-1] == "" for r in rows)
 
     def test_log_scale_axis(self, tmp_path):
         d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,

@@ -1,12 +1,14 @@
 """Monte Carlo lane: noise generator statistics, integrator behavior,
 determinism, delay handling, and the spectral SNR estimator."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from harvest import _kernels
 from harvest.averaging import GridSpec
 from harvest.errors import ParameterError
 from harvest.mcs import (
@@ -220,17 +222,89 @@ class TestEstimators:
         assert 0.0 < est.efficiency_pct < 100.0
 
 
+class TestOnePass:
+    def test_trajectory_is_one_ensemble_row(self, controlled_system):
+        """A trajectory on the first spawned stream is the one-trajectory
+        ensemble, bit for bit: its power sum and V series give the ensemble's
+        power and RMS voltage, and its x, v series give the histogram."""
+        p = controlled_system
+        noise = NoiseParams(D=0.005, c=0.3)
+        ex = ExcitationParams(eps=0.1, G=0.1, Omega=0.05)
+        cfg = SimConfig(dt=0.01, t_total=120.0, t_transient=20.0, n_traj=1,
+                        seed=321)
+        traj = simulate_trajectory(
+            p, noise, ex, cfg, np.random.SeedSequence(321).spawn(1)[0],
+            x_init=math.sqrt(p.delta1 / p.delta3),
+        )
+        est = run_ensemble(p, noise, ex, cfg)
+        assert not traj.divergent and est.n_divergent == 0
+        assert traj.n_samples == est.n_samples
+        vsq = 0.0
+        for V in traj.V:  # the kernel's running sum, in step order
+            vsq += V * V
+        assert traj.power_sum == p.kappa * p.alpha * vsq
+        assert est.mean_power == p.kappa * p.alpha * (vsq / traj.n_samples)
+        assert est.v_rms == math.sqrt(vsq / traj.n_samples)
+        g = cfg.grid
+        dx = (g.x_max - g.x_min) / g.nx
+        dv = (g.v_max - g.v_min) / g.nv
+        ix = np.floor((traj.x - g.x_min) / dx).astype(np.int64)
+        iv = np.floor((traj.v - g.v_min) / dv).astype(np.int64)
+        ok = (ix >= 0) & (ix < g.nx) & (iv >= 0) & (iv < g.nv)
+        counts = np.zeros((g.nx, g.nv), dtype=np.int64)
+        np.add.at(counts, (ix[ok], iv[ok]), 1)
+        np.testing.assert_array_equal(
+            est.histogram.values, counts / (counts.sum() * dx * dv)
+        )
+
+    def test_psd_block_steps_once(self, baseline_system, baseline_noise,
+                                  monkeypatch):
+        """With a psd block the ensemble is stepped once, and storing the
+        displacement leaves the pooled estimates unchanged."""
+        steps = []
+        kernel = _kernels._chunk_batch
+        signature = inspect.signature(kernel)
+
+        def counting(*args, **kwargs):
+            steps.append(signature.bind(*args, **kwargs).arguments["n"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "_chunk_batch", counting)
+        ex = ExcitationParams(eps=1.0, G=0.3, Omega=0.5)
+        cfg = SimConfig(
+            dt=0.01, t_total=600.0, t_transient=100.0, n_traj=2, seed=5,
+            psd=PsdSettings(segment_time=150.0, n_bootstrap=20),
+        )
+        with_psd = run_ensemble(baseline_system, baseline_noise, ex, cfg)
+        assert sum(steps) == 60_000
+        assert with_psd.psd_snr is not None
+        plain = run_ensemble(
+            baseline_system, baseline_noise, ex, SimConfig(
+                dt=0.01, t_total=600.0, t_transient=100.0, n_traj=2, seed=5
+            )
+        )
+        assert plain.psd_snr is None
+        assert with_psd.mean_power == plain.mean_power
+        assert with_psd.v_rms == plain.v_rms
+        assert estimate_snr_psd(
+            baseline_system, baseline_noise, ex, cfg
+        ) == with_psd.psd_snr
+
+
 class TestSpectralSnr:
     def test_requires_settings_and_long_segments(
         self, baseline_system, baseline_noise
     ):
         ex = ExcitationParams(eps=0.1, G=0.1, Omega=0.5)
+        assert run_ensemble(
+            baseline_system, baseline_noise, ex, small_cfg()
+        ).psd_snr is None
         with pytest.raises(ParameterError):
             estimate_snr_psd(baseline_system, baseline_noise, ex, small_cfg())
         cfg = small_cfg(psd=PsdSettings(segment_time=50.0))
         with pytest.raises(ParameterError):
             # 10 periods at Omega=0.5 need 125.7 time units
-            estimate_snr_psd(baseline_system, baseline_noise, ex, cfg)
+            run_ensemble(baseline_system, baseline_noise, ex, cfg)
 
     def test_drive_line_detected(self, baseline_system, baseline_noise):
         """A strong drive leaves a clear spectral line at its frequency."""
@@ -239,7 +313,7 @@ class TestSpectralSnr:
             dt=0.01, t_total=1200.0, t_transient=200.0, n_traj=4, seed=5,
             psd=PsdSettings(segment_time=150.0, n_bootstrap=50),
         )
-        out = estimate_snr_psd(baseline_system, baseline_noise, ex, cfg)
+        out = run_ensemble(baseline_system, baseline_noise, ex, cfg).psd_snr
         assert out.estimate > 5.0
         assert abs(out.bin_freq - ex.Omega) <= out.freq_resolution
         assert out.n_segments >= 4
@@ -251,5 +325,5 @@ class TestSpectralSnr:
             dt=0.01, t_total=1200.0, t_transient=200.0, n_traj=4, seed=5,
             psd=PsdSettings(segment_time=150.0, n_bootstrap=50),
         )
-        out = estimate_snr_psd(baseline_system, baseline_noise, ex, cfg)
+        out = run_ensemble(baseline_system, baseline_noise, ex, cfg).psd_snr
         assert abs(out.estimate) <= 5.0 * max(out.stderr, 0.05)
