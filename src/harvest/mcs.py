@@ -1,10 +1,14 @@
 """Monte Carlo simulation of the original coupled delayed stochastic system.
 
 Semi-implicit Euler stepping of displacement, velocity and harvested voltage
-with the colored noise advanced by its exact one-step update, delayed feedback read
-from ring buffers with linear interpolation, and ensemble estimators for the
-mean output power, RMS voltage, conversion efficiency, stationary histogram
-and a periodogram-based SNR.
+with the colored noise advanced by its exact one-step update, delayed feedback
+read with linear interpolation from a step-major history, and ensemble
+estimators for the mean output power, RMS voltage, conversion efficiency,
+stationary histogram and a periodogram-based SNR.
+
+The ensemble is stepped in chunks of _CHUNK steps.  Each chunk keeps its
+(history + chunk, m) displacement and velocity rows, with the previous
+chunk's last steps on top, and accumulates the estimators once from them.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ from .averaging import DensityField, GridSpec
 from .errors import ParameterError
 from .model import ExcitationParams, NoiseParams, SystemParams
 
-_CHUNK = 16384
+# Steps per lockstep chunk.  A chunk's step-major records (draws, noise path,
+# drive, V, the x and v histories) and the temporaries of its estimators come
+# to about a dozen (1024, m) float arrays, less than (m, 16384) draws.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -170,9 +177,11 @@ def _delay_offsets(tau: float, dt: float) -> tuple[int, float]:
 def _run_params(p: SystemParams, noise: NoiseParams, cfg: SimConfig):
     k1, f1 = _delay_offsets(p.tau1, cfg.dt)
     k2, f2 = _delay_offsets(p.tau2, cfg.dt)
-    buf_len = max(k1, k2) + 2
+    # rows of history kept before each chunk: an interpolated delayed read
+    # at step s reaches back to step s - k - 1
+    n_back = max(k1, k2) + 1
     decay, scale = _ou_coefficients(noise, cfg.dt)
-    return k1, f1, k2, f2, buf_len, decay, scale
+    return k1, f1, k2, f2, n_back, decay, scale
 
 
 def _step_counts(ex: ExcitationParams, cfg: SimConfig) -> tuple[int, int]:
@@ -238,7 +247,7 @@ def _ensemble_core(
     if skip >= n_steps:
         raise ParameterError("transient discard leaves no samples")
     n_post = n_steps - skip
-    k1, f1, k2, f2, buf_len, decay, scale = _run_params(p, noise, cfg)
+    k1, f1, k2, f2, n_back, decay, scale = _run_params(p, noise, cfg)
     coeffs, hspec = _kernel_args(p, cfg, k1, f1, k2, f2, decay, scale, skip)
 
     m = len(gens)
@@ -249,8 +258,12 @@ def _ensemble_core(
     xi = np.array(
         [ou_initial_draw(noise, g.standard_normal()) for g in gens]
     )
-    xbuf = np.repeat(x[:, None], buf_len, axis=1)
-    vbuf = np.repeat(v[:, None], buf_len, axis=1)
+    # step-major histories; the delay history before t=0 is the start state
+    rows = n_back + min(_CHUNK, n_steps) + 1
+    xh = np.empty((rows, m))
+    vh = np.empty((rows, m))
+    xh[:n_back] = x
+    vh[:n_back] = v
     acc = np.zeros((m, 3))
     alive = np.ones(m, dtype=bool)
     n_cols = 1 if store == _kernels.STORE_X else 3
@@ -262,11 +275,12 @@ def _ensemble_core(
     while s0 < n_steps:
         n = min(_CHUNK, n_steps - s0)
         forcing = _forcing_chunk(ex, cfg.dt, s0, n)
-        draws = np.empty((m, n))
+        draws = np.empty((n, m))
         for i, g in enumerate(gens):
-            draws[i] = g.standard_normal(n)
+            draws[:, i] = g.standard_normal(n)
+        end = n_back + n + 1
         _kernels._chunk_batch(
-            x, v, V, xi, alive, xbuf, vbuf, s0, n, forcing, draws,
+            x, v, V, xi, alive, xh[:end], vh[:end], s0, n, forcing, draws,
             *coeffs, hist, *hspec, acc, series, store,
         )
         s0 += n
@@ -403,14 +417,20 @@ def _segment_periodograms(
     return np.asarray(periodograms)
 
 
-def _snr_from_mean(mean_spec: np.ndarray, j: int) -> float:
+def _snr_window(j: int, n_bins: int) -> np.ndarray:
+    """Bins the SNR at drive bin j reads: j itself, then its background
+    neighbors, up to five on each side, skipping DC and the bins next to j."""
     lo = np.arange(max(j - 6, 1), max(j - 1, 1))
-    hi = np.arange(j + 2, min(j + 7, mean_spec.shape[0]))
-    neighbors = np.concatenate([mean_spec[lo], mean_spec[hi]])
-    background = float(np.mean(neighbors))
+    hi = np.arange(j + 2, min(j + 7, n_bins))
+    return np.concatenate([[j], lo, hi])
+
+
+def _snr_from_mean(mean_window: np.ndarray) -> float:
+    """Background-subtracted SNR from the mean spectrum on _snr_window bins."""
+    background = float(np.mean(mean_window[1:]))
     if background <= 0:
         return 0.0
-    return (float(mean_spec[j]) - background) / background
+    return (float(mean_window[0]) - background) / background
 
 
 def estimate_snr_psd(
@@ -447,13 +467,15 @@ def estimate_snr_psd(
     if j < 3 or j > pgs.shape[1] - 8:
         raise ParameterError("drive frequency too close to the spectral edge")
 
-    estimate = _snr_from_mean(pgs.mean(axis=0), j)
+    # the SNR reads 13 bins at most; resample only those
+    window = pgs[:, _snr_window(j, pgs.shape[1])]
+    estimate = _snr_from_mean(window.mean(axis=0))
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2**20,)))
     n_pg = pgs.shape[0]
     boot = np.empty(cfg.psd.n_bootstrap)
     for b in range(cfg.psd.n_bootstrap):
         pick = rng.integers(0, n_pg, n_pg)
-        boot[b] = _snr_from_mean(pgs[pick].mean(axis=0), j)
+        boot[b] = _snr_from_mean(window[pick].mean(axis=0))
     return PsdSnr(
         estimate=estimate,
         stderr=float(np.std(boot, ddof=1)),

@@ -3,12 +3,13 @@ determinism, delay handling, and the spectral SNR estimator."""
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from harvest import _kernels
+from harvest import _kernels, mcs
 from harvest.averaging import GridSpec
 from harvest.errors import ParameterError
 from harvest.mcs import (
@@ -289,6 +290,143 @@ class TestOnePass:
         assert estimate_snr_psd(
             baseline_system, baseline_noise, ex, cfg
         ) == with_psd.psd_snr
+
+
+def _assert_same_ensemble(a, b):
+    assert a.mean_power == b.mean_power
+    assert a.v_rms == b.v_rms
+    assert a.efficiency_pct == b.efficiency_pct
+    assert a.n_divergent == b.n_divergent
+    assert a.n_samples == b.n_samples
+    np.testing.assert_array_equal(a.histogram.values, b.histogram.values)
+    assert a.psd_snr == b.psd_snr
+
+
+class TestChunking:
+    """Results do not depend on how the run is cut into chunks, and a row
+    that diverges mid-run stops exactly where its first crossing is."""
+
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_chunk_invariance(self, controlled_system, monkeypatch, chunk):
+        """tau2 = 2.5 at dt = 0.01 is a 250-step delay, longer than a
+        7-step chunk: the delayed reads cross several chunk boundaries."""
+        p = controlled_system
+        noise = NoiseParams(D=0.005, c=0.3)
+        ex = ExcitationParams(eps=1.0, G=0.3, Omega=0.5)
+        cfg = SimConfig(
+            dt=0.01, t_total=330.0, t_transient=30.0, n_traj=3, seed=17,
+            psd=PsdSettings(segment_time=150.0, n_bootstrap=20),
+        )
+        seed = np.random.SeedSequence(17).spawn(1)[0]
+        ref_ens = run_ensemble(p, noise, ex, cfg)
+        ref_traj = simulate_trajectory(p, noise, ex, cfg, seed)
+        monkeypatch.setattr(mcs, "_CHUNK", chunk)
+        ens = run_ensemble(p, noise, ex, cfg)
+        traj = simulate_trajectory(p, noise, ex, cfg, seed)
+        assert ref_ens.psd_snr is not None
+        _assert_same_ensemble(ens, ref_ens)
+        for name in ("x", "v", "V"):
+            np.testing.assert_array_equal(getattr(traj, name),
+                                          getattr(ref_traj, name))
+        assert traj.power_sum == ref_traj.power_sum
+        assert traj.input_power_sum == ref_traj.input_power_sum
+        assert traj.final_state == ref_traj.final_state
+
+    def test_mid_run_divergence(self, baseline_system, monkeypatch):
+        """A start at x = 58.5 stays inside the divergence limit for 141
+        steps and crosses it at step 141, in the third 64-step chunk.  The
+        calm row beside it is its own one-row run; the diverging row keeps
+        the samples up to its crossing and freezes there."""
+        p = baseline_system
+        noise = NoiseParams(D=0.005, c=0.3)
+        cfg = SimConfig(dt=0.01, t_total=3.0, t_transient=0.5, n_traj=2,
+                        seed=0)
+        skip = 50
+        monkeypatch.setattr(mcs, "_CHUNK", 64)
+        x_calm, x_wild = 1.0, 58.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc, _, divergent, series, final = mcs._ensemble_core(
+                p, noise, EX_OFF, cfg,
+                [np.random.default_rng(1), np.random.default_rng(3)],
+                np.array([x_calm, x_wild]), _kernels.STORE_XVV,
+            )
+            acc1, _, div1, series1, final1 = mcs._ensemble_core(
+                p, noise, EX_OFF, cfg, [np.random.default_rng(1)],
+                np.array([x_calm]), _kernels.STORE_XVV,
+            )
+        assert divergent.tolist() == [False, True] and not div1[0]
+        np.testing.assert_array_equal(acc[0], acc1[0])
+        np.testing.assert_array_equal(series[0], series1[0])
+        assert [a[0] for a in final] == [a[0] for a in final1]
+
+        # the diverging row, transcribed: no delay, no forcing
+        rng = np.random.default_rng(3)
+        dt = cfg.dt
+        decay = math.exp(-dt / noise.c)
+        scale = math.sqrt(noise.D / noise.c * (1.0 - math.exp(-2.0 * dt / noise.c)))
+        xi = math.sqrt(noise.D / noise.c) * rng.standard_normal()
+        draws = rng.standard_normal(300)
+        x, v, V = x_wild, cfg.v0, cfg.V0
+        for step in range(300):
+            drive = xi + 0.0
+            a = (
+                -p.beta * v + p.delta1 * x - p.delta3 * x * x * x
+                - p.kappa * V + p.mu * x + p.nu * v + drive
+            )
+            V = V + dt * (v - p.alpha * V)
+            v = v + dt * a
+            x = x + dt * v
+            xi = xi * decay + scale * draws[step]
+            if not abs(x) <= _kernels.DIVERGENCE_LIMIT:
+                break
+        assert step == 141
+        assert acc[1, 2] == step + 1 - skip
+        assert np.all(series[1, :, step + 1 - skip:] == 0.0)
+        assert np.all(series[1, 0, : step + 1 - skip] != 0.0)
+        assert [a[1] for a in final] == [x, v, V, xi]
+
+
+class TestBootstrap:
+    @pytest.mark.parametrize("omega", [0.5, 0.12])
+    def test_matches_full_spectrum_bootstrap(self, omega):
+        """The bootstrap standard error equals resampling the whole
+        periodogram matrix and reading the SNR off each resampled mean.
+        omega = 0.12 puts the drive in bin 5, where the lower background
+        bins stop at bin 1."""
+        rng = np.random.default_rng(11)
+        dt = 0.05
+        n_post = 6000
+        t = dt * np.arange(n_post)
+        series = (0.3 * np.sin(omega * t) + rng.standard_normal((5, n_post)))[:, None, :]
+        divergent = np.array([False, False, True, False, False])
+        ex = ExcitationParams(eps=1.0, G=0.3, Omega=omega)
+        cfg = SimConfig(dt=dt, t_total=400.0, n_traj=5, seed=9,
+                        psd=PsdSettings(segment_time=250.0, n_bootstrap=40))
+        out = estimate_snr_psd(series, divergent, ex, cfg)
+
+        def snr(mean_spec, j):
+            lo = np.arange(max(j - 6, 1), max(j - 1, 1))
+            hi = np.arange(j + 2, min(j + 7, mean_spec.shape[0]))
+            background = float(np.mean(np.concatenate([mean_spec[lo], mean_spec[hi]])))
+            if background <= 0:
+                return 0.0
+            return (float(mean_spec[j]) - background) / background
+
+        n_seg = 5000
+        pgs = mcs._segment_periodograms(series, divergent, n_seg, 2500)
+        freqs = 2.0 * math.pi * np.fft.rfftfreq(n_seg, d=dt)
+        j = int(np.argmin(np.abs(freqs - omega)))
+        assert (j >= 7) == (omega == 0.5)
+        boot_rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(2**20,)))
+        boot = np.empty(40)
+        for b in range(40):
+            pick = boot_rng.integers(0, pgs.shape[0], pgs.shape[0])
+            boot[b] = snr(pgs[pick].mean(axis=0), j)
+        assert out.n_segments == pgs.shape[0] == 4
+        assert out.estimate == snr(pgs.mean(axis=0), j)
+        assert out.stderr == float(np.std(boot, ddof=1))
 
 
 class TestSpectralSnr:
