@@ -8,6 +8,7 @@ mean-square harvested voltage and the mean output power.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from .model import (
     MotionRegime,
     NoiseParams,
     SystemParams,
+    delta_eff_slope,
     effective_coeffs,
     equilibrium_for_regime,
 )
@@ -177,8 +179,14 @@ def energy_spd(
     return dens / Z
 
 
+@functools.lru_cache(maxsize=8)
 def _table_for(p: SystemParams, grid: GridSpec) -> FrequencyTable:
-    """Frequency table wide enough to cover every energy reachable on the grid."""
+    """Frequency table wide enough to cover every energy reachable on the grid.
+
+    The table depends only on the system and the grid, not on the noise, so it
+    is cached: a sweep over noise.* builds it once per process.  Its arrays are
+    read-only, so the shared table cannot be changed by a caller.
+    """
     omega0 = math.sqrt(2.0 * p.delta1)
     d_eff = effective_coeffs(p, omega0).delta_eff
     xm = max(abs(grid.x_min), abs(grid.x_max))
@@ -196,6 +204,12 @@ def _table_for(p: SystemParams, grid: GridSpec) -> FrequencyTable:
     return build_table(p, H_range=(-depth * (1.0 - 1e-6), H_max))
 
 
+# A point is solved by Newton's method when x^2/2 * max|delta_eff'| * max|omega'|
+# over its root bracket is at most this: F(H) then has slope in [-3/2, -1/2].
+_CERTIFIED_GAIN = 0.5
+_NEWTON_MAX_ITER = 30
+
+
 def _self_consistent_fields(
     p: SystemParams,
     noise: NoiseParams,
@@ -205,47 +219,110 @@ def _self_consistent_fields(
     tol: float = 1e-12,
     max_iter: int = 200,
 ):
-    """Per-point energy and frequency, resolved jointly by damped fixed point.
+    """Per-point energy and frequency: the root of
+    F(H) = B + delta_eff(omega(H)) x^2 / 2 - H, with omega(H) from
+    table.lookup_bridged and B = v^2/2 - delta1 x^2/2 + delta3 x^4/4.
 
-    Points near the separatrix can cycle (omega(H) is steep across the bridged
-    band), so stragglers are finished by bisection on the energy fixed-point
-    equation H = kin + U_bare + delta_eff(omega(H)) x^2 / 2, which brackets a
-    root because delta_eff is bounded over the table's frequency range.
+    Uniqueness certificate: every root lies in the bracket
+    B + x^2/2 [min delta_eff, max delta_eff] over the table's frequency range
+    (sampled at 64 frequencies and padded by one sample step times
+    max|delta_eff'|).  F'(H) = x^2/2 delta_eff'(omega) omega'(H) - 1, so where
+    x^2/2 max|delta_eff'| times the bound on |omega'| over the bracket
+    (FrequencyTable.slope_bound) is at most 1/2, F falls with slope in
+    [-3/2, -1/2]: the root is unique, and Newton's method, kept inside the
+    bracket, finds it.  The factor 2 below 1 absorbs the sampling of
+    delta_eff'.
+
+    Points without the certificate (near the separatrix, where omega(H) is steep
+    and F may have several roots) and any point Newton leaves unconverged run
+    the damped fixed point on omega from sqrt(2 delta1).  Those that still cycle
+    are finished by bisection of F on the bracket.
     """
     shape = X.shape
-    omega = np.full(shape, math.sqrt(2.0 * p.delta1))
-    kin = 0.5 * V * V
-    bare = -0.5 * p.delta1 * X * X + 0.25 * p.delta3 * X**4
+    # B = v^2/2 + U_bare(x), the energy without the frequency correction
+    base = np.broadcast_to(
+        0.5 * V * V + (-0.5 * p.delta1 * X * X + 0.25 * p.delta3 * X**4), shape
+    ).ravel()
+    x = np.asarray(X, dtype=float).ravel()
+
+    om_lo = min(float(table.omega_neg.min()), float(table.omega_pos.min()))
+    om_hi = max(float(table.omega_neg.max()), float(table.omega_pos.max()))
+    om_span = np.linspace(om_lo, om_hi, 64)
+    d_span = effective_coeffs(p, om_span).delta_eff
+    slope_max = float(np.max(np.abs(delta_eff_slope(p, om_span))))
+    pad = slope_max * (om_span[1] - om_span[0])
+    d_lo, d_hi = d_span.min() - pad, d_span.max() + pad
+
+    # Newton on the certified points, dropping each point once it converges
+    idx = _certified(table, base, x, d_lo, d_hi, slope_max)
+    b = base[idx]
+    q = 0.5 * x[idx] * x[idx]
+    Hn = b + q * (0.5 * (d_lo + d_hi))
+    omega = np.empty_like(base)
+    unsolved = np.ones(base.shape, dtype=bool)
+    for _ in range(_NEWTON_MAX_ITER):
+        if idx.size == 0:
+            break
+        om, dom = table.lookup_bridged(Hn, slope=True)
+        step = b + q * effective_coeffs(p, om).delta_eff - Hn
+        step /= 1.0 - q * delta_eff_slope(p, om) * dom
+        done = np.abs(step) <= 1e-12 * (1.0 + np.abs(Hn))
+        # omega at the stepped energy, to first order in the (tiny) last step
+        omega[idx[done]] = om[done] + dom[done] * step[done]
+        unsolved[idx[done]] = False
+        Hn += step
+        del om, dom, step  # free this step's arrays before compressing
+        keep = ~done
+        idx, b, q, Hn = idx[keep], b[keep], q[keep], Hn[keep]
+        np.clip(Hn, b + q * d_lo, b + q * d_hi, out=Hn)
+
+    slow = np.flatnonzero(unsolved)
+    if slow.size:
+        omega[slow] = _damped_fields(p, base[slow], x[slow], table, d_span, tol)
+    omega = omega.reshape(shape)
+    ec = effective_coeffs(p, omega)
+    H = (base + 0.5 * ec.delta_eff.ravel() * x * x).reshape(shape)
+    return H, omega, ec
+
+
+def _certified(table, base, x, d_lo, d_hi, slope_max):
+    """Indices of the points whose root bracket base + x^2/2 [d_lo, d_hi]
+    carries the uniqueness certificate of _self_consistent_fields."""
+    half_x2 = 0.5 * x * x
+    bound = table.slope_bound(base + half_x2 * d_lo, base + half_x2 * d_hi)
+    return np.flatnonzero(half_x2 * slope_max * bound <= _CERTIFIED_GAIN)
+
+
+def _damped_fields(p, base, x, table, d_span, tol):
+    """Damped fixed point on omega for the uncertified points, with the
+    stragglers (fixed-point residual above 1e-9) finished by bisection of
+    F(H) = base + delta_eff(omega(H)) x^2 / 2 - H on the bracket set by the
+    sampled delta_eff values d_span."""
+    omega = np.full(base.shape, math.sqrt(2.0 * p.delta1))
 
     def d_eff_of(om):
         return effective_coeffs(p, om).delta_eff
 
     def H_of(om):
-        return kin + bare + 0.5 * d_eff_of(om) * X * X
+        return base + 0.5 * d_eff_of(om) * x * x
 
     for _ in range(60):
-        H = H_of(omega)
-        omega_new = table.lookup_bridged(H).reshape(shape)
+        omega_new = table.lookup_bridged(H_of(omega))
         if np.max(np.abs(omega_new - omega)) <= tol:
             omega = omega_new
             break
         omega = 0.5 * (omega + omega_new)
-    H = H_of(omega)
-    resid = np.abs(table.lookup_bridged(H).reshape(shape) - omega)
+    resid = np.abs(table.lookup_bridged(H_of(omega)) - omega)
     bad = resid > 1e-9
     if np.any(bad):
-        xb = X[bad]
-        base = kin[bad] + bare[bad]
-        om_lo = min(float(table.omega_neg.min()), float(table.omega_pos.min()))
-        om_hi = max(float(table.omega_neg.max()), float(table.omega_pos.max()))
-        om_span = np.linspace(om_lo, om_hi, 64)
-        d_span = np.array([d_eff_of(om) for om in om_span])
-        lo = base + 0.5 * d_span.min() * xb * xb - 1e-9
-        hi = base + 0.5 * d_span.max() * xb * xb + 1e-9
+        xb = x[bad]
+        bb = base[bad]
+        lo = bb + 0.5 * d_span.min() * xb * xb - 1e-9
+        hi = bb + 0.5 * d_span.max() * xb * xb + 1e-9
 
         def F(Hq):
             om = table.lookup_bridged(Hq)
-            return base + 0.5 * d_eff_of(om) * xb * xb - Hq
+            return bb + 0.5 * d_eff_of(om) * xb * xb - Hq
 
         flo = F(lo)
         for _ in range(80):
@@ -255,13 +332,8 @@ def _self_consistent_fields(
             lo = np.where(same, mid, lo)
             flo = np.where(same, fm, flo)
             hi = np.where(same, hi, mid)
-        Hb = 0.5 * (lo + hi)
-        H[bad] = Hb
-        omega[bad] = table.lookup_bridged(Hb)
-        # final consistency: recompute H from the resolved omega
-        H = H_of(omega)
-    ec = effective_coeffs(p, omega)
-    return H, omega, ec
+        omega[bad] = table.lookup_bridged(0.5 * (lo + hi))
+    return omega
 
 
 def _joint_density(

@@ -223,6 +223,7 @@ def _sweep_cell(args):
         cfg = _with_param(cfg, param, float(value))
     values = {}
     error = ""
+    messages = []
     for q in quantities:
         if q in values:
             continue
@@ -251,14 +252,17 @@ def _sweep_cell(args):
             failed = _ENSEMBLE_QUANTITIES if q in _ENSEMBLE_QUANTITIES else (q,)
             values.update(dict.fromkeys(failed, math.nan))
             error = error or type(e).__name__
-    return values, error
+            messages.append({"quantity": q, "message": str(e)})
+    return values, error, messages
 
 
 def run_sweep(cfg: RunConfig, threads: int = 1):
     """Evaluate the configured quantities over the 1-D or 2-D parameter grid.
 
     Cells are independent; failures are encoded per cell, never dropped, and
-    results are merged in grid order regardless of scheduling.
+    results are merged in grid order regardless of scheduling.  Returns the
+    CSV header and rows, and one {cell, quantity, message} entry per
+    exception raised in a cell, where cell holds the cell's parameter values.
     """
     if cfg.sweep is None:
         raise ConfigError("config has no sweep block")
@@ -279,18 +283,22 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
         results = [_sweep_cell(c) for c in cells]
     header = [ax.param for ax in axes] + list(cfg.sweep.quantities) + ["error"]
     rows = []
-    for point, (values, error) in zip(coords, results):
+    cell_errors = []
+    for point, (values, error, messages) in zip(coords, results):
         rows.append(
             list(point) + [values.get(q, math.nan) for q in cfg.sweep.quantities]
             + [error]
         )
-    return header, rows
+        cell = {ax.param: float(a) for ax, a in zip(axes, point)}
+        cell_errors += [{"cell": cell, **m} for m in messages]
+    return header, rows, cell_errors
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir, t0, threads: int) -> int:
-    header, rows = run_sweep(cfg, threads=threads)
+    header, rows, cell_errors = run_sweep(cfg, threads=threads)
     meta = _base_meta(cfg, "sweep", t0)
     meta["threads"] = threads
+    meta["cell_errors"] = cell_errors
     emit_csv(_out_path(cfg, out_dir, "sweep"), header, rows, meta)
     return 1 if any(row[-1] for row in rows) else 0
 

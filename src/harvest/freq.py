@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from .errors import (
@@ -62,17 +61,15 @@ def exclusion_band(p: SystemParams) -> float:
     return BAND_FRACTION * well_depth(p, omega0)
 
 
-def _well_potential(x, a: float, delta3: float):
-    return -0.5 * a * x * x + 0.25 * delta3 * x**4
-
-
 def turning_points(
     H: float, p: SystemParams, omega: float, regime: MotionRegime
 ) -> TurningPoints:
     """Roots of U_eff(x) = H bracketing the accessible interval of the regime.
 
-    The quartic is monotone on either side of each extremum, so each root is
-    isolated on a monotone interval and found by Brent's method to 1e-12.
+    U_eff(x) = H is a quadratic in y = x^2 with roots y_out = (a + s) / delta3
+    and y_in = -4H / (a + s), where s = sqrt(a^2 + 4 delta3 H) and
+    a = delta1 - delta_eff.  The inner root is the product form of
+    (a - s) / delta3, which carries no cancellation when H is near 0.
     """
     a = stiffness_margin(p, omega)
     if a <= 0:
@@ -80,36 +77,27 @@ def turning_points(
             f"bi-stability lost at omega={omega}: delta1 - delta_eff = {a:.6g}"
         )
     d3 = p.delta3
-    x_star = math.sqrt(a / d3)
-    u_min = -a * a / (4.0 * d3)
-
-    def g(x):
-        return _well_potential(x, a, d3) - H
 
     if regime is MotionRegime.CROSS_WELL:
         if H <= 0.0:
             raise EnergyRangeError(f"cross-well regime requires H > 0, got H={H}")
-        hi = math.sqrt(2.0 * a / d3)  # outer zero of the potential
-        while g(hi) <= 0.0:
-            hi *= 1.5
-        x_b = brentq(g, x_star, hi, xtol=1e-14, rtol=8.9e-16)
+        x_b = math.sqrt((a + math.sqrt(a * a + 4.0 * d3 * H)) / d3)
         return TurningPoints(-x_b, x_b, regime)
 
     if H >= 0.0:
         raise EnergyRangeError(f"single-well regime requires H < 0, got H={H}")
+    u_min = -a * a / (4.0 * d3)
     gap = H - u_min
     if gap < -_DEGENERATE_GAP * max(1.0, abs(u_min)):
         raise EnergyRangeError(
             f"H={H} below the well-bottom energy {u_min} for regime {regime.name}"
         )
     if gap <= _DEGENERATE_GAP * max(1.0, abs(u_min)):
-        x_a = x_b = x_star
+        x_a = x_b = math.sqrt(a / d3)
     else:
-        x_a = brentq(g, 0.0, x_star, xtol=1e-14, rtol=8.9e-16)
-        hi = math.sqrt(2.0 * a / d3)
-        while g(hi) <= 0.0:
-            hi *= 1.5
-        x_b = brentq(g, x_star, hi, xtol=1e-14, rtol=8.9e-16)
+        s = math.sqrt(max(a * a + 4.0 * d3 * H, 0.0))
+        x_a = math.sqrt(-4.0 * H / (a + s))
+        x_b = math.sqrt((a + s) / d3)
     if regime is MotionRegime.LEFT_WELL:
         x_a, x_b = -x_b, -x_a
     return TurningPoints(x_a, x_b, regime)
@@ -329,12 +317,19 @@ class FrequencyTable:
     _interp_pos: PchipInterpolator = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_interp_neg", PchipInterpolator(self.H_neg, self.omega_neg)
-        )
-        object.__setattr__(
-            self, "_interp_pos", PchipInterpolator(self.H_pos, self.omega_pos)
-        )
+        # read-only copies: one table may be shared by many consumers
+        for name in ("H_neg", "omega_neg", "H_pos", "omega_pos"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        for name, H, om in (
+            ("_interp_neg", self.H_neg, self.omega_neg),
+            ("_interp_pos", self.H_pos, self.omega_pos),
+        ):
+            interp = PchipInterpolator(H, om)
+            interp.x.flags.writeable = False
+            interp.c.flags.writeable = False
+            object.__setattr__(self, name, interp)
 
     def lookup(self, H, regime: MotionRegime):
         """Interpolated omega(H) for the given regime; no extrapolation."""
@@ -352,12 +347,14 @@ class FrequencyTable:
         out = interp(H)
         return float(out) if out.ndim == 0 else out
 
-    def lookup_bridged(self, H):
+    def lookup_bridged(self, H, slope: bool = False):
         """Vectorized omega(H) with the exclusion band bridged linearly.
 
         Energies below the deepest tabulated sample clamp to the deepest value
         (the frequency is flat at the well bottom); energies above the cross-well
-        table range are an error.
+        table range are an error.  With slope=True the pair (omega, d omega/dH)
+        is returned: the PCHIP derivative on the tabulated branches, the
+        bridge's constant slope in the band and 0 below the clamp.
         """
         H = np.atleast_1d(np.asarray(H, dtype=float))
         if np.any(H > self.H_pos[-1]):
@@ -365,19 +362,56 @@ class FrequencyTable:
                 f"energy above table range {self.H_pos[-1]}: max requested {H.max()}"
             )
         out = np.empty_like(H)
+        d = np.zeros_like(H) if slope else None
         neg = H <= -self.band
         pos = H >= self.band
         mid = ~(neg | pos)
         if np.any(neg):
-            out[neg] = self._interp_neg(np.clip(H[neg], self.H_neg[0], None))
+            Hn = H[neg]
+            Hc = np.clip(Hn, self.H_neg[0], None)
+            out[neg] = self._interp_neg(Hc)
+            if slope:
+                d[neg] = np.where(Hn < self.H_neg[0], 0.0, self._interp_neg(Hc, 1))
         if np.any(pos):
             out[pos] = self._interp_pos(H[pos])
+            if slope:
+                d[pos] = self._interp_pos(H[pos], 1)
         if np.any(mid):
             w_lo = float(self.omega_neg[-1])
             w_hi = float(self.omega_pos[0])
             t = (H[mid] + self.band) / (2.0 * self.band)
             out[mid] = w_lo + (w_hi - w_lo) * t
-        return out
+            if slope:
+                d[mid] = (w_hi - w_lo) / (2.0 * self.band)
+        return (out, d) if slope else out
+
+    def slope_bound(self, lo, hi):
+        """Upper bound on |d omega/dH| of lookup_bridged over each [lo, hi].
+
+        On a PCHIP segment with end slopes d0, d1 and secant s the cubic's
+        derivative is d0 (1 - 4t + 3t^2) + d1 (3t^2 - 2t) + 6 s t (1 - t) for
+        t in [0, 1], so it is bounded by |d0| + |d1| + 1.5 |s|.  The bridge
+        has its own constant slope and the clamp below the table has slope 0.
+        """
+        knots = np.concatenate((self.H_neg, self.H_pos))
+        seg = []
+        for H, om, interp in (
+            (self.H_neg, self.omega_neg, self._interp_neg),
+            (self.H_pos, self.omega_pos, self._interp_pos),
+        ):
+            d = np.abs(interp(H, 1))
+            seg.append(d[:-1] + d[1:] + 1.5 * np.abs(np.diff(om) / np.diff(H)))
+        bridge = abs(self.omega_pos[0] - self.omega_neg[-1]) / (
+            self.H_pos[0] - self.H_neg[-1]
+        )
+        seg = np.concatenate((seg[0], [bridge], seg[1]))  # one per knot interval
+        # row i holds the running maximum of seg[i:], so [i, j] is max(seg[i:j+1])
+        run = np.maximum.accumulate(
+            np.triu(np.broadcast_to(seg, (seg.size, seg.size))), axis=1
+        )
+        i = np.clip(np.searchsorted(knots, lo, side="right") - 1, 0, seg.size - 1)
+        j = np.clip(np.searchsorted(knots, hi, side="right") - 1, 0, seg.size - 1)
+        return np.where(hi < knots[0], 0.0, run[i, j])
 
 
 def build_table(

@@ -397,24 +397,32 @@ def run_ensemble(
 
 
 def _segment_periodograms(
-    series: np.ndarray, divergent: np.ndarray, n_seg: int, step: int
+    series: np.ndarray,
+    divergent: np.ndarray,
+    n_seg: int,
+    step: int,
+    bins=slice(None),
 ) -> np.ndarray:
-    """Hann-windowed periodograms of every segment of every clean trajectory."""
+    """Hann-windowed periodograms of every segment of every clean trajectory,
+    one row per segment, kept on `bins` only (every bin by default)."""
     window = np.hanning(n_seg)
     wnorm = np.sum(window**2)
-    periodograms = []
-    for i in range(series.shape[0]):
-        if divergent[i]:
-            continue
+    rows = np.flatnonzero(~divergent)
+    starts = range(0, series.shape[2] - n_seg + 1, step)
+    n_bins = np.arange(n_seg // 2 + 1)[bins].size
+    # column-major, like the fancy-indexed copy `pgs[:, bins]` it replaces, so
+    # the mean over segments adds each bin's column in the same (pairwise)
+    # order and the SNR and its bootstrap stay the same to the bit
+    out = np.empty((rows.size * len(starts), n_bins), order="F")
+    k = 0
+    for i in rows:
         xs = series[i, 0]
-        for start in range(0, xs.shape[0] - n_seg + 1, step):
+        for start in starts:
             seg = xs[start : start + n_seg]
             seg = (seg - seg.mean()) * window
-            spec = np.abs(np.fft.rfft(seg)) ** 2 / wnorm
-            periodograms.append(spec)
-    if not periodograms:
-        raise ParameterError("no complete segments; increase t_total")
-    return np.asarray(periodograms)
+            out[k] = np.abs(np.fft.rfft(seg)[bins]) ** 2 / wnorm
+            k += 1
+    return out
 
 
 def _snr_window(j: int, n_bins: int) -> np.ndarray:
@@ -461,17 +469,22 @@ def estimate_snr_psd(
 
     n_seg = int(round(cfg.psd.segment_time / cfg.dt))
     step = max(1, int(round(n_seg * (1.0 - cfg.psd.overlap))))
-    pgs = _segment_periodograms(series, divergent, n_seg, step)
+    n_starts = len(range(0, series.shape[2] - n_seg + 1, step))
+    n_pg = int(np.count_nonzero(~divergent)) * n_starts
+    if n_pg == 0:
+        raise ParameterError("no complete segments; increase t_total")
+    n_bins = n_seg // 2 + 1
     freqs = 2.0 * math.pi * np.fft.rfftfreq(n_seg, d=cfg.dt)
     j = int(np.argmin(np.abs(freqs - ex.Omega)))
-    if j < 3 or j > pgs.shape[1] - 8:
+    if j < 3 or j > n_bins - 8:
         raise ParameterError("drive frequency too close to the spectral edge")
 
-    # the SNR reads 13 bins at most; resample only those
-    window = pgs[:, _snr_window(j, pgs.shape[1])]
+    # the SNR reads 13 bins at most; keep and resample only those
+    window = _segment_periodograms(
+        series, divergent, n_seg, step, _snr_window(j, n_bins)
+    )
     estimate = _snr_from_mean(window.mean(axis=0))
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2**20,)))
-    n_pg = pgs.shape[0]
     boot = np.empty(cfg.psd.n_bootstrap)
     for b in range(cfg.psd.n_bootstrap):
         pick = rng.integers(0, n_pg, n_pg)

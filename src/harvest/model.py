@@ -168,6 +168,19 @@ def effective_coeffs(p: SystemParams, omega) -> EffectiveCoeffs:
     return EffectiveCoeffs(beta_eff, delta_eff, om)
 
 
+def delta_eff_slope(p: SystemParams, omega):
+    """d delta_eff / d omega: the frequency derivative of
+    effective_coeffs(p, omega).delta_eff, term by term."""
+    om = np.asarray(omega, dtype=float)
+    den = p.alpha**2 + om**2
+    return (
+        2.0 * p.kappa * p.alpha**2 * om / den**2
+        + p.mu * p.tau1 * np.sin(om * p.tau1)
+        - p.nu * np.sin(om * p.tau2)
+        - p.nu * p.tau2 * om * np.cos(om * p.tau2)
+    )
+
+
 def effective_potential(x, p: SystemParams, omega, forcing=0.0):
     """Potential of the equivalent oscillator; caller supplies the instantaneous forcing."""
     d_eff = effective_coeffs(p, omega).delta_eff

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from harvest import averaging
 from harvest.averaging import (
     DensityField,
     GridSpec,
@@ -354,3 +355,124 @@ class TestMeanPower:
     def test_zero_coupling_zero_power(self, baseline_noise):
         p = SystemParams(delta1=3.0, delta3=3.0, kappa=0.0, alpha=0.05, beta=0.02)
         assert mean_power(p, baseline_noise) == 0.0
+
+
+def damped_reference_fields(p, X, V, table):
+    """Transcription of the damped fixed point plus straggler bisection that
+    solved the fields before the certified Newton solve.  Returns H, omega and
+    the mask of points it bisected."""
+    shape = X.shape
+    omega = np.full(shape, math.sqrt(2.0 * p.delta1))
+    kin = 0.5 * V * V
+    bare = -0.5 * p.delta1 * X * X + 0.25 * p.delta3 * X**4
+
+    def d_eff_of(om):
+        return effective_coeffs(p, om).delta_eff
+
+    def H_of(om):
+        return kin + bare + 0.5 * d_eff_of(om) * X * X
+
+    for _ in range(60):
+        omega_new = table.lookup_bridged(H_of(omega)).reshape(shape)
+        if np.max(np.abs(omega_new - omega)) <= 1e-12:
+            omega = omega_new
+            break
+        omega = 0.5 * (omega + omega_new)
+    resid = np.abs(table.lookup_bridged(H_of(omega)).reshape(shape) - omega)
+    bad = resid > 1e-9
+    if np.any(bad):
+        xb = X[bad]
+        base = kin[bad] + bare[bad]
+        om_lo = min(float(table.omega_neg.min()), float(table.omega_pos.min()))
+        om_hi = max(float(table.omega_neg.max()), float(table.omega_pos.max()))
+        d_span = np.array([d_eff_of(om) for om in np.linspace(om_lo, om_hi, 64)])
+        lo = base + 0.5 * d_span.min() * xb * xb - 1e-9
+        hi = base + 0.5 * d_span.max() * xb * xb + 1e-9
+
+        def F(Hq):
+            return base + 0.5 * d_eff_of(table.lookup_bridged(Hq)) * xb * xb - Hq
+
+        flo = F(lo)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm = F(mid)
+            same = np.sign(fm) == np.sign(flo)
+            lo = np.where(same, mid, lo)
+            flo = np.where(same, fm, flo)
+            hi = np.where(same, hi, mid)
+        omega[bad] = table.lookup_bridged(0.5 * (lo + hi))
+    return H_of(omega), omega, bad
+
+
+def delayed(tau1, tau2):
+    return SystemParams(delta1=3.0, delta3=3.0, kappa=0.3, alpha=0.05, beta=0.02,
+                        mu=-0.005, nu=0.005, tau1=tau1, tau2=tau2)
+
+
+class TestFieldSolve:
+    @pytest.fixture
+    def fallback_sizes(self, monkeypatch):
+        sizes = []
+        damped = averaging._damped_fields
+
+        def spy(p, base, *args):
+            sizes.append(base.size)
+            return damped(p, base, *args)
+
+        monkeypatch.setattr(averaging, "_damped_fields", spy)
+        return sizes
+
+    @pytest.mark.parametrize("tau", [None, (1.7, 1.6), (0.7, 0.0)])
+    def test_matches_damped_solve(self, baseline_system, baseline_noise, tau,
+                                  fallback_sizes):
+        """The certified Newton solve equals the damped solve plus bisection to
+        1e-12 in omega on the default grid; only points near the separatrix
+        (at most 1% of the grid) take the damped fallback."""
+        p = baseline_system if tau is None else delayed(*tau)
+        grid = GridSpec()
+        x, v = grid.axes()
+        X, V = np.meshgrid(x, v, indexing="ij")
+        table = averaging._table_for(p, grid)
+        H_ref, om_ref, bisected = damped_reference_fields(p, X, V, table)
+        H, om, ec = averaging._self_consistent_fields(p, baseline_noise, X, V, table)
+        assert np.max(np.abs(om - om_ref)) <= 1e-12
+        assert np.max(np.abs(H - H_ref)) <= 1e-12
+        assert np.array_equal(ec.omega, om)
+        assert 0 < fallback_sizes[0] <= 0.01 * X.size
+        if tau == (0.7, 0.0):
+            # the damped loop still cycles at these points, so the fallback
+            # bisects them, and they are resolved
+            assert np.count_nonzero(bisected) == 8
+            resid = np.abs(table.lookup_bridged(H[bisected]) - om[bisected])
+            assert np.max(resid) <= 1e-9
+
+    def test_multiple_roots_keep_the_damped_root(self, baseline_noise,
+                                                 fallback_sizes):
+        """At tau = (1.7, 1.6) the points x = +-1.25, v = +-0.75 have three
+        self-consistent energies.  Newton from the bracket would reach
+        H = 1.75e-3; the certificate sends them to the damped loop, which
+        reaches H = -2.78e-3."""
+        p = delayed(1.7, 1.6)
+        table = averaging._table_for(p, GridSpec())
+        X = np.array([1.25, -1.25, 1.25, -1.25])
+        V = np.array([0.75, 0.75, -0.75, -0.75])
+        H, om, _ = averaging._self_consistent_fields(p, baseline_noise, X, V, table)
+        assert fallback_sizes == [4]
+        assert H == pytest.approx(np.full(4, -2.7756e-3), abs=1e-6)
+        assert np.array_equal(om, damped_reference_fields(p, X, V, table)[1])
+
+
+class TestTableCache:
+    def test_cached_table_is_read_only(self, controlled_system):
+        table = averaging._table_for(controlled_system, GridSpec())
+        assert averaging._table_for(controlled_system, GridSpec()) is table
+        for arr in (table.H_neg, table.omega_neg, table.H_pos, table.omega_pos):
+            assert not arr.flags.writeable
+
+    def test_power_same_on_cold_and_warm_cache(self, controlled_system,
+                                               baseline_noise):
+        averaging._table_for.cache_clear()
+        cold = mean_power(controlled_system, baseline_noise)
+        warm = mean_power(controlled_system, baseline_noise)
+        assert averaging._table_for.cache_info().hits >= 1
+        assert warm == cold

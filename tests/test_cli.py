@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from harvest import mcs, resonance
+from harvest import averaging, mcs, resonance
 from harvest.cli import main, run_sweep
 from harvest.config import (
     SWEEP_QUANTITIES,
@@ -343,6 +343,53 @@ class TestSweep:
         assert all(math.isfinite(float(r[2])) for r in rows)
         assert all(math.isfinite(float(r[1])) for r in (rows[0], rows[2]))
 
+    def test_cell_errors_keep_the_message(self, tmp_path, monkeypatch):
+        snr = resonance.snr
+
+        def failing(p, noise, ex):
+            if 5e-3 < noise.D < 5e-2:  # the middle cell
+                raise ZeroDivisionError("injected, with a comma")
+            return snr(p, noise, ex)
+
+        monkeypatch.setattr(resonance, "snr", failing)
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
+                                 "stop": 1e-1, "count": 3, "scale": "log"}],
+                       "quantities": ["snr"]})
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                     "--threads", "1"]) == 1
+        _, rows = read_csv(tmp_path / "harvest_sweep.csv")
+        assert [r[-1] for r in rows] == ["", "ZeroDivisionError", ""]
+        with open(tmp_path / "harvest_sweep.meta.json") as f:
+            meta = json.load(f)
+        assert meta["cell_errors"] == [{
+            "cell": {"noise.D": pytest.approx(1e-2)},
+            "quantity": "snr",
+            "message": "injected, with a comma",
+        }]
+
+    def test_noise_sweep_builds_one_table(self, tmp_path, monkeypatch):
+        """The frequency table does not depend on the noise, so a one-worker
+        sweep over noise.D builds it once and every cell reuses it."""
+        calls = []
+        build_table = averaging.build_table
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_table(*args, **kwargs)
+
+        monkeypatch.setattr(averaging, "build_table", counting)
+        averaging._table_for.cache_clear()
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
+                                 "stop": 1e-1, "count": 3, "scale": "log"}],
+                       "quantities": ["power"]})
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                     "--threads", "1"]) == 0
+        assert len(calls) == 1
+        _, rows = read_csv(tmp_path / "harvest_sweep.csv")
+        assert all(math.isfinite(float(r[1])) for r in rows)
+
     def test_one_ensemble_run_per_cell(self, tmp_path, monkeypatch):
         calls = []
         run_ensemble = mcs.run_ensemble
@@ -384,9 +431,10 @@ class TestSweep:
                                  "stop": 1.0, "count": 4}],
                        "quantities": ["power"]})
         cfg = parse_config(d)
-        h1, serial = run_sweep(cfg, threads=1)
-        h2, parallel = run_sweep(cfg, threads=2)
+        h1, serial, e1 = run_sweep(cfg, threads=1)
+        h2, parallel, e2 = run_sweep(cfg, threads=2)
         assert h1 == h2
+        assert e1 == e2 == []
         for a, b in zip(serial, parallel):
             assert a == b
 

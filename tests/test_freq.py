@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from harvest.errors import (
     BistabilityLossError,
@@ -89,6 +90,49 @@ class TestTurningPoints:
         p = SystemParams(delta1=0.1, delta3=3.0, kappa=5.0)
         with pytest.raises(BistabilityLossError):
             turning_points(0.5, p, 2.0, MotionRegime.CROSS_WELL)
+
+
+def brentq_turning_points(H, p, omega, regime):
+    """Transcription of the bracket-growing Brent root search that the closed
+    form replaced."""
+    a = stiffness_margin(p, omega)
+    d3 = p.delta3
+    x_star = math.sqrt(a / d3)
+
+    def g(x):
+        return -0.5 * a * x * x + 0.25 * d3 * x**4 - H
+
+    hi = math.sqrt(2.0 * a / d3)
+    while g(hi) <= 0.0:
+        hi *= 1.5
+    x_b = brentq(g, x_star, hi, xtol=1e-14, rtol=8.9e-16)
+    if regime is MotionRegime.CROSS_WELL:
+        return -x_b, x_b
+    x_a = brentq(g, 0.0, x_star, xtol=1e-14, rtol=8.9e-16)
+    if regime is MotionRegime.LEFT_WELL:
+        return -x_b, -x_a
+    return x_a, x_b
+
+
+class TestClosedFormTurningPoints:
+    @pytest.mark.parametrize("omega", [2.3, 0.9])
+    def test_matches_brentq(self, controlled_system, omega):
+        """Equal to the Brent search to 1e-13: across each regime, at relative
+        gaps down to 1e-6 above the well bottom and next to the band."""
+        p = controlled_system
+        a = stiffness_margin(p, omega)
+        u_min = -a * a / (4.0 * p.delta3)
+        band = exclusion_band(p)
+        cases = [(u_min * (1.0 - g), r) for g in (1e-6, 1e-4, 1e-2, 0.3, 0.9)
+                 for r in (MotionRegime.RIGHT_WELL, MotionRegime.LEFT_WELL)]
+        cases += [(-band * f, MotionRegime.RIGHT_WELL) for f in (1.0, 1.001, 10.0)]
+        cases += [(band * f, MotionRegime.CROSS_WELL)
+                  for f in (1.0, 1.001, 10.0, 1e4, 1e6)]
+        for H, regime in cases:
+            tp = turning_points(H, p, omega, regime)
+            ref = brentq_turning_points(H, p, omega, regime)
+            assert tp.x_a == pytest.approx(ref[0], rel=0, abs=1e-13), (H, regime)
+            assert tp.x_b == pytest.approx(ref[1], rel=0, abs=1e-13), (H, regime)
 
 
 class TestPeriodIntegral:
@@ -247,3 +291,39 @@ class TestFrequencyTable:
     def test_crosswell_branch_increases_at_high_energy(self, table):
         om = table.omega_pos
         assert om[-1] > om[len(om) // 2] > om[0]
+
+    def test_arrays_are_read_only(self, table):
+        for arr in (table.H_neg, table.omega_neg, table.H_pos, table.omega_pos,
+                    table._interp_neg.c, table._interp_pos.c):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            table.omega_pos[0] = 1.0
+
+    def test_slope_matches_finite_difference(self, table):
+        band = table.band
+        H = np.array([table.H_neg[0] - 1.0, -0.5, -0.05, -10 * band, 0.0,
+                      10 * band, 0.3, 7.0])
+        om, dom = table.lookup_bridged(H, slope=True)
+        assert np.array_equal(om, table.lookup_bridged(H))
+        h = 1e-7 * np.maximum(np.abs(H), band)
+        fd = (table.lookup_bridged(H + h) - table.lookup_bridged(H - h)) / (2 * h)
+        assert dom == pytest.approx(fd, rel=1e-5, abs=1e-9)
+        assert dom[0] == 0.0  # clamped below the table
+
+    def test_slope_bound_covers_the_slope(self, table):
+        """slope_bound(lo, hi) is at least |omega'| sampled densely on [lo, hi],
+        for intervals below, across and above the band."""
+        centers = np.concatenate([
+            -np.geomspace(table.band, -table.H_neg[0], 40),
+            np.geomspace(table.band, table.H_pos[-1] / 2, 40),
+        ])
+        frac = np.random.default_rng(3).uniform(0.0, 0.5, centers.size)
+        widths = frac * np.abs(centers)
+        lo, hi = centers - widths, centers + widths
+        bound = table.slope_bound(lo, hi)
+        for a, b, bnd in zip(lo, hi, bound):
+            Hs = np.linspace(a, min(b, table.H_pos[-1]), 2001)
+            _, dom = table.lookup_bridged(Hs, slope=True)
+            assert np.max(np.abs(dom)) <= bnd
+        below = table.H_neg[0] - 1.0
+        assert table.slope_bound(np.array([below - 1]), np.array([below]))[0] == 0.0
