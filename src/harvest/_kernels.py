@@ -1,10 +1,12 @@
 """Time-stepping kernel for the delayed-system Monte Carlo integrator.
 
-The whole ensemble advances in lockstep, one column per trajectory.  State is
-kept step-major: row i of each per-chunk array is the ensemble at step s0 + i,
-so a delayed read is a plain row read.  The step loop does only the dynamics,
-unmasked; divergence, the accumulators, the histogram and the stored series
-are worked out once per chunk from the recorded rows.
+The whole ensemble advances in lockstep, one column per trajectory; the
+columns may belong to several sweep cells, each with its own parameters,
+noise and forcing.  State is kept step-major: row i of each per-chunk array
+is the ensemble at step s0 + i, so a delayed read is a plain row read.  The
+step loop does only the dynamics, unmasked; divergence, the accumulators,
+the histogram and the stored series are worked out once per chunk from the
+recorded rows.
 """
 
 from __future__ import annotations
@@ -72,10 +74,13 @@ def _chunk_batch(
     State arrays x, v, V, xi and alive have shape (m,).  xh and vh are the
     step-major displacement and velocity histories, shape (L + n + 1, m): on
     entry rows 0 .. L-1 hold steps s0-L .. s0-1 (L > max(k1, k2)), and on
-    exit they hold the last L steps of this chunk.  draws is (n, m) and is
-    overwritten; acc is (m, 3), series (m, 3 or 1, n_post).  Steps s0 ..
-    s0+n-1 are taken; samples from step skip on are accumulated.  A
-    trajectory whose |x| exceeds DIVERGENCE_LIMIT (NaN counts) keeps the
+    exit they hold the last L steps of this chunk.  forcing is (n, 1) or
+    (n, m); draws is (n, m) and is overwritten; acc is (m, 3), series
+    (m, 3 or 1, n_post).  The model parameters, f1, f2, E_ou and S_ou are
+    scalars or (m,) rows.  hist is (cells, nx, nv): the rows are cell-major,
+    m // cells to a cell, and each row counts into its cell's histogram.
+    Steps s0 .. s0+n-1 are taken; samples from step skip on are accumulated.
+    A trajectory whose |x| exceeds DIVERGENCE_LIMIT (NaN counts) keeps the
     samples up to that step, is frozen in the state that crossed, and is
     cleared from alive.  Mutates everything in place.
     """
@@ -90,7 +95,7 @@ def _chunk_batch(
     for i in range(n):
         np.multiply(xis[i], E_ou, out=xis[i + 1])
         xis[i + 1] += draws[i]
-    drive = xis[:n] + forcing[:, None]
+    drive = xis[:n] + forcing
     Vs = np.empty((n + 1, m))
     Vs[0] = V
 
@@ -143,8 +148,9 @@ def _chunk_batch(
             ix = np.floor((xp - x_min) / dx).astype(np.int64)
             iv = np.floor((vp - v_min) / dv).astype(np.int64)
             ok = valid & (ix >= 0) & (ix < nx) & (iv >= 0) & (iv < nv)
+            cell = np.arange(m) // (m // hist.shape[0])
             hist += np.bincount(
-                (ix * nv + iv)[ok], minlength=nx * nv
+                (cell * (nx * nv) + ix * nv + iv)[ok], minlength=hist.size
             ).reshape(hist.shape)
 
             if store != STORE_NONE:

@@ -27,7 +27,7 @@ from .model import (
     MotionRegime,
     NoiseParams,
     SystemParams,
-    delta_eff_slope,
+    delta_eff_and_slope,
     effective_coeffs,
     equilibrium_for_regime,
 )
@@ -248,8 +248,8 @@ def _self_consistent_fields(
     om_lo = min(float(table.omega_neg.min()), float(table.omega_pos.min()))
     om_hi = max(float(table.omega_neg.max()), float(table.omega_pos.max()))
     om_span = np.linspace(om_lo, om_hi, 64)
-    d_span = effective_coeffs(p, om_span).delta_eff
-    slope_max = float(np.max(np.abs(delta_eff_slope(p, om_span))))
+    d_span, slope_span = delta_eff_and_slope(p, om_span)
+    slope_max = float(np.max(np.abs(slope_span)))
     pad = slope_max * (om_span[1] - om_span[0])
     d_lo, d_hi = d_span.min() - pad, d_span.max() + pad
 
@@ -264,14 +264,15 @@ def _self_consistent_fields(
         if idx.size == 0:
             break
         om, dom = table.lookup_bridged(Hn, slope=True)
-        step = b + q * effective_coeffs(p, om).delta_eff - Hn
-        step /= 1.0 - q * delta_eff_slope(p, om) * dom
+        d_eff, d_slope = delta_eff_and_slope(p, om)
+        step = b + q * d_eff - Hn
+        step /= 1.0 - q * d_slope * dom
         done = np.abs(step) <= 1e-12 * (1.0 + np.abs(Hn))
         # omega at the stepped energy, to first order in the (tiny) last step
         omega[idx[done]] = om[done] + dom[done] * step[done]
         unsolved[idx[done]] = False
         Hn += step
-        del om, dom, step  # free this step's arrays before compressing
+        del om, dom, step, d_eff, d_slope  # free this step's arrays first
         keep = ~done
         idx, b, q, Hn = idx[keep], b[keep], q[keep], Hn[keep]
         np.clip(Hn, b + q * d_lo, b + q * d_hi, out=Hn)
@@ -365,6 +366,7 @@ def _joint_density(
         "V": V,
         "chi": chi,
         "beta_eff": ec.beta_eff,
+        "delta_eff": ec.delta_eff,
     }
 
 
@@ -438,7 +440,7 @@ def mean_square_voltage(
         table = _table_for(p, grid)
     res = _joint_density(p, noise, grid, table)
     H, omega, X, V = res["H"], res["omega"], res["X"], res["V"]
-    margin = np.maximum(p.delta1 - effective_coeffs(p, omega).delta_eff, 0.0)
+    margin = np.maximum(p.delta1 - res["delta_eff"], 0.0)
     x_min = np.sqrt(margin / p.delta3)
     xstar = np.where(H >= 0.0, 0.0, np.where(X >= 0.0, x_min, -x_min))
     den = p.alpha**2 + omega**2

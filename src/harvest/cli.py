@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 import numpy as np
 
@@ -216,17 +216,27 @@ def _axis_values(ax) -> np.ndarray:
 # Quantities read off one shared Monte Carlo ensemble run per cell.
 _ENSEMBLE_QUANTITIES = ("v_rms", "efficiency")
 
+_RERUN_MESSAGE = "rerun in the main process after a worker process died"
 
-def _sweep_cell(args):
-    cfg, assignments, quantities = args
+
+def _cell_config(cfg: RunConfig, assignments) -> RunConfig:
     for param, value in assignments:
         cfg = _with_param(cfg, param, float(value))
+    return cfg
+
+
+def _failure(e: Exception) -> tuple[str, str]:
+    return type(e).__name__, str(e)
+
+
+def _sweep_cell(args):
+    """Analytic quantities of one cell: ({quantity: value}, {quantity:
+    (error type, message)}); a failed quantity reads NaN."""
+    cfg, assignments, quantities = args
+    cfg = _cell_config(cfg, assignments)
     values = {}
-    error = ""
-    messages = []
+    failures = {}
     for q in quantities:
-        if q in values:
-            continue
         try:
             if q == "power":
                 values[q] = averaging.mean_power(cfg.system, cfg.noise)
@@ -238,59 +248,146 @@ def _sweep_cell(args):
                 )
             elif q == "omega_eq":
                 values[q] = resonance.snr_equilibria(cfg.system)[2]
-            elif q in _ENSEMBLE_QUANTITIES:
-                # a sweep has no spectral SNR column, so it stores no series
-                # and runs no periodograms
-                est = mcs.run_ensemble(
-                    cfg.system, cfg.noise, cfg.excitation,
-                    dataclasses.replace(cfg.sim, psd=None),
-                )
-                values["v_rms"] = est.v_rms
-                values["efficiency"] = est.efficiency_pct
         except Exception as e:
             # any failure is confined to this cell so the other rows survive
-            failed = _ENSEMBLE_QUANTITIES if q in _ENSEMBLE_QUANTITIES else (q,)
-            values.update(dict.fromkeys(failed, math.nan))
-            error = error or type(e).__name__
-            messages.append({"quantity": q, "message": str(e)})
-    return values, error, messages
+            values[q] = math.nan
+            failures[q] = _failure(e)
+    return values, failures
 
 
-def run_sweep(cfg: RunConfig, threads: int = 1):
-    """Evaluate the configured quantities over the 1-D or 2-D parameter grid.
+def _ensemble_batch(args):
+    """Ensemble quantities of a batch of cells, stepped together: per cell
+    {quantity: value} or the (error type, message) of its failure."""
+    sim, cells = args
+    return [
+        _failure(est) if isinstance(est, Exception)
+        else {"v_rms": est.v_rms, "efficiency": est.efficiency_pct}
+        for est in mcs.run_ensembles(cells, sim)
+    ]
 
-    Cells are independent; failures are encoded per cell, never dropped, and
-    results are merged in grid order regardless of scheduling.  Returns the
-    CSV header and rows, and one {cell, quantity, message} entry per
-    exception raised in a cell, where cell holds the cell's parameter values.
+
+def _run_tasks(tasks, threads: int):
+    """fn(arg) for each (fn, arg) in tasks, in order, and the indices of the
+    tasks rerun in this process.
+
+    With threads > 1 every task is its own future on a pool of worker
+    processes, and each result is collected from its future.  If a worker
+    dies, the tasks it left unfinished are rerun here, one after another.
+    """
+    if threads <= 1:
+        return [fn(arg) for fn, arg in tasks], []
+    results = [None] * len(tasks)
+    rerun = []
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(fn, arg) for fn, arg in tasks]
+        for i, future in enumerate(futures):
+            try:
+                results[i] = future.result()
+            except BrokenProcessPool:
+                rerun.append(i)
+    for i in rerun:
+        fn, arg = tasks[i]
+        results[i] = fn(arg)
+    return results, rerun
+
+
+def _sweep_plan(cfg: RunConfig):
+    """The sweep's cells and its Monte Carlo plan.
+
+    Returns the grid points, each cell's {param: value} assignments, the sim
+    block the ensembles run with, each cell's (system, noise, excitation) and
+    the lockstep batches of mcs.ensemble_batches; the last three are None
+    and [] when the sweep has no ensemble quantity.
     """
     if cfg.sweep is None:
         raise ConfigError("config has no sweep block")
     axes = cfg.sweep.axes
     grids = [_axis_values(ax) for ax in axes]
-    cells = []
     if len(axes) == 1:
         coords = [(a,) for a in grids[0]]
     else:
         coords = [(a, b) for a in grids[0] for b in grids[1]]
-    for point in coords:
-        assignments = tuple(zip([ax.param for ax in axes], point))
-        cells.append((cfg, assignments, cfg.sweep.quantities))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_cell, cells, chunksize=4))
-    else:
-        results = [_sweep_cell(c) for c in cells]
+    assignments = [tuple(zip([ax.param for ax in axes], point)) for point in coords]
+    if not set(cfg.sweep.quantities) & set(_ENSEMBLE_QUANTITIES):
+        return coords, assignments, None, None, []
+    # a sweep has no spectral SNR column, so it stores no series and runs no
+    # periodograms
+    sim = dataclasses.replace(cfg.sim, psd=None)
+    cells = []
+    for a in assignments:
+        c = _cell_config(cfg, a)
+        cells.append((c.system, c.noise, c.excitation))
+    return coords, assignments, sim, cells, mcs.ensemble_batches(cells, sim)
+
+
+def run_sweep(cfg: RunConfig, threads: int = 1):
+    """Evaluate the configured quantities over the 1-D or 2-D parameter grid.
+
+    The Monte Carlo ensembles of all cells run first, as the rows of few
+    lockstep batches; then each cell's analytic quantities.  Failures are
+    encoded per cell, never dropped, and results are merged in grid order
+    regardless of scheduling.  Returns the CSV header and rows, and one
+    {cell, quantity, message} entry per exception raised in a cell and per
+    quantity rerun after a worker process died, where cell holds the cell's
+    parameter values.
+    """
+    coords, assignments, sim, cells, batches = _sweep_plan(cfg)
+    quantities = tuple(dict.fromkeys(cfg.sweep.quantities))
+    analytic = tuple(q for q in quantities if q not in _ENSEMBLE_QUANTITIES)
+    ensemble = tuple(q for q in quantities if q in _ENSEMBLE_QUANTITIES)
+    groups = []
+    if ensemble:
+        # cells that fail their checks before stepping are in no batch; their
+        # run_ensembles call steps nothing and returns the errors
+        stepped = {i for batch in batches for i in batch}
+        rest = [i for i in range(len(cells)) if i not in stepped]
+        groups = batches + ([rest] if rest else [])
+    tasks = [(_ensemble_batch, (sim, [cells[i] for i in g])) for g in groups]
+    if analytic:
+        tasks += [(_sweep_cell, (cfg, a, analytic)) for a in assignments]
+    results, rerun = _run_tasks(tasks, threads)
+
+    n = len(coords)
+    values = [{} for _ in range(n)]
+    failures = [{} for _ in range(n)]  # per cell: {quantity: (type, message)}
+    reruns = [set() for _ in range(n)]  # per cell: the quantities rerun here
+    rerun = set(rerun)
+    for t, (group, outs) in enumerate(zip(groups, results)):
+        for i, out in zip(group, outs):
+            if isinstance(out, dict):
+                values[i].update(out)
+            else:
+                values[i].update(dict.fromkeys(_ENSEMBLE_QUANTITIES, math.nan))
+                failures[i][ensemble[0]] = out
+            if t in rerun:
+                reruns[i].update(ensemble)
+    for i, (cell_values, cell_failures) in enumerate(results[len(groups):]):
+        values[i].update(cell_values)
+        failures[i].update(cell_failures)
+        if len(groups) + i in rerun:
+            reruns[i].update(analytic)
+
+    axes = cfg.sweep.axes
     header = [ax.param for ax in axes] + list(cfg.sweep.quantities) + ["error"]
     rows = []
     cell_errors = []
-    for point, (values, error, messages) in zip(coords, results):
+    for i, point in enumerate(coords):
+        error = ""
+        cell = {ax.param: float(a) for ax, a in zip(axes, point)}
+        for q in quantities:
+            if q in reruns[i]:
+                cell_errors.append(
+                    {"cell": cell, "quantity": q, "message": _RERUN_MESSAGE}
+                )
+            if q in failures[i]:
+                kind, message = failures[i][q]
+                error = error or kind
+                cell_errors.append({"cell": cell, "quantity": q, "message": message})
         rows.append(
-            list(point) + [values.get(q, math.nan) for q in cfg.sweep.quantities]
+            list(point)
+            + [values[i].get(q, math.nan) for q in cfg.sweep.quantities]
             + [error]
         )
-        cell = {ax.param: float(a) for ax, a in zip(axes, point)}
-        cell_errors += [{"cell": cell, **m} for m in messages]
     return header, rows, cell_errors
 
 
@@ -299,6 +396,10 @@ def _cmd_sweep(cfg: RunConfig, out_dir, t0, threads: int) -> int:
     meta = _base_meta(cfg, "sweep", t0)
     meta["threads"] = threads
     meta["cell_errors"] = cell_errors
+    _, _, sim, _, batches = _sweep_plan(cfg)
+    meta["mc_batches"] = [
+        {"cells": len(batch), "rows": len(batch) * sim.n_traj} for batch in batches
+    ]
     emit_csv(_out_path(cfg, out_dir, "sweep"), header, rows, meta)
     return 1 if any(row[-1] for row in rows) else 0
 

@@ -9,6 +9,9 @@ stationary histogram and a periodogram-based SNR.
 The ensemble is stepped in chunks of _CHUNK steps.  Each chunk keeps its
 (history + chunk, m) displacement and velocity rows, with the previous
 chunk's last steps on top, and accumulates the estimators once from them.
+The ensembles of many sweep cells step as the rows of one lockstep run
+(run_ensembles); run_ensemble and simulate_trajectory are one-cell runs of
+the same path.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ from .model import ExcitationParams, NoiseParams, SystemParams
 # drive, V, the x and v histories) and the temporaries of its estimators come
 # to about a dozen (1024, m) float arrays, less than (m, 16384) draws.
 _CHUNK = 1024
+
+# Rows of one lockstep batch of sweep cells.  A step costs about the same at
+# any ensemble width up to here (an 8-row ensemble of the noise-sweep system
+# steps in 0.165 s, a 64-row one in 0.19-0.20 s), so a batch of narrow cells
+# costs about one cell.
+_BATCH_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,10 @@ class EnsembleEstimates:
     psd_snr: PsdSnr | None = None
 
 
+# One sweep cell of an ensemble run: its system, noise and excitation.
+Cell = tuple[SystemParams, NoiseParams, ExcitationParams]
+
+
 def lane() -> str:
     """The stepping lane, recorded in run provenance: the numpy lockstep
     kernel is the only one."""
@@ -174,21 +187,25 @@ def _delay_offsets(tau: float, dt: float) -> tuple[int, float]:
     return k, frac
 
 
-def _run_params(p: SystemParams, noise: NoiseParams, cfg: SimConfig):
-    k1, f1 = _delay_offsets(p.tau1, cfg.dt)
-    k2, f2 = _delay_offsets(p.tau2, cfg.dt)
-    # rows of history kept before each chunk: an interpolated delayed read
-    # at step s reaches back to step s - k - 1
-    n_back = max(k1, k2) + 1
-    decay, scale = _ou_coefficients(noise, cfg.dt)
-    return k1, f1, k2, f2, n_back, decay, scale
-
-
 def _step_counts(ex: ExcitationParams, cfg: SimConfig) -> tuple[int, int]:
     """Total steps and the number of leading transient steps discarded."""
     n_steps = int(round(cfg.t_total / cfg.dt))
     skip = int(round(cfg.resolved_transient(ex) / cfg.dt))
     return n_steps, skip
+
+
+def _batch_key(
+    p: SystemParams, noise: NoiseParams, ex: ExcitationParams, cfg: SimConfig
+) -> tuple[int, int, int, int]:
+    """Check that a cell can be stepped, and return what the cells of one
+    lockstep batch must share: (n_steps, skip, k1, k2)."""
+    _validate_step(p, noise, cfg)
+    n_steps, skip = _step_counts(ex, cfg)
+    if skip >= n_steps:
+        raise ParameterError("transient discard leaves no samples")
+    k1 = _delay_offsets(p.tau1, cfg.dt)[0]
+    k2 = _delay_offsets(p.tau2, cfg.dt)[0]
+    return n_steps, skip, k1, k2
 
 
 def _forcing_chunk(ex: ExcitationParams, dt: float, s0: int, n: int) -> np.ndarray:
@@ -203,60 +220,68 @@ def _initial_positions(p: SystemParams, cfg: SimConfig, n: int) -> np.ndarray:
     return base * signs
 
 
-def _kernel_args(p: SystemParams, cfg: SimConfig, k1, f1, k2, f2, decay, scale, skip):
-    g = cfg.grid
-    dx = (g.x_max - g.x_min) / g.nx
-    dv = (g.v_max - g.v_min) / g.nv
-    return (
-        cfg.dt,
-        p.beta,
-        p.delta1,
-        p.delta3,
-        p.kappa,
-        p.alpha,
-        p.mu,
-        p.nu,
-        k1,
-        f1,
-        k2,
-        f2,
-        decay,
-        scale,
-        skip,
-    ), (g.x_min, dx, g.nx, g.v_min, dv, g.nv)
-
-
-def _ensemble_core(
-    p: SystemParams,
-    noise: NoiseParams,
-    ex: ExcitationParams,
+def _step_cells(
+    cells: list[Cell],
     cfg: SimConfig,
     gens: list[np.random.Generator],
     x0: np.ndarray,
     store: int,
 ):
-    """Step one trajectory per generator in lockstep, starting from x0.
+    """Step len(gens) trajectories of every cell in one lockstep ensemble.
 
-    Returns acc (m, 3), the histogram counts, the divergent mask, the stored
-    series (m, columns, n_post) or None, and the final (x, v, V, xi) arrays.
-    Trajectory i reads only from gens[i], so its path does not depend on the
-    other rows.
+    The cells share their step counts and delay offsets (_batch_key); the
+    rows are cell-major, and each row carries its own cell's parameters,
+    noise scales and forcing.  Row i of every cell reads gens[i]: each
+    chunk's normals are drawn once and tiled across the cells, which scale
+    them by their own noise, so a cell's rows are the ones its own run would
+    step.  x0 holds every row's start position.
+
+    Returns acc (rows, 3), the histogram counts of each cell (cells, nx, nv),
+    the divergent mask, the stored series (rows, columns, n_post) or None,
+    and the final (x, v, V, xi) arrays.
     """
-    _validate_step(p, noise, cfg)
-    n_steps, skip = _step_counts(ex, cfg)
-    if skip >= n_steps:
-        raise ParameterError("transient discard leaves no samples")
-    n_post = n_steps - skip
-    k1, f1, k2, f2, n_back, decay, scale = _run_params(p, noise, cfg)
-    coeffs, hspec = _kernel_args(p, cfg, k1, f1, k2, f2, decay, scale, skip)
+    n_steps, skip, k1, k2 = _batch_key(*cells[0], cfg)
+    # rows of history kept before each chunk: an interpolated delayed read
+    # at step s reaches back to step s - k - 1
+    n_back = max(k1, k2) + 1
+    k = len(gens)
+    m = len(cells) * k
 
-    m = len(gens)
-    hist = np.zeros((cfg.grid.nx, cfg.grid.nv), dtype=np.int64)
+    def per_row(values):
+        return values[0] if len(cells) == 1 else np.repeat(values, k)
+
+    systems = [p for p, _, _ in cells]
+    ou = [_ou_coefficients(noise, cfg.dt) for _, noise, _ in cells]
+    coeffs = (
+        cfg.dt,
+        *(
+            per_row([getattr(p, name) for p in systems])
+            for name in ("beta", "delta1", "delta3", "kappa", "alpha", "mu", "nu")
+        ),
+        k1,
+        per_row([_delay_offsets(p.tau1, cfg.dt)[1] for p in systems]),
+        k2,
+        per_row([_delay_offsets(p.tau2, cfg.dt)[1] for p in systems]),
+        per_row([decay for decay, _ in ou]),
+        per_row([scale for _, scale in ou]),
+        skip,
+    )
+    g = cfg.grid
+    hspec = (
+        g.x_min, (g.x_max - g.x_min) / g.nx, g.nx,
+        g.v_min, (g.v_max - g.v_min) / g.nv, g.nv,
+    )
+    # one forcing column per distinct excitation, spread over its cells' rows
+    drives = list(dict.fromkeys(ex for _, _, ex in cells))
+    drive_of_row = np.repeat([drives.index(ex) for _, _, ex in cells], k)
+
+    hist = np.zeros((len(cells), g.nx, g.nv), dtype=np.int64)
     x = np.array(x0, dtype=float)
     v = np.full(m, cfg.v0)
     V = np.full(m, cfg.V0)
+    first = [gen.standard_normal() for gen in gens]
     xi = np.array(
-        [ou_initial_draw(noise, g.standard_normal()) for g in gens]
+        [ou_initial_draw(noise, z) for _, noise, _ in cells for z in first]
     )
     # step-major histories; the delay history before t=0 is the start state
     rows = n_back + min(_CHUNK, n_steps) + 1
@@ -268,16 +293,22 @@ def _ensemble_core(
     alive = np.ones(m, dtype=bool)
     n_cols = 1 if store == _kernels.STORE_X else 3
     series = (
-        np.zeros((m, n_cols, n_post)) if store != _kernels.STORE_NONE else
-        np.zeros((m, 1, 1))
+        np.zeros((m, n_cols, n_steps - skip)) if store != _kernels.STORE_NONE
+        else np.zeros((m, 1, 1))
     )
     s0 = 0
     while s0 < n_steps:
         n = min(_CHUNK, n_steps - s0)
-        forcing = _forcing_chunk(ex, cfg.dt, s0, n)
-        draws = np.empty((n, m))
-        for i, g in enumerate(gens):
-            draws[:, i] = g.standard_normal(n)
+        forcing = np.stack(
+            [_forcing_chunk(ex, cfg.dt, s0, n) for ex in drives], axis=1
+        )
+        if len(drives) > 1:
+            forcing = forcing[:, drive_of_row]
+        draws = np.empty((n, k))
+        for i, gen in enumerate(gens):
+            draws[:, i] = gen.standard_normal(n)
+        if len(cells) > 1:
+            draws = np.tile(draws, len(cells))
         end = n_back + n + 1
         _kernels._chunk_batch(
             x, v, V, xi, alive, xh[:end], vh[:end], s0, n, forcing, draws,
@@ -286,6 +317,23 @@ def _ensemble_core(
         s0 += n
     out_series = series if store != _kernels.STORE_NONE else None
     return acc, hist, ~alive, out_series, (x, v, V, xi)
+
+
+def _ensemble_core(
+    p: SystemParams,
+    noise: NoiseParams,
+    ex: ExcitationParams,
+    cfg: SimConfig,
+    gens: list[np.random.Generator],
+    x0: np.ndarray,
+    store: int,
+):
+    """One cell's _step_cells run: one trajectory per generator, started
+    from x0, with the cell's histogram counts (nx, nv)."""
+    acc, hist, divergent, series, final = _step_cells(
+        [(p, noise, ex)], cfg, gens, x0, store
+    )
+    return acc, hist[0], divergent, series, final
 
 
 def simulate_trajectory(
@@ -341,36 +389,46 @@ def _histogram_density(cfg: SimConfig, hist: np.ndarray) -> DensityField:
     return DensityField(x=xc, v=vc, values=dens, norm_const=1.0)
 
 
-def run_ensemble(
-    p: SystemParams,
-    noise: NoiseParams,
-    ex: ExcitationParams,
-    cfg: SimConfig,
-) -> EnsembleEstimates:
-    """Ensemble estimates pooled over all post-transient samples.
+def _check_segment(ex: ExcitationParams, cfg: SimConfig) -> None:
+    drive_period = 2.0 * math.pi / ex.Omega
+    if cfg.psd.segment_time < 10.0 * drive_period:
+        raise ParameterError(
+            f"segment_time={cfg.psd.segment_time} must cover >= 10 drive "
+            f"periods ({10.0 * drive_period:.6g})"
+        )
 
-    Trajectory i draws from the i-th child of SeedSequence(cfg.seed).
-    Merging is a fixed-order sum over trajectory index, so the result does not
-    depend on scheduling.  Divergent trajectories contribute the samples they
-    collected before diverging and are counted in n_divergent.  With a psd
-    block the displacement series is stored in the same pass and psd_snr is
-    estimated from it; storing it does not change the other estimates.
-    """
-    if cfg.psd is not None:
-        drive_period = 2.0 * math.pi / ex.Omega
-        if cfg.psd.segment_time < 10.0 * drive_period:
-            raise ParameterError(
-                f"segment_time={cfg.psd.segment_time} must cover >= 10 drive "
-                f"periods ({10.0 * drive_period:.6g})"
-            )
-    gens = [
-        np.random.default_rng(c)
-        for c in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
+
+def _plan(cells: list[Cell], cfg: SimConfig):
+    """Lockstep batches of cell indices, and the exception of each cell that
+    cannot be stepped.  A batch holds cells with the same step counts and
+    delay offsets, in order, up to _BATCH_ROWS rows."""
+    groups: dict[tuple, list[int]] = {}
+    failures: dict[int, Exception] = {}
+    for i, (p, noise, ex) in enumerate(cells):
+        try:
+            if cfg.psd is not None:
+                _check_segment(ex, cfg)
+            key = _batch_key(p, noise, ex, cfg)
+        except Exception as e:  # confined to this cell
+            failures[i] = e
+            continue
+        groups.setdefault(key, []).append(i)
+    per = max(1, _BATCH_ROWS // cfg.n_traj)
+    batches = [
+        group[j : j + per] for group in groups.values()
+        for j in range(0, len(group), per)
     ]
-    store = _kernels.STORE_NONE if cfg.psd is None else _kernels.STORE_X
-    acc, hist, divergent, series, _ = _ensemble_core(
-        p, noise, ex, cfg, gens, _initial_positions(p, cfg, cfg.n_traj), store
-    )
+    return batches, failures
+
+
+def ensemble_batches(cells: list[Cell], cfg: SimConfig) -> list[list[int]]:
+    """Indices of the cells that run_ensembles steps together, one list per
+    lockstep pass.  Cells that fail their checks before stepping are in none."""
+    return _plan(cells, cfg)[0]
+
+
+def _estimates(p, ex, cfg, acc, hist, divergent, series) -> EnsembleEstimates:
+    """Pooled estimates of one cell from its rows of a lockstep run."""
     pm_sum = float(np.sum(acc[:, 0]))
     vsq_sum = float(np.sum(acc[:, 1]))
     n = float(np.sum(acc[:, 2]))
@@ -394,6 +452,73 @@ def run_ensemble(
             else estimate_snr_psd(series, divergent, ex, cfg)
         ),
     )
+
+
+def _run_batch(cells: list[Cell], cfg: SimConfig) -> list:
+    """run_ensembles on one lockstep batch of cells."""
+    gens = [
+        np.random.default_rng(c)
+        for c in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
+    ]
+    x0 = np.concatenate(
+        [_initial_positions(p, cfg, cfg.n_traj) for p, _, _ in cells]
+    )
+    store = _kernels.STORE_NONE if cfg.psd is None else _kernels.STORE_X
+    try:
+        acc, hist, divergent, series, _ = _step_cells(cells, cfg, gens, x0, store)
+    except Exception as e:  # a failed pass fails each of its cells
+        return [e] * len(cells)
+    out = []
+    for c, (p, _, ex) in enumerate(cells):
+        rows = slice(c * cfg.n_traj, (c + 1) * cfg.n_traj)
+        try:
+            out.append(_estimates(
+                p, ex, cfg, acc[rows].copy(), hist[c], divergent[rows],
+                None if series is None else series[rows],
+            ))
+        except Exception as e:  # confined to this cell
+            out.append(e)
+    return out
+
+
+def run_ensembles(
+    cells: list[Cell], cfg: SimConfig
+) -> list[EnsembleEstimates | Exception]:
+    """run_ensemble for many cells, stepped as the rows of few lockstep runs.
+
+    Each cell is a (system, noise, excitation) triple.  Cells with the same
+    step counts and delay offsets step together (ensemble_batches), so a
+    sweep of many narrow ensembles costs about one wide one.  Returns, per
+    cell, its EnsembleEstimates or the exception it raised; each equals the
+    cell's own run_ensemble bit for bit.
+    """
+    batches, out = _plan(cells, cfg)
+    for batch in batches:
+        for i, result in zip(batch, _run_batch([cells[i] for i in batch], cfg)):
+            out[i] = result
+    return [out[i] for i in range(len(cells))]
+
+
+def run_ensemble(
+    p: SystemParams,
+    noise: NoiseParams,
+    ex: ExcitationParams,
+    cfg: SimConfig,
+) -> EnsembleEstimates:
+    """Ensemble estimates pooled over all post-transient samples.
+
+    Trajectory i draws from the i-th child of SeedSequence(cfg.seed).
+    Merging is a fixed-order sum over trajectory index, so the result does not
+    depend on scheduling.  Divergent trajectories contribute the samples they
+    collected before diverging and are counted in n_divergent.  With a psd
+    block the displacement series is stored in the same pass and psd_snr is
+    estimated from it; storing it does not change the other estimates.  This
+    is the one-cell run_ensembles.
+    """
+    (result,) = run_ensembles([(p, noise, ex)], cfg)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _segment_periodograms(

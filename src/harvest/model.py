@@ -168,17 +168,21 @@ def effective_coeffs(p: SystemParams, omega) -> EffectiveCoeffs:
     return EffectiveCoeffs(beta_eff, delta_eff, om)
 
 
-def delta_eff_slope(p: SystemParams, omega):
-    """d delta_eff / d omega: the frequency derivative of
-    effective_coeffs(p, omega).delta_eff, term by term."""
+def delta_eff_and_slope(p: SystemParams, omega):
+    """effective_coeffs(p, omega).delta_eff on an array of frequencies, and
+    its frequency derivative term by term, from one sin/cos evaluation."""
     om = np.asarray(omega, dtype=float)
     den = p.alpha**2 + om**2
-    return (
+    sin1, cos1 = np.sin(om * p.tau1), np.cos(om * p.tau1)
+    sin2, cos2 = np.sin(om * p.tau2), np.cos(om * p.tau2)
+    delta_eff = p.kappa * om**2 / den - p.mu * cos1 - p.nu * om * sin2
+    slope = (
         2.0 * p.kappa * p.alpha**2 * om / den**2
-        + p.mu * p.tau1 * np.sin(om * p.tau1)
-        - p.nu * np.sin(om * p.tau2)
-        - p.nu * p.tau2 * om * np.cos(om * p.tau2)
+        + p.mu * p.tau1 * sin1
+        - p.nu * sin2
+        - p.nu * p.tau2 * om * cos2
     )
+    return delta_eff, slope
 
 
 def effective_potential(x, p: SystemParams, omega, forcing=0.0):

@@ -3,10 +3,11 @@
 import csv
 import json
 import math
+import os
 
 import pytest
 
-from harvest import averaging, mcs, resonance
+from harvest import averaging, cli, mcs, resonance
 from harvest.cli import main, run_sweep
 from harvest.config import (
     SWEEP_QUANTITIES,
@@ -391,14 +392,15 @@ class TestSweep:
         assert all(math.isfinite(float(r[1])) for r in rows)
 
     def test_one_ensemble_run_per_cell(self, tmp_path, monkeypatch):
+        """The cells' ensembles step as the rows of one lockstep pass."""
         calls = []
-        run_ensemble = mcs.run_ensemble
+        step_cells = mcs._step_cells
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return run_ensemble(*args, **kwargs)
+            return step_cells(*args, **kwargs)
 
-        monkeypatch.setattr(mcs, "run_ensemble", counting)
+        monkeypatch.setattr(mcs, "_step_cells", counting)
         # The psd block's segment is far shorter than ten drive periods: a
         # sweep has no spectral column, so it must neither check nor run it.
         d = doc(sweep={"axes": [{"param": "excitation.Omega", "start": 0.05,
@@ -410,11 +412,92 @@ class TestSweep:
         cfg_path = write_cfg(tmp_path, d)
         assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
                      "--threads", "1"]) == 0
-        assert len(calls) == 2
-        assert all(args[3].psd is None for args in calls)
+        assert len(calls) == 1
+        cells, sim = calls[0][:2]
+        assert len(cells) == 2
+        assert sim.psd is None
         _, rows = read_csv(tmp_path / "harvest_sweep.csv")
         assert all(math.isfinite(float(v)) for r in rows for v in r[1:3])
         assert all(r[-1] == "" for r in rows)
+
+    def test_batched_sweep_matches_per_cell_runs(self, tmp_path):
+        """A (kappa, D) grid's ensembles step as one lockstep pass, recorded
+        in the meta, and each row holds its own cell's run_ensemble."""
+        d = doc(sweep={"axes": [
+            {"param": "system.kappa", "start": 0.1, "stop": 0.5, "count": 2},
+            {"param": "noise.D", "start": 1e-3, "stop": 1e-1, "count": 2,
+             "scale": "log"},
+        ], "quantities": ["v_rms", "efficiency"]})
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                     "--threads", "1"]) == 0
+        _, rows = read_csv(tmp_path / "harvest_sweep.csv")
+        with open(tmp_path / "harvest_sweep.meta.json") as f:
+            meta = json.load(f)
+        assert meta["mc_batches"] == [{"cells": 4, "rows": 16}]
+        cfg = parse_config(d)
+        grid = [(k, D) for k in (0.1, 0.5) for D in (1e-3, 1e-1)]
+        for row, (kappa, D) in zip(rows, grid, strict=True):
+            cell = cli._cell_config(cfg, [("system.kappa", kappa), ("noise.D", D)])
+            est = mcs.run_ensemble(cell.system, cell.noise, cell.excitation,
+                                   cell.sim)
+            assert row[2:] == [cli._fmt(est.v_rms), cli._fmt(est.efficiency_pct), ""]
+
+    def test_ensemble_error_stays_in_its_cell(self, tmp_path):
+        """A cell whose noise.c fails the step check reads NaN for its
+        ensemble quantities only, with the error type and message of its own
+        run_ensemble; the other cells step together."""
+        d = doc(sweep={"axes": [{"param": "noise.c", "start": 0.1,
+                                 "stop": 0.3, "count": 3}],
+                       "quantities": ["v_rms", "power", "efficiency"]})
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                     "--threads", "1"]) == 1
+        _, rows = read_csv(tmp_path / "harvest_sweep.csv")
+        assert [r[-1] for r in rows] == ["ParameterError", "", ""]
+        assert rows[0][1] == rows[0][3] == "nan"
+        assert math.isfinite(float(rows[0][2]))
+        assert all(math.isfinite(float(v)) for r in rows[1:] for v in r[1:4])
+        with open(tmp_path / "harvest_sweep.meta.json") as f:
+            meta = json.load(f)
+        assert meta["cell_errors"] == [{
+            "cell": {"noise.c": pytest.approx(0.1)},
+            "quantity": "v_rms",
+            "message": "dt=0.01 too large: must be <= min(tau1, tau2, c)/20 = 0.005",
+        }]
+        assert meta["mc_batches"] == [{"cells": 2, "rows": 8}]
+
+    @pytest.mark.parametrize("target", ["power", "v_rms"])
+    def test_dead_worker_is_rerun(self, tmp_path, monkeypatch, target):
+        """A forked worker that exits mid-sweep, in an analytic cell or in
+        the ensemble pass, breaks the pool; the unfinished tasks are rerun
+        in the main process, the rows match a one-worker run and each rerun
+        is logged in cell_errors."""
+        parent = os.getpid()
+        module, name = ((averaging, "mean_power") if target == "power"
+                        else (mcs, "run_ensembles"))
+        original = getattr(module, name)
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return original(*args, **kwargs)
+
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
+                                 "stop": 1e-1, "count": 3, "scale": "log"}],
+                       "quantities": ["power", "v_rms"]})
+        cfg = parse_config(d)
+        header, serial, errors = run_sweep(cfg, threads=1)
+        assert errors == []
+        monkeypatch.setattr(module, name, dying)
+        h2, rows, cell_errors = run_sweep(cfg, threads=2)
+        assert (h2, rows) == (header, serial)
+        assert all(r[-1] == "" for r in rows)
+        assert all(e["message"] == cli._RERUN_MESSAGE for e in cell_errors)
+        # every task that calls the target dies in a worker, so each cell's
+        # target is rerun; other tasks are rerun if the pool broke first
+        rerun = {(e["cell"]["noise.D"], e["quantity"]) for e in cell_errors}
+        assert {(r[0], target) for r in rows} <= rerun
 
     def test_log_scale_axis(self, tmp_path):
         d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,

@@ -465,3 +465,97 @@ class TestSpectralSnr:
         )
         out = run_ensemble(baseline_system, baseline_noise, ex, cfg).psd_snr
         assert abs(out.estimate) <= 5.0 * max(out.stderr, 0.05)
+
+
+def _sweep_system(**kw) -> SystemParams:
+    base = dict(delta1=3.0, delta3=3.0, kappa=0.3, alpha=0.05, beta=0.02,
+                mu=-0.005, nu=0.005, tau1=0.6, tau2=2.5)
+    base.update(kw)
+    return SystemParams(**base)
+
+
+_SWEEP_NOISE = NoiseParams(D=0.005, c=0.3)
+_SWEEP_DRIVE = ExcitationParams(eps=0.1, G=0.1, Omega=0.05)
+
+
+def _noise_axis():
+    return [(_sweep_system(), NoiseParams(D=D, c=0.3), _SWEEP_DRIVE)
+            for D in np.geomspace(1e-3, 1e-1, 6)]
+
+
+def _kappa_noise_grid():
+    return [(_sweep_system(kappa=k), NoiseParams(D=D, c=0.3), _SWEEP_DRIVE)
+            for k in (0.1, 0.5) for D in (3e-3, 3e-2, 0.3)]
+
+
+def _omega_axis():
+    return [(_sweep_system(), _SWEEP_NOISE, ExcitationParams(eps=1.0, G=0.3, Omega=w))
+            for w in np.linspace(0.05, 2.0, 4)]
+
+
+def _tau1_axis():
+    return [(_sweep_system(tau1=t), _SWEEP_NOISE, _SWEEP_DRIVE)
+            for t in (0.2, 0.6, 0.6 + 1e-9, 1.0)]
+
+
+class TestBatchedCells:
+    """The ensembles of many cells step as the rows of one lockstep run and
+    give each cell its own run_ensemble, bit for bit."""
+
+    @pytest.mark.parametrize("cells, batches", [
+        (_noise_axis, [[0, 1, 2, 3, 4, 5]]),
+        (_kappa_noise_grid, [[0, 1, 2, 3, 4, 5]]),
+        # per-row forcing
+        (_omega_axis, [[0, 1, 2, 3]]),
+        # one batch per delay offset: 0.6 and 0.6 + 1e-9 are both 60 steps
+        (_tau1_axis, [[0], [1, 2], [3]]),
+    ], ids=["noise.D", "kappa-x-D", "excitation.Omega", "system.tau1"])
+    def test_batch_equals_per_cell_runs(self, cells, batches):
+        cells = cells()
+        cfg = small_cfg(t_total=40.0, t_transient=10.0, n_traj=4, seed=11)
+        assert mcs.ensemble_batches(cells, cfg) == batches
+        for cell, est in zip(cells, mcs.run_ensembles(cells, cfg)):
+            _assert_same_ensemble(est, run_ensemble(*cell, cfg))
+
+    def test_batches_hold_at_most_the_row_limit(self, monkeypatch):
+        """A batch is cut at _BATCH_ROWS rows; the cut changes no result."""
+        cells = _noise_axis()
+        cfg = small_cfg(t_total=40.0, t_transient=10.0, n_traj=4, seed=11)
+        whole = mcs.run_ensembles(cells, cfg)
+        monkeypatch.setattr(mcs, "_BATCH_ROWS", 10)
+        assert mcs.ensemble_batches(cells, cfg) == [[0, 1], [2, 3], [4, 5]]
+        for a, b in zip(mcs.run_ensembles(cells, cfg), whole):
+            _assert_same_ensemble(a, b)
+
+    def test_cell_error_stays_in_its_cell(self):
+        """A cell failing the step check is not stepped; a cell with no
+        samples on the histogram grid and a cell whose trajectories all
+        diverge share the pass with good cells, fail alone and leave the
+        other rows as their own runs give them."""
+        good = (_sweep_system(), _SWEEP_NOISE, _SWEEP_DRIVE)
+        cells = [
+            good,
+            # dt = 0.01 exceeds c / 20
+            (_sweep_system(), NoiseParams(D=0.005, c=0.1), _SWEEP_DRIVE),
+            # wells at x = +-5, outside the grid's [-2.5, 2.5]
+            (_sweep_system(delta1=25.0, delta3=1.0), _SWEEP_NOISE, _SWEEP_DRIVE),
+            (_sweep_system(), NoiseParams(D=1e12, c=0.3), _SWEEP_DRIVE),
+            (_sweep_system(), NoiseParams(D=0.05, c=0.3), _SWEEP_DRIVE),
+        ]
+        cfg = small_cfg(t_total=40.0, t_transient=10.0, n_traj=4, seed=11)
+        assert mcs.ensemble_batches(cells, cfg) == [[0, 2, 3, 4]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = mcs.run_ensembles(cells, cfg)
+        messages = {
+            1: "dt=0.01 too large",
+            2: "no in-grid samples collected",
+            3: "all trajectories diverged before the transient ended",
+        }
+        for i, start in messages.items():
+            assert isinstance(out[i], ParameterError)
+            assert str(out[i]).startswith(start)
+            with pytest.raises(ParameterError, match=start):
+                run_ensemble(*cells[i], cfg)
+        for i in (0, 4):
+            _assert_same_ensemble(out[i], run_ensemble(*cells[i], cfg))
