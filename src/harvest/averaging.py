@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .freq import (
     build_table,
     exclusion_band,
     orbit_average,
-    period_integral,
     solve_frequency,
 )
 from .model import (
@@ -212,12 +211,10 @@ _NEWTON_MAX_ITER = 30
 
 def _self_consistent_fields(
     p: SystemParams,
-    noise: NoiseParams,
     X: np.ndarray,
     V: np.ndarray,
     table: FrequencyTable,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ):
     """Per-point energy and frequency: the root of
     F(H) = B + delta_eff(omega(H)) x^2 / 2 - H, with omega(H) from
@@ -346,7 +343,7 @@ def _joint_density(
     noise.require_positive_intensity()
     x, v = grid.axes()
     X, V = np.meshgrid(x, v, indexing="ij")
-    H, omega, ec = _self_consistent_fields(p, noise, X, V, table)
+    H, omega, ec = _self_consistent_fields(p, X, V, table)
     chi = 1.0 + noise.c**2 * omega**2
     ln_raw = np.log(chi / noise.D) - ec.beta_eff * chi / noise.D * H
     M = ln_raw.max()
@@ -414,7 +411,7 @@ def effective_generalized_potential(
         xm = max(1.0, float(np.max(np.abs(x))))
         vm = max(1.0, float(np.max(np.abs(v))))
         table = _table_for(p, GridSpec(-xm, xm, 32, -vm, vm, 32))
-    H, omega, ec = _self_consistent_fields(p, noise, x, v, table)
+    H, omega, ec = _self_consistent_fields(p, x, v, table)
     chi = 1.0 + noise.c**2 * omega**2
     out = ec.beta_eff * chi * H
     return float(out[0]) if out.size == 1 else out

@@ -24,7 +24,7 @@ from . import __version__, averaging, mcs, resonance
 from .config import RunConfig, apply_override, parse_config
 from .errors import ConfigError, HarvestError
 from .freq import build_table, exclusion_band
-from .model import ExcitationParams, NoiseParams, SystemParams, well_depth
+from .model import well_depth
 
 _FMT = "%.11e"
 

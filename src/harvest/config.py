@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .averaging import GridSpec
-from .errors import ConfigError, HarvestError
+from .errors import ConfigError
 from .mcs import PsdSettings, SimConfig
 from .model import ExcitationParams, NoiseParams, SystemParams
 

@@ -2,8 +2,10 @@
 
 The effective stiffness correction depends on the oscillation frequency, which in
 turn depends on the energy through the orbit period, so the frequency at a given
-energy is obtained by damped fixed-point iteration.  A tabulated version with
-monotone cubic interpolation serves the grid-heavy consumers.
+energy is obtained by a damped-secant fixed-point iteration, run elementwise
+over an array of energies.  The period of the frozen quartic well is a closed
+form in the complete elliptic integral K.  A tabulated version with monotone
+cubic interpolation serves the grid-heavy consumers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import roots_legendre
+from scipy.special import ellipkm1, roots_legendre
 
 from .errors import (
     BistabilityLossError,
@@ -61,43 +63,58 @@ def exclusion_band(p: SystemParams) -> float:
     return BAND_FRACTION * well_depth(p, omega0)
 
 
+def _raise_at_first(bad, H, error: type[Exception], what: str) -> None:
+    """Raise error naming the first energy in H at which bad holds."""
+    if np.any(bad):
+        raise error(f"H={H[bad][0]}: {what}")
+
+
+def _level_roots(H, p: SystemParams, omega, regime: MotionRegime):
+    """Stiffness margin a and the roots y_in < y_out of U_eff(x) = H in y = x^2.
+
+    U_eff(x) = H is a quadratic in y = x^2 with roots y_out = (a + s) / delta3
+    and y_in = -4H / (a + s), where s = sqrt(a^2 + 4 delta3 H) and
+    a = delta1 - delta_eff.  The inner root is the product form of
+    (a - s) / delta3, which carries no cancellation when H is near 0.  H and
+    omega broadcast; each error names the first offending energy.
+    """
+    H, a = np.broadcast_arrays(
+        np.asarray(H, dtype=float), np.asarray(stiffness_margin(p, omega), dtype=float)
+    )
+    d3 = p.delta3
+    _raise_at_first(a <= 0, H, BistabilityLossError, "bi-stability lost")
+    cross = regime is MotionRegime.CROSS_WELL
+    _raise_at_first(
+        (H <= 0.0) if cross else (H >= 0.0), H, EnergyRangeError,
+        f"wrong sign of H for regime {regime.name}",
+    )
+    if not cross:
+        u_min = -a * a / (4.0 * d3)
+        _raise_at_first(
+            H - u_min < -_DEGENERATE_GAP * np.maximum(1.0, np.abs(u_min)), H,
+            EnergyRangeError, f"below the well-bottom energy of regime {regime.name}",
+        )
+    s = np.sqrt(np.maximum(a * a + 4.0 * d3 * H, 0.0))
+    return a, -4.0 * H / (a + s), (a + s) / d3
+
+
 def turning_points(
     H: float, p: SystemParams, omega: float, regime: MotionRegime
 ) -> TurningPoints:
     """Roots of U_eff(x) = H bracketing the accessible interval of the regime.
 
-    U_eff(x) = H is a quadratic in y = x^2 with roots y_out = (a + s) / delta3
-    and y_in = -4H / (a + s), where s = sqrt(a^2 + 4 delta3 H) and
-    a = delta1 - delta_eff.  The inner root is the product form of
-    (a - s) / delta3, which carries no cancellation when H is near 0.
+    The square roots of _level_roots' y_in and y_out; an orbit within
+    _DEGENERATE_GAP of the well bottom collapses onto the minimum.
     """
-    a = stiffness_margin(p, omega)
-    if a <= 0:
-        raise BistabilityLossError(
-            f"bi-stability lost at omega={omega}: delta1 - delta_eff = {a:.6g}"
-        )
-    d3 = p.delta3
-
+    a, y_in, y_out = _level_roots(H, p, omega, regime)
+    x_b = math.sqrt(y_out)
     if regime is MotionRegime.CROSS_WELL:
-        if H <= 0.0:
-            raise EnergyRangeError(f"cross-well regime requires H > 0, got H={H}")
-        x_b = math.sqrt((a + math.sqrt(a * a + 4.0 * d3 * H)) / d3)
         return TurningPoints(-x_b, x_b, regime)
-
-    if H >= 0.0:
-        raise EnergyRangeError(f"single-well regime requires H < 0, got H={H}")
-    u_min = -a * a / (4.0 * d3)
-    gap = H - u_min
-    if gap < -_DEGENERATE_GAP * max(1.0, abs(u_min)):
-        raise EnergyRangeError(
-            f"H={H} below the well-bottom energy {u_min} for regime {regime.name}"
-        )
-    if gap <= _DEGENERATE_GAP * max(1.0, abs(u_min)):
-        x_a = x_b = math.sqrt(a / d3)
+    u_min = -a * a / (4.0 * p.delta3)
+    if H - u_min <= _DEGENERATE_GAP * max(1.0, abs(u_min)):
+        x_a = x_b = math.sqrt(a / p.delta3)
     else:
-        s = math.sqrt(max(a * a + 4.0 * d3 * H, 0.0))
-        x_a = math.sqrt(-4.0 * H / (a + s))
-        x_b = math.sqrt((a + s) / d3)
+        x_a = math.sqrt(y_in)
     if regime is MotionRegime.LEFT_WELL:
         x_a, x_b = -x_b, -x_a
     return TurningPoints(x_a, x_b, regime)
@@ -137,29 +154,15 @@ def _orbit_integral(
         def smooth_part(x):
             return q * (x + tp.x_a) * (x + tp.x_b)
 
-    if func is None:  # period integrand: func == 1, both branches identical
+    def integrand(theta):
+        s = np.sin(theta)
+        x = tp.x_a + dx * s * s
+        S = smooth_part(x)
+        v = dx * s * np.cos(theta) * np.sqrt(2.0 * S)
+        return 2.0 * (func(x, v) + func(x, -v)) / np.sqrt(2.0 * S)
 
-        def integrand(theta):
-            s = np.sin(theta)
-            x = tp.x_a + dx * s * s
-            return 4.0 / np.sqrt(2.0 * smooth_part(x))
-
-        def scalar_integrand(theta):
-            s = math.sin(theta)
-            x = tp.x_a + dx * s * s
-            return 4.0 / math.sqrt(2.0 * smooth_part(x))
-
-    else:
-
-        def integrand(theta):
-            s = np.sin(theta)
-            x = tp.x_a + dx * s * s
-            S = smooth_part(x)
-            v = dx * s * np.cos(theta) * np.sqrt(2.0 * S)
-            return 2.0 * (func(x, v) + func(x, -v)) / np.sqrt(2.0 * S)
-
-        def scalar_integrand(theta):
-            return float(integrand(np.array([theta]))[0])
+    def scalar_integrand(theta):
+        return float(integrand(np.array([theta]))[0])
 
     prev = None
     order = 64
@@ -183,20 +186,28 @@ def _orbit_integral(
     return val
 
 
-def period_integral(
-    H: float, p: SystemParams, omega: float, regime: MotionRegime
-) -> float:
-    """Closed-loop period T(H) = 2 * int dx / sqrt(2H - 2U) over the orbit interval."""
-    a = stiffness_margin(p, omega)
-    if a <= 0:
-        raise BistabilityLossError(
-            f"bi-stability lost at omega={omega}: delta1 - delta_eff = {a:.6g}"
-        )
-    tp = turning_points(H, p, omega, regime)
-    if tp.x_b - tp.x_a <= 1e-9 * max(1.0, abs(tp.x_b)):
-        # collapsed orbit: harmonic limit, curvature U'' = 2a at the minimum
-        return 2.0 * math.pi / math.sqrt(2.0 * a)
-    return _orbit_integral(None, H, a, p.delta3, tp)
+def period_integral(H, p: SystemParams, omega, regime: MotionRegime):
+    """Closed-loop period T(H) = 2 * int dx / sqrt(2H - 2U) over the orbit interval.
+
+    In y = x^2 the period is a complete elliptic integral of the first kind
+    K(m) of the roots y_in < y_out of _level_roots (Byrd & Friedman,
+    Handbook of Elliptic Integrals).  In a well
+    T = sqrt(8/delta3) K(m) / sqrt(y_out) with 1 - m = y_in / y_out;
+    across both wells T = 4 sqrt(2/delta3) K(m) / sqrt(y_out - y_in) with
+    1 - m = -y_in / (y_out - y_in).  K = ellipkm1(1 - m) keeps full precision
+    at the separatrix, where K diverges like a logarithm; at the well bottom
+    m = 0 gives the harmonic period 2 pi / sqrt(2a).  H and omega broadcast;
+    a float is returned for scalar inputs.
+    """
+    _, y_in, y_out = _level_roots(H, p, omega, regime)
+    if regime is MotionRegime.CROSS_WELL:
+        span = y_out - y_in
+        T = 4.0 * math.sqrt(2.0 / p.delta3) * ellipkm1(-y_in / span) / np.sqrt(span)
+    else:
+        # within _DEGENERATE_GAP of the bottom rounding can put y_in above y_out
+        ratio = np.minimum(y_in / y_out, 1.0)
+        T = math.sqrt(8.0 / p.delta3) * ellipkm1(ratio) / np.sqrt(y_out)
+    return float(T) if T.ndim == 0 else T
 
 
 def orbit_average(
@@ -206,84 +217,79 @@ def orbit_average(
 
     f must accept array x and signed array v and return an array.
     """
-    a = stiffness_margin(p, omega)
-    if a <= 0:
-        raise BistabilityLossError(
-            f"bi-stability lost at omega={omega}: delta1 - delta_eff = {a:.6g}"
-        )
     tp = turning_points(H, p, omega, regime)
     if tp.x_b - tp.x_a <= 1e-9 * max(1.0, abs(tp.x_b)):
         return float(f(np.array([tp.x_a]), np.array([0.0]))[0])
-    val = _orbit_integral(f, H, a, p.delta3, tp)
+    val = _orbit_integral(f, H, stiffness_margin(p, omega), p.delta3, tp)
     return omega / (2.0 * math.pi) * val
 
 
-def solve_frequency(
-    H: float,
-    p: SystemParams,
-    regime: MotionRegime,
-    band: float | None = None,
-    eta: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    omega0: float | None = None,
-    strict: bool = True,
-) -> float:
-    """Fixed point of omega -> 2*pi / T(H; delta_eff(omega)), with damping eta.
+# Damped-secant fixed point of solve_frequency: damping of the fallback step,
+# tolerance on the step, and iteration cap.
+_ETA = 0.5
+_TOL = 1e-10
+_MAX_ITER = 200
 
-    Seeded at sqrt(2*delta1) unless a warm start omega0 is given.  Raises inside
-    the separatrix exclusion band, on bi-stability loss, or when the iteration
-    cap is exhausted.
+
+def solve_frequency(H, p: SystemParams, regime: MotionRegime, strict: bool = True):
+    """Fixed point of omega -> 2*pi / T(H; delta_eff(omega)) at each energy H.
+
+    Every element is seeded at sqrt(2*delta1) and takes secant steps on the
+    fixed-point residual, falling back to the damped update
+    omega + _ETA * residual whenever the secant step misbehaves; it is frozen
+    once a step is below _TOL.  Returns a float for scalar H, else an array of
+    H's shape.  Raises inside the separatrix exclusion band, on bi-stability
+    loss at any iterate, when the iteration cap is exhausted, and (with strict)
+    when H lies below the self-consistent well bottom.  Each error names the
+    first offending energy.
     """
-    if band is None:
-        band = exclusion_band(p)
-    if abs(H) < band:
-        raise SeparatrixBandError(
-            f"H={H} inside the separatrix exclusion band (+-{band:.6g})"
-        )
-    omega = math.sqrt(2.0 * p.delta1) if omega0 is None else omega0
-
-    def implied(om: float) -> float:
-        a = stiffness_margin(p, om)
-        if a <= 0:
-            raise BistabilityLossError(
-                f"bi-stability lost mid-iteration at omega={om}"
-            )
-        if regime is not MotionRegime.CROSS_WELL and H <= -a * a / (4.0 * p.delta3):
-            # transient iterate put the bottom above H; treat as a collapsed orbit
-            return math.sqrt(2.0 * a)
-        return 2.0 * math.pi / period_integral(H, p, om, regime)
-
-    omega_prev = None
-    resid_prev = None
-    for _ in range(max_iter):
-        resid = implied(omega) - omega
-        omega_new = omega + eta * resid
-        if omega_prev is not None and resid != resid_prev:
-            # secant step on the fixed-point residual; fall back to the damped
-            # update whenever it misbehaves
-            step = -resid * (omega - omega_prev) / (resid - resid_prev)
-            cand = omega + step
-            if math.isfinite(cand) and cand > 0:
-                omega_new = cand
-        omega_prev, resid_prev = omega, resid
-        if abs(omega_new - omega) <= tol:
-            omega = omega_new
-            a = stiffness_margin(p, omega)
-            if (
-                strict
-                and regime is not MotionRegime.CROSS_WELL
-                and H < -a * a / (4.0 * p.delta3) * (1.0 + 1e-12)
-            ):
-                raise EnergyRangeError(
-                    f"H={H} below the self-consistent well bottom "
-                    f"{-a * a / (4.0 * p.delta3)}"
-                )
-            return omega
-        omega = omega_new
-    raise ConvergenceError(
-        f"frequency iteration did not converge for H={H}, regime={regime.name}"
+    H = np.asarray(H, dtype=float)
+    band = exclusion_band(p)
+    _raise_at_first(
+        np.abs(H) < band, H, SeparatrixBandError,
+        f"inside the separatrix exclusion band (+-{band:.6g})",
     )
+    well = regime is not MotionRegime.CROSS_WELL
+    h = H.ravel()
+    out = np.empty_like(h)
+    idx = np.arange(h.size)  # elements still iterating
+    omega = np.full(h.size, math.sqrt(2.0 * p.delta1))
+    omega_prev = resid_prev = None
+    for _ in range(_MAX_ITER):
+        a = stiffness_margin(p, omega)
+        _raise_at_first(
+            a <= 0, h[idx], BistabilityLossError, "bi-stability lost mid-iteration"
+        )
+        h_eval = h[idx]
+        if well:
+            # a transient iterate that puts the bottom above H is treated as a
+            # collapsed orbit: the bottom's period is the harmonic one
+            h_eval = np.maximum(h_eval, -a * a / (4.0 * p.delta3))
+        resid = 2.0 * math.pi / period_integral(h_eval, p, omega, regime) - omega
+        omega_new = omega + _ETA * resid
+        if omega_prev is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand = omega - resid * (omega - omega_prev) / (resid - resid_prev)
+            secant = (resid != resid_prev) & np.isfinite(cand) & (cand > 0)
+            omega_new = np.where(secant, cand, omega_new)
+        done = np.abs(omega_new - omega) <= _TOL
+        out[idx[done]] = omega_new[done]
+        keep = ~done
+        idx = idx[keep]
+        omega, omega_prev, resid_prev = omega_new[keep], omega[keep], resid[keep]
+        if idx.size == 0:
+            break
+    else:
+        raise ConvergenceError(
+            f"H={h[idx][0]}: frequency iteration did not converge for {regime.name}"
+        )
+    if strict and well:
+        a = stiffness_margin(p, out)
+        _raise_at_first(
+            h < -a * a / (4.0 * p.delta3) * (1.0 + 1e-12), h, EnergyRangeError,
+            "below the self-consistent well bottom",
+        )
+    return float(out[0]) if H.ndim == 0 else out.reshape(H.shape)
 
 
 def bottom_frequency(p: SystemParams, tol: float = 1e-12, max_iter: int = 200) -> float:
@@ -435,27 +441,6 @@ def build_table(
         )
     H_neg = -np.geomspace(abs(H_min), band, n)  # ascending (toward -band)
     H_pos = np.geomspace(band, H_max, n)
-    omega_neg = np.empty(n)
-    omega_pos = np.empty(n)
-    # continuation along the grid: warm-start each solve at the previous sample's
-    # frequency (same fixed point, far fewer iterations)
-    warm = None
-    for i, H in enumerate(H_neg):
-        try:
-            omega_neg[i] = solve_frequency(
-                H, p, MotionRegime.RIGHT_WELL, band=band, omega0=warm
-            )
-        except (ConvergenceError, QuadratureError, EnergyRangeError) as exc:
-            raise type(exc)(f"table sample H={H}: {exc}") from exc
-        warm = omega_neg[i]
-    warm = None
-    for i in range(n - 1, -1, -1):  # high energy (easy) toward the band (hard)
-        H = H_pos[i]
-        try:
-            omega_pos[i] = solve_frequency(
-                H, p, MotionRegime.CROSS_WELL, band=band, omega0=warm
-            )
-        except (ConvergenceError, QuadratureError, EnergyRangeError) as exc:
-            raise type(exc)(f"table sample H={H}: {exc}") from exc
-        warm = omega_pos[i]
+    omega_neg = solve_frequency(H_neg, p, MotionRegime.RIGHT_WELL)
+    omega_pos = solve_frequency(H_pos, p, MotionRegime.CROSS_WELL)
     return FrequencyTable(H_neg, omega_neg, H_pos, omega_pos, band)

@@ -131,23 +131,6 @@ def effective_coeffs(p: SystemParams, omega) -> EffectiveCoeffs:
     kappa*w^2/(alpha^2+w^2) to stiffness; the delayed feedback adds the
     trigonometric terms in w*tau1, w*tau2.
     """
-    if not isinstance(omega, np.ndarray):
-        om = float(omega)
-        if om <= 0:
-            raise ParameterError(f"omega must be > 0, got {omega}")
-        den = p.alpha * p.alpha + om * om
-        beta_eff = (
-            p.beta
-            + p.kappa * p.alpha / den
-            + (p.mu / om) * math.sin(om * p.tau1)
-            - p.nu * math.cos(om * p.tau2)
-        )
-        delta_eff = (
-            p.kappa * om * om / den
-            - p.mu * math.cos(om * p.tau1)
-            - p.nu * om * math.sin(om * p.tau2)
-        )
-        return EffectiveCoeffs(beta_eff, delta_eff, om)
     om = np.asarray(omega, dtype=float)
     if np.any(om <= 0):
         raise ParameterError(f"omega must be > 0, got {omega}")

@@ -113,6 +113,27 @@ def transition_rates(
     return (R0, R1)
 
 
+def _response(R0: float, R1: float, x_s: float, ex: ExcitationParams):
+    """Linear-response split of the two-state output spectrum: (q, S1, S2, snr).
+
+    q = R1^2 eps^2 / (2 (R0^2 + Omega^2)) is the signal's share of the
+    switching, S1 the integrated signal spike, S2 the noise floor at Omega and
+    snr = S1 / S2.  The SNR is 0.0 when nothing switches (R0 == 0) or nothing
+    drives (eps == 0), and NaN when linear response fails (q >= 1).
+    """
+    lor = R0 * R0 + ex.Omega**2
+    q = R1 * R1 * ex.eps**2 / (2.0 * lor)
+    S1 = math.pi * x_s**2 * R1 * R1 * ex.eps**2 / (2.0 * lor)
+    S2 = (1.0 - q) * 2.0 * x_s**2 * R0 / lor
+    if R0 == 0.0 or ex.eps == 0.0:
+        snr_val = 0.0
+    elif q < 1.0:
+        snr_val = math.pi * R1 * R1 * ex.eps**2 / (4.0 * R0) / (1.0 - q)
+    else:
+        snr_val = math.nan
+    return q, S1, S2, snr_val
+
+
 def output_spectrum(
     p: SystemParams,
     noise: NoiseParams,
@@ -124,17 +145,17 @@ def output_spectrum(
     if omega_eq is None or x_s is None:
         x_s, _, omega_eq = snr_equilibria(p)
     R0, R1 = transition_rates(p, noise, ex, omega_eq, x_s)
-    lor = R0 * R0 + ex.Omega**2
-    q = R1 * R1 * ex.eps**2 / (2.0 * lor)
-    S1 = math.pi * x_s**2 * R1 * R1 * ex.eps**2 / (2.0 * lor)
-    S2 = (1.0 - q) * 2.0 * x_s**2 * R0 / lor
+    _, S1, S2, _ = _response(R0, R1, x_s, ex)
     return (S1, S2)
 
 
 def analyze(
     p: SystemParams, noise: NoiseParams, ex: ExcitationParams
 ) -> ResonanceResult:
-    """Full two-state analysis: equilibria, rates, spectrum split, and SNR."""
+    """Full two-state analysis: equilibria, rates, spectrum split, and SNR.
+
+    The SNR is NaN, and linear_response_ok False, where linear response fails.
+    """
     noise.require_positive_intensity()
     x_s, x_s_m, omega_eq = snr_equilibria(p)
     prefactor, well_value, ec, lambdas = _rate_pieces(p, omega_eq, x_s)
@@ -143,15 +164,7 @@ def analyze(
     underflow = expo <= -745.0
     R0 = prefactor * math.exp(expo) if not underflow else 0.0
     R1 = R0 * x_s * ex.G * ec.beta_eff * chi / noise.D
-    lor = R0 * R0 + ex.Omega**2
-    q = R1 * R1 * ex.eps**2 / (2.0 * lor)
-    S1 = math.pi * x_s**2 * R1 * R1 * ex.eps**2 / (2.0 * lor)
-    S2 = (1.0 - q) * 2.0 * x_s**2 * R0 / lor if R0 > 0 else 0.0
-    ok = q < 1.0
-    if R0 > 0 and ok:
-        snr_val = math.pi * R1 * R1 * ex.eps**2 / (4.0 * R0) / (1.0 - q)
-    else:
-        snr_val = 0.0 if R0 == 0 or ex.eps == 0 else math.inf
+    q, S1, S2, snr_val = _response(R0, R1, x_s, ex)
     return ResonanceResult(
         x_s_plus=x_s,
         x_s_minus=x_s_m,
@@ -163,7 +176,7 @@ def analyze(
         S2_at_Omega=S2,
         snr=snr_val,
         omega_eq=omega_eq,
-        linear_response_ok=ok,
+        linear_response_ok=q < 1.0,
         underflow=underflow,
     )
 
@@ -183,12 +196,6 @@ def snr_vs_noise(
     x_s, _, omega_eq = snr_equilibria(p)
     out = np.empty(len(D_values))
     for i, D in enumerate(D_values):
-        noise = NoiseParams(D=float(D), c=c)
-        R0, R1 = transition_rates(p, noise, ex, omega_eq, x_s)
-        lor = R0 * R0 + ex.Omega**2
-        q = R1 * R1 * ex.eps**2 / (2.0 * lor)
-        if R0 > 0 and q < 1.0:
-            out[i] = math.pi * R1 * R1 * ex.eps**2 / (4.0 * R0) / (1.0 - q)
-        else:
-            out[i] = 0.0
+        R0, R1 = transition_rates(p, NoiseParams(D=float(D), c=c), ex, omega_eq, x_s)
+        out[i] = _response(R0, R1, x_s, ex)[3]
     return out

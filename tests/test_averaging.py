@@ -423,8 +423,7 @@ class TestFieldSolve:
         return sizes
 
     @pytest.mark.parametrize("tau", [None, (1.7, 1.6), (0.7, 0.0)])
-    def test_matches_damped_solve(self, baseline_system, baseline_noise, tau,
-                                  fallback_sizes):
+    def test_matches_damped_solve(self, baseline_system, tau, fallback_sizes):
         """The certified Newton solve equals the damped solve plus bisection to
         1e-12 in omega on the default grid; only points near the separatrix
         (at most 1% of the grid) take the damped fallback."""
@@ -434,7 +433,7 @@ class TestFieldSolve:
         X, V = np.meshgrid(x, v, indexing="ij")
         table = averaging._table_for(p, grid)
         H_ref, om_ref, bisected = damped_reference_fields(p, X, V, table)
-        H, om, ec = averaging._self_consistent_fields(p, baseline_noise, X, V, table)
+        H, om, ec = averaging._self_consistent_fields(p, X, V, table)
         assert np.max(np.abs(om - om_ref)) <= 1e-12
         assert np.max(np.abs(H - H_ref)) <= 1e-12
         assert np.array_equal(ec.omega, om)
@@ -446,8 +445,7 @@ class TestFieldSolve:
             resid = np.abs(table.lookup_bridged(H[bisected]) - om[bisected])
             assert np.max(resid) <= 1e-9
 
-    def test_multiple_roots_keep_the_damped_root(self, baseline_noise,
-                                                 fallback_sizes):
+    def test_multiple_roots_keep_the_damped_root(self, fallback_sizes):
         """At tau = (1.7, 1.6) the points x = +-1.25, v = +-0.75 have three
         self-consistent energies.  Newton from the bracket would reach
         H = 1.75e-3; the certificate sends them to the damped loop, which
@@ -456,7 +454,7 @@ class TestFieldSolve:
         table = averaging._table_for(p, GridSpec())
         X = np.array([1.25, -1.25, 1.25, -1.25])
         V = np.array([0.75, 0.75, -0.75, -0.75])
-        H, om, _ = averaging._self_consistent_fields(p, baseline_noise, X, V, table)
+        H, om, _ = averaging._self_consistent_fields(p, X, V, table)
         assert fallback_sizes == [4]
         assert H == pytest.approx(np.full(4, -2.7756e-3), abs=1e-6)
         assert np.array_equal(om, damped_reference_fields(p, X, V, table)[1])

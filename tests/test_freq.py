@@ -1,4 +1,5 @@
-"""Energy-dependent period/frequency: quadrature and fixed-point solver.
+"""Energy-dependent period/frequency: closed-form period, orbit quadrature and
+fixed-point solver.
 
 High-precision reference values were computed with mpmath (50-digit elliptic
 quadrature of the orbit period) and, for self-consistent cases, by iterating
@@ -43,6 +44,34 @@ OMEGA_CROSSWELL_H1 = 1.446741512142533390056
 # Self-consistent frequency with the circuit correction on (kappa = 0.3,
 # alpha = 0.05), right well, H = -0.3; mpmath fixed point at 50 digits.
 OMEGA_RIGHTWELL_SC = 2.0449217024041211195
+
+
+# Orbit periods in the frozen potential, mpmath at 50 digits (rounded to 40):
+# tanh-sinh quadrature of T = 2 int dx / sqrt(2H - 2U) after the substitution
+# x^2 = y_in + (y_out - y_in) sin^2(t) in a well, or x = x_b sin(t) across both
+# wells, which removes the endpoint singularities; the quadrature agrees with
+# mpmath.ellipk in the closed form to 1e-47.
+# controlled_system at omega = 2.3, at H = -+1.0001 * exclusion_band, -0.3, 0.7:
+PERIODS_CONTROLLED_OMEGA_2_3 = [
+    (-6.0651510339449966e-05, MotionRegime.RIGHT_WELL,
+     8.144388736529957510909169125100593289675),
+    (6.0651510339449966e-05, MotionRegime.CROSS_WELL,
+     16.28831746500165716956784238618580693835),
+    (-0.3, MotionRegime.RIGHT_WELL, 3.073749540032334465673651471368297480545),
+    (0.7, MotionRegime.CROSS_WELL, 4.746506123564209573267407100544884483786),
+]
+# A cross-well sample of the table at tau = (0.2, 1.9) of the acceptance delay
+# grid, close to the separatrix: the period at omega = 0.4270883874409262 and
+# the self-consistent frequency (mpmath findroot of 2 pi / T(omega) - omega on
+# the same quadrature).  A Gauss-Legendre period at rel_tol 1e-8 is 1.8e-9 off
+# here, which moves the fixed point by 7.7e-10.
+NEAR_BAND_SYSTEM = SystemParams(
+    delta1=3.0, delta3=3.0, kappa=0.3, alpha=0.05, beta=0.02,
+    mu=-0.005, nu=0.005, tau1=0.2, tau2=1.9,
+)
+NEAR_BAND_H = 0.0002186763540192856
+NEAR_BAND_PERIOD = 14.71167442605463326505684655687531002009
+NEAR_BAND_OMEGA_SC = 0.4270883874409261783673211636171604945715
 
 
 def bare(delta1=3.0, delta3=3.0) -> SystemParams:
@@ -164,6 +193,26 @@ class TestPeriodIntegral:
         T = period_integral(H, p, 1.0, MotionRegime.RIGHT_WELL)
         assert T == pytest.approx(2.0 * math.pi / math.sqrt(2.0 * a), rel=1e-5)
 
+    @pytest.mark.parametrize("H, regime, ref", PERIODS_CONTROLLED_OMEGA_2_3)
+    def test_closed_form_against_mpmath(self, controlled_system, H, regime, ref):
+        T = period_integral(H, controlled_system, 2.3, regime)
+        assert T == pytest.approx(ref, rel=1e-14)
+
+    def test_closed_form_near_band_against_mpmath(self):
+        T = period_integral(
+            NEAR_BAND_H, NEAR_BAND_SYSTEM, 0.4270883874409262, MotionRegime.CROSS_WELL
+        )
+        assert T == pytest.approx(NEAR_BAND_PERIOD, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "regime", [MotionRegime.RIGHT_WELL, MotionRegime.LEFT_WELL]
+    )
+    def test_exact_bottom_is_harmonic(self, controlled_system, regime):
+        p = controlled_system
+        a = stiffness_margin(p, 2.3)
+        T = period_integral(-a * a / (4.0 * p.delta3), p, 2.3, regime)
+        assert T == pytest.approx(2.0 * math.pi / math.sqrt(2.0 * a), rel=1e-14)
+
     def test_period_grows_toward_separatrix(self):
         p = bare()
         periods = [
@@ -235,16 +284,46 @@ class TestSolveFrequency:
         with pytest.raises(SeparatrixBandError):
             solve_frequency(-0.5 * band, baseline_system, MotionRegime.RIGHT_WELL)
 
-    def test_warm_start_agrees(self, controlled_system):
-        cold = solve_frequency(-0.3, controlled_system, MotionRegime.RIGHT_WELL)
-        warm = solve_frequency(
-            -0.3, controlled_system, MotionRegime.RIGHT_WELL, omega0=cold * 1.05
-        )
-        assert warm == pytest.approx(cold, abs=1e-8)
-
     def test_below_bottom_raises(self, baseline_system):
         with pytest.raises(EnergyRangeError):
             solve_frequency(-10.0, baseline_system, MotionRegime.RIGHT_WELL)
+
+    def test_near_band_reference(self):
+        om = solve_frequency(NEAR_BAND_H, NEAR_BAND_SYSTEM, MotionRegime.CROSS_WELL)
+        assert om == pytest.approx(NEAR_BAND_OMEGA_SC, rel=1e-12)
+
+    def test_array_equals_scalar(self, controlled_system):
+        p = controlled_system
+        edge = 1.0001 * exclusion_band(p)
+        for H, regime in [
+            (-np.geomspace(0.6, edge, 24), MotionRegime.RIGHT_WELL),
+            (-np.geomspace(0.6, edge, 24), MotionRegime.LEFT_WELL),
+            (np.geomspace(edge, 50.0, 24), MotionRegime.CROSS_WELL),
+        ]:
+            arr = solve_frequency(H.reshape(4, 6), p, regime)
+            assert arr.shape == (4, 6)
+            scalar = [solve_frequency(float(h), p, regime) for h in H]
+            assert all(type(om) is float for om in scalar)
+            np.testing.assert_array_equal(arr.ravel(), scalar)
+
+    def test_array_raises_like_scalar(self, controlled_system):
+        """One bad energy in an array raises the scalar call's error, naming it."""
+        p = controlled_system
+        half_band = 0.5 * exclusion_band(p)
+        # nu < 0 makes delta_eff overtake delta1 at the frequency of H = 100
+        lossy = SystemParams(delta1=1.0, delta3=1.0, nu=-0.3, tau2=0.3)
+        for system, bad, good, regime, error in [
+            (p, -half_band, [-0.3, -0.1], MotionRegime.RIGHT_WELL,
+             SeparatrixBandError),
+            (p, -10.0, [-0.3, -0.1], MotionRegime.RIGHT_WELL, EnergyRangeError),
+            (lossy, 100.0, [0.5, 5.0], MotionRegime.CROSS_WELL,
+             BistabilityLossError),
+        ]:
+            solve_frequency(np.array(good), system, regime)
+            with pytest.raises(error, match=f"H={bad}"):
+                solve_frequency(bad, system, regime)
+            with pytest.raises(error, match=f"H={bad}"):
+                solve_frequency(np.array([good[0], bad, good[1]]), system, regime)
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +366,16 @@ class TestFrequencyTable:
     def test_table_requires_enough_samples(self, controlled_system):
         with pytest.raises(ParameterError):
             build_table(controlled_system, n=8)
+
+    def test_samples_are_fixed_points(self, table, controlled_system):
+        """Every sample satisfies |2 pi / T(H; omega) - omega| <= 1e-12."""
+        p = controlled_system
+        T = np.concatenate([
+            period_integral(table.H_neg, p, table.omega_neg, MotionRegime.RIGHT_WELL),
+            period_integral(table.H_pos, p, table.omega_pos, MotionRegime.CROSS_WELL),
+        ])
+        omega = np.concatenate([table.omega_neg, table.omega_pos])
+        assert np.max(np.abs(2.0 * math.pi / T - omega)) <= 1e-12
 
     def test_crosswell_branch_increases_at_high_energy(self, table):
         om = table.omega_pos

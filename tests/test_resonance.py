@@ -160,6 +160,31 @@ class TestSnr:
         assert r.snr == 0.0
         assert r.S1_integral == 0.0
 
+    def test_linear_response_failure_is_nan_everywhere(
+        self, controlled_system, baseline_noise
+    ):
+        """At q = 4 analyze, snr_vs_noise and output_spectrum agree: SNR NaN,
+        the flag down, the same (negative) noise floor."""
+        p, noise = controlled_system, baseline_noise
+        R0, R1 = transition_rates(p, noise, ExcitationParams(G=0.1, Omega=0.05))
+        eps = 2.0 * math.sqrt(2.0 * (R0 * R0 + 0.05**2)) / R1
+        ex = ExcitationParams(eps=eps, G=0.1, Omega=0.05)
+        r = analyze(p, noise, ex)
+        assert r.R0 > 0 and not r.linear_response_ok
+        assert math.isnan(r.snr)
+        assert math.isnan(snr_vs_noise(p, ex, [noise.D], c=noise.c)[0])
+        assert output_spectrum(p, noise, ex) == (r.S1_integral, r.S2_at_Omega)
+        assert r.S2_at_Omega < 0.0
+
+    def test_rate_underflow_is_zero_everywhere(self, baseline_excitation):
+        p = SystemParams(delta1=3.0, delta3=3.0, kappa=0.3, alpha=0.05, beta=0.02)
+        noise = NoiseParams(D=1e-7, c=0.3)
+        r = analyze(p, noise, baseline_excitation)
+        assert r.underflow and r.R0 == 0.0 and r.linear_response_ok
+        assert r.snr == 0.0
+        assert snr_vs_noise(p, baseline_excitation, [1e-7], c=0.3)[0] == 0.0
+        assert output_spectrum(p, noise, baseline_excitation) == (0.0, 0.0)
+
     @given(D=st.floats(1e-3, 0.1), eps=st.floats(0.0, 0.3))
     @settings(max_examples=60, deadline=None)
     def test_snr_nonnegative_and_finite(self, controlled_system, D, eps):
