@@ -16,19 +16,13 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SeparatrixBandError
 from .freq import (
-    FrequencyTable,
-    build_table,
-    exclusion_band,
-    orbit_average,
+    FrequencyTable, bottom_frequency, build_table, exclusion_band, orbit_average,
     solve_frequency,
 )
 from .model import (
-    MotionRegime,
-    NoiseParams,
-    SystemParams,
-    delta_eff_and_slope,
-    effective_coeffs,
-    equilibrium_for_regime,
+    MotionRegime, NoiseParams, SystemParams, bare_potential, colored_noise_factors,
+    delta_eff_and_slope, effective_coeffs, equilibrium_for_regime, harvested_power,
+    seed_frequency, well_depth, well_minimum,
 )
 
 
@@ -134,7 +128,7 @@ def drift_diffusion(
             lambda x, v: v * (ec.beta_eff * v - ec.delta_eff * xs),
             H, p, omega, regime,
         )
-    chi = 1.0 + noise.c**2 * omega**2
+    chi, _ = colored_noise_factors(ec, noise.c)
     m = -dissipation + noise.D / chi
     sigma2 = 2.0 * noise.D / chi * msv
     return DriftDiffusion(m, sigma2)
@@ -186,19 +180,11 @@ def _table_for(p: SystemParams, grid: GridSpec) -> FrequencyTable:
     is cached: a sweep over noise.* builds it once per process.  Its arrays are
     read-only, so the shared table cannot be changed by a caller.
     """
-    omega0 = math.sqrt(2.0 * p.delta1)
-    d_eff = effective_coeffs(p, omega0).delta_eff
+    d_eff = effective_coeffs(p, seed_frequency(p)).delta_eff
     xm = max(abs(grid.x_min), abs(grid.x_max))
     vm = max(abs(grid.v_min), abs(grid.v_max))
-    H_corner = (
-        0.5 * vm**2
-        - 0.5 * p.delta1 * xm**2
-        + 0.25 * p.delta3 * xm**4
-        + 0.5 * abs(d_eff) * xm**2
-    )
-    from .freq import bottom_frequency, well_depth as _wd  # local to avoid cycle
-
-    depth = _wd(p, bottom_frequency(p))
+    H_corner = 0.5 * vm**2 + bare_potential(xm, p) + 0.5 * abs(d_eff) * xm**2
+    depth = well_depth(p, bottom_frequency(p))
     H_max = max(2.0 * H_corner, 0.5 * vm**2 * 2.0, 10.0 * depth)
     return build_table(p, H_range=(-depth * (1.0 - 1e-6), H_max))
 
@@ -237,9 +223,7 @@ def _self_consistent_fields(
     """
     shape = X.shape
     # B = v^2/2 + U_bare(x), the energy without the frequency correction
-    base = np.broadcast_to(
-        0.5 * V * V + (-0.5 * p.delta1 * X * X + 0.25 * p.delta3 * X**4), shape
-    ).ravel()
+    base = np.broadcast_to(0.5 * V * V + bare_potential(X, p), shape).ravel()
     x = np.asarray(X, dtype=float).ravel()
 
     om_lo = min(float(table.omega_neg.min()), float(table.omega_pos.min()))
@@ -296,7 +280,7 @@ def _damped_fields(p, base, x, table, d_span, tol):
     stragglers (fixed-point residual above 1e-9) finished by bisection of
     F(H) = base + delta_eff(omega(H)) x^2 / 2 - H on the bracket set by the
     sampled delta_eff values d_span."""
-    omega = np.full(base.shape, math.sqrt(2.0 * p.delta1))
+    omega = np.full(base.shape, seed_frequency(p))
 
     def d_eff_of(om):
         return effective_coeffs(p, om).delta_eff
@@ -344,8 +328,8 @@ def _joint_density(
     x, v = grid.axes()
     X, V = np.meshgrid(x, v, indexing="ij")
     H, omega, ec = _self_consistent_fields(p, X, V, table)
-    chi = 1.0 + noise.c**2 * omega**2
-    ln_raw = np.log(chi / noise.D) - ec.beta_eff * chi / noise.D * H
+    chi, beta_chi = colored_noise_factors(ec, noise.c)
+    ln_raw = np.log(chi / noise.D) - beta_chi / noise.D * H
     M = ln_raw.max()
     scaled = np.exp(ln_raw - M)
     Z_scaled = np.trapezoid(np.trapezoid(scaled, v, axis=1), x)
@@ -361,8 +345,6 @@ def _joint_density(
         "omega": omega,
         "X": X,
         "V": V,
-        "chi": chi,
-        "beta_eff": ec.beta_eff,
         "delta_eff": ec.delta_eff,
     }
 
@@ -411,9 +393,8 @@ def effective_generalized_potential(
         xm = max(1.0, float(np.max(np.abs(x))))
         vm = max(1.0, float(np.max(np.abs(v))))
         table = _table_for(p, GridSpec(-xm, xm, 32, -vm, vm, 32))
-    H, omega, ec = _self_consistent_fields(p, x, v, table)
-    chi = 1.0 + noise.c**2 * omega**2
-    out = ec.beta_eff * chi * H
+    H, _, ec = _self_consistent_fields(p, x, v, table)
+    out = colored_noise_factors(ec, noise.c)[1] * H
     return float(out[0]) if out.size == 1 else out
 
 
@@ -437,8 +418,7 @@ def mean_square_voltage(
         table = _table_for(p, grid)
     res = _joint_density(p, noise, grid, table)
     H, omega, X, V = res["H"], res["omega"], res["X"], res["V"]
-    margin = np.maximum(p.delta1 - res["delta_eff"], 0.0)
-    x_min = np.sqrt(margin / p.delta3)
+    x_min = well_minimum(p, p.delta1 - res["delta_eff"])
     xstar = np.where(H >= 0.0, 0.0, np.where(X >= 0.0, x_min, -x_min))
     den = p.alpha**2 + omega**2
     volt = omega**2 / den * (X - xstar) + p.alpha / den * V
@@ -453,4 +433,4 @@ def mean_power(
     table: FrequencyTable | None = None,
 ) -> float:
     """Mean harvested power kappa * alpha * E[V^2]."""
-    return p.kappa * p.alpha * mean_square_voltage(p, noise, grid, table)
+    return harvested_power(p, mean_square_voltage(p, noise, grid, table))

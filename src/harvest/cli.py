@@ -20,11 +20,11 @@ from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__, averaging, mcs, resonance
+from . import __version__, averaging, freq, mcs, resonance
 from .config import RunConfig, apply_override, parse_config
 from .errors import ConfigError, HarvestError
 from .freq import build_table, exclusion_band
-from .model import well_depth
+from .model import harvested_power, seed_frequency, well_depth
 
 _FMT = "%.11e"
 
@@ -85,8 +85,8 @@ def _base_meta(cfg: RunConfig, subcommand: str, t0: float) -> dict:
         "lane": mcs.lane(),
         "exclusion_band": exclusion_band(cfg.system),
         "tolerances": {
-            "frequency_fixed_point": 1e-10,
-            "orbit_quadrature_rel": 1e-8,
+            "frequency_fixed_point": freq._TOL,
+            "orbit_quadrature_rel": freq._ORBIT_REL_TOL,
             "significant_digits": 12,
         },
         "wall_time_s": time.monotonic() - t0,
@@ -123,10 +123,10 @@ def _cmd_spd(cfg: RunConfig, out_dir, t0) -> int:
 
 
 def _cmd_power(cfg: RunConfig, out_dir, t0) -> int:
-    ev2 = averaging.mean_square_voltage(cfg.system, cfg.noise)
-    power = cfg.system.kappa * cfg.system.alpha * ev2
+    p = cfg.system
+    ev2 = averaging.mean_square_voltage(p, cfg.noise)
     header = ["mean_power", "mean_square_voltage", "well_depth"]
-    rows = [[power, ev2, well_depth(cfg.system, math.sqrt(2.0 * cfg.system.delta1))]]
+    rows = [[harvested_power(p, ev2), ev2, well_depth(p, seed_frequency(p))]]
     emit_csv(
         _out_path(cfg, out_dir, "power"), header, rows, _base_meta(cfg, "power", t0)
     )
@@ -243,9 +243,7 @@ def _sweep_cell(args):
             elif q == "snr":
                 values[q] = resonance.snr(cfg.system, cfg.noise, cfg.excitation)
             elif q == "well_depth":
-                values[q] = well_depth(
-                    cfg.system, math.sqrt(2.0 * cfg.system.delta1)
-                )
+                values[q] = well_depth(cfg.system, seed_frequency(cfg.system))
             elif q == "omega_eq":
                 values[q] = resonance.snr_equilibria(cfg.system)[2]
         except Exception as e:
@@ -326,10 +324,11 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
     The Monte Carlo ensembles of all cells run first, as the rows of few
     lockstep batches; then each cell's analytic quantities.  Failures are
     encoded per cell, never dropped, and results are merged in grid order
-    regardless of scheduling.  Returns the CSV header and rows, and one
+    regardless of scheduling.  Returns the CSV header and rows, one
     {cell, quantity, message} entry per exception raised in a cell and per
     quantity rerun after a worker process died, where cell holds the cell's
-    parameter values.
+    parameter values, and the lockstep batches of cell indices that were
+    stepped.
     """
     coords, assignments, sim, cells, batches = _sweep_plan(cfg)
     quantities = tuple(dict.fromkeys(cfg.sweep.quantities))
@@ -388,17 +387,17 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
             + [values[i].get(q, math.nan) for q in cfg.sweep.quantities]
             + [error]
         )
-    return header, rows, cell_errors
+    return header, rows, cell_errors, batches
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir, t0, threads: int) -> int:
-    header, rows, cell_errors = run_sweep(cfg, threads=threads)
+    header, rows, cell_errors, batches = run_sweep(cfg, threads=threads)
     meta = _base_meta(cfg, "sweep", t0)
     meta["threads"] = threads
     meta["cell_errors"] = cell_errors
-    _, _, sim, _, batches = _sweep_plan(cfg)
     meta["mc_batches"] = [
-        {"cells": len(batch), "rows": len(batch) * sim.n_traj} for batch in batches
+        {"cells": len(batch), "rows": len(batch) * cfg.sim.n_traj}
+        for batch in batches
     ]
     emit_csv(_out_path(cfg, out_dir, "sweep"), header, rows, meta)
     return 1 if any(row[-1] for row in rows) else 0

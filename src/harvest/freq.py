@@ -26,13 +26,21 @@ from .errors import (
     QuadratureError,
     SeparatrixBandError,
 )
-from .model import MotionRegime, SystemParams, stiffness_margin, well_depth
+from .model import (
+    MotionRegime, SystemParams, seed_frequency, stiffness_margin, well_bottom,
+    well_depth, well_minimum,
+)
 
 # Relative half-width of the band around the separatrix (H = 0) excluded from
 # all frequency evaluation; the period diverges logarithmically at H = 0.
 BAND_FRACTION = 1e-4
 
 _DEGENERATE_GAP = 1e-13  # orbit treated as harmonic when (H - U_min) is this small
+
+# Relative change of the orbit quadrature's Gauss-Legendre order doubling at
+# which it stops; its adaptive fallback aims at a tenth of it.
+_ORBIT_REL_TOL = 1e-8
+_MAX_ORDER = 2048
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -59,8 +67,7 @@ def exclusion_band(p: SystemParams) -> float:
     The well depth is evaluated at the deterministic seed frequency sqrt(2*delta1)
     so the band does not move during fixed-point iteration.
     """
-    omega0 = math.sqrt(2.0 * p.delta1)
-    return BAND_FRACTION * well_depth(p, omega0)
+    return BAND_FRACTION * well_depth(p, seed_frequency(p))
 
 
 def _raise_at_first(bad, H, error: type[Exception], what: str) -> None:
@@ -89,7 +96,7 @@ def _level_roots(H, p: SystemParams, omega, regime: MotionRegime):
         f"wrong sign of H for regime {regime.name}",
     )
     if not cross:
-        u_min = -a * a / (4.0 * d3)
+        u_min = well_bottom(p, a)
         _raise_at_first(
             H - u_min < -_DEGENERATE_GAP * np.maximum(1.0, np.abs(u_min)), H,
             EnergyRangeError, f"below the well-bottom energy of regime {regime.name}",
@@ -101,18 +108,19 @@ def _level_roots(H, p: SystemParams, omega, regime: MotionRegime):
 def turning_points(
     H: float, p: SystemParams, omega: float, regime: MotionRegime
 ) -> TurningPoints:
-    """Roots of U_eff(x) = H bracketing the accessible interval of the regime.
+    """Roots of U_eff(x) = H bracketing the accessible interval of the regime."""
+    return _turning_points(H, p, regime, *_level_roots(H, p, omega, regime))
 
-    The square roots of _level_roots' y_in and y_out; an orbit within
-    _DEGENERATE_GAP of the well bottom collapses onto the minimum.
-    """
-    a, y_in, y_out = _level_roots(H, p, omega, regime)
+
+def _turning_points(H, p, regime, a, y_in, y_out) -> TurningPoints:
+    """The square roots of _level_roots' y_in and y_out; an orbit within
+    _DEGENERATE_GAP of the well bottom collapses onto the minimum."""
     x_b = math.sqrt(y_out)
     if regime is MotionRegime.CROSS_WELL:
         return TurningPoints(-x_b, x_b, regime)
-    u_min = -a * a / (4.0 * p.delta3)
+    u_min = well_bottom(p, a)
     if H - u_min <= _DEGENERATE_GAP * max(1.0, abs(u_min)):
-        x_a = x_b = math.sqrt(a / p.delta3)
+        x_a = x_b = well_minimum(p, a)
     else:
         x_a = math.sqrt(y_in)
     if regime is MotionRegime.LEFT_WELL:
@@ -121,13 +129,7 @@ def turning_points(
 
 
 def _orbit_integral(
-    func,
-    H: float,
-    a: float,
-    delta3: float,
-    tp: TurningPoints,
-    rel_tol: float = 1e-8,
-    max_order: int = 2048,
+    func, H: float, delta3: float, tp: TurningPoints, y_in
 ) -> float:
     """Integral over the closed orbit of [func(x, v) + func(x, -v)] / v dx.
 
@@ -136,18 +138,18 @@ def _orbit_integral(
     form: H - U = (x - x_a)(x_b - x) * S(x) with S smooth and positive on the
     orbit.  The substitution cancels the (x - x_a)(x_b - x) factor exactly, so
     the integrand is 2*[func(x,v)+func(x,-v)] / sqrt(2 S(x)) with no endpoint
-    singularity and no cancellation near the well bottom.  Gauss-Legendre order
-    doubling until the relative change is below rel_tol; near the separatrix the
-    integrand has a sharp (bounded) peak and an adaptive quadrature takes over.
+    singularity and no cancellation near the well bottom.  Across both wells
+    S(x) = delta3/4 (x^2 - y_in) with the inner root y_in < 0 of _level_roots.
+    Gauss-Legendre order doubling until the relative change is below
+    _ORBIT_REL_TOL; near the separatrix the integrand has a sharp (bounded) peak
+    and an adaptive quadrature takes over.
     """
     dx = tp.x_b - tp.x_a
     q = 0.25 * delta3
     if tp.regime is MotionRegime.CROSS_WELL:
-        # second root of the quartic in x^2 (negative for H > 0)
-        y2 = (a - math.sqrt(a * a + 4.0 * delta3 * H)) / delta3
 
         def smooth_part(x):
-            return q * (x * x - y2)
+            return q * (x * x - y_in)
 
     else:
 
@@ -164,9 +166,10 @@ def _orbit_integral(
     def scalar_integrand(theta):
         return float(integrand(np.array([theta]))[0])
 
+    rel_tol = _ORBIT_REL_TOL
     prev = None
     order = 64
-    while order <= max_order:
+    while order <= _MAX_ORDER:
         theta, w = _leggauss(order)
         val = float(np.sum(w * integrand(theta)))
         if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
@@ -217,10 +220,11 @@ def orbit_average(
 
     f must accept array x and signed array v and return an array.
     """
-    tp = turning_points(H, p, omega, regime)
+    roots = _level_roots(H, p, omega, regime)
+    tp = _turning_points(H, p, regime, *roots)
     if tp.x_b - tp.x_a <= 1e-9 * max(1.0, abs(tp.x_b)):
         return float(f(np.array([tp.x_a]), np.array([0.0]))[0])
-    val = _orbit_integral(f, H, stiffness_margin(p, omega), p.delta3, tp)
+    val = _orbit_integral(f, H, p.delta3, tp, roots[1])
     return omega / (2.0 * math.pi) * val
 
 
@@ -253,7 +257,7 @@ def solve_frequency(H, p: SystemParams, regime: MotionRegime, strict: bool = Tru
     h = H.ravel()
     out = np.empty_like(h)
     idx = np.arange(h.size)  # elements still iterating
-    omega = np.full(h.size, math.sqrt(2.0 * p.delta1))
+    omega = np.full(h.size, seed_frequency(p))
     omega_prev = resid_prev = None
     for _ in range(_MAX_ITER):
         a = stiffness_margin(p, omega)
@@ -264,7 +268,7 @@ def solve_frequency(H, p: SystemParams, regime: MotionRegime, strict: bool = Tru
         if well:
             # a transient iterate that puts the bottom above H is treated as a
             # collapsed orbit: the bottom's period is the harmonic one
-            h_eval = np.maximum(h_eval, -a * a / (4.0 * p.delta3))
+            h_eval = np.maximum(h_eval, well_bottom(p, a))
         resid = 2.0 * math.pi / period_integral(h_eval, p, omega, regime) - omega
         omega_new = omega + _ETA * resid
         if omega_prev is not None:
@@ -284,9 +288,9 @@ def solve_frequency(H, p: SystemParams, regime: MotionRegime, strict: bool = Tru
             f"H={h[idx][0]}: frequency iteration did not converge for {regime.name}"
         )
     if strict and well:
-        a = stiffness_margin(p, out)
+        bottom = well_bottom(p, stiffness_margin(p, out))
         _raise_at_first(
-            h < -a * a / (4.0 * p.delta3) * (1.0 + 1e-12), h, EnergyRangeError,
+            h < bottom * (1.0 + 1e-12), h, EnergyRangeError,
             "below the self-consistent well bottom",
         )
     return float(out[0]) if H.ndim == 0 else out.reshape(H.shape)
@@ -294,7 +298,7 @@ def solve_frequency(H, p: SystemParams, regime: MotionRegime, strict: bool = Tru
 
 def bottom_frequency(p: SystemParams, tol: float = 1e-12, max_iter: int = 200) -> float:
     """Self-consistent small-oscillation frequency at the well bottom."""
-    omega = math.sqrt(2.0 * p.delta1)
+    omega = seed_frequency(p)
     for _ in range(max_iter):
         a = stiffness_margin(p, omega)
         if a <= 0:

@@ -24,7 +24,9 @@ import numpy as np
 from . import _kernels
 from .averaging import DensityField, GridSpec
 from .errors import ParameterError
-from .model import ExcitationParams, NoiseParams, SystemParams
+from .model import (
+    ExcitationParams, NoiseParams, SystemParams, bare_equilibria, harvested_power,
+)
 
 # Steps per lockstep chunk.  A chunk's step-major records (draws, noise path,
 # drive, V, the x and v histories) and the temporaries of its estimators come
@@ -215,7 +217,7 @@ def _forcing_chunk(ex: ExcitationParams, dt: float, s0: int, n: int) -> np.ndarr
 
 
 def _initial_positions(p: SystemParams, cfg: SimConfig, n: int) -> np.ndarray:
-    base = cfg.x0 if cfg.x0 is not None else math.sqrt(p.delta1 / p.delta3)
+    base = cfg.x0 if cfg.x0 is not None else bare_equilibria(p)[0]
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     return base * signs
 
@@ -368,7 +370,7 @@ def simulate_trajectory(
         x=series[0, 0, :n_samples].copy(),
         v=series[0, 1, :n_samples].copy(),
         V=series[0, 2, :n_samples].copy(),
-        power_sum=p.kappa * p.alpha * acc[0, 1],
+        power_sum=harvested_power(p, acc[0, 1]),
         input_power_sum=acc[0, 0],
         n_samples=n_samples,
         divergent=bool(divergent[0]),
@@ -435,7 +437,7 @@ def _estimates(p, ex, cfg, acc, hist, divergent, series) -> EnsembleEstimates:
     if n == 0:
         raise ParameterError("all trajectories diverged before the transient ended")
     vsq_mean = vsq_sum / n
-    mean_power = p.kappa * p.alpha * vsq_mean
+    mean_power = harvested_power(p, vsq_mean)
     p_in = pm_sum / n
     defined = p_in > 1e-8
     eff = 100.0 * mean_power / p_in if defined else math.nan

@@ -111,40 +111,57 @@ class EffectiveCoeffs:
     omega: float
 
 
+def seed_frequency(p: SystemParams) -> float:
+    """Small-oscillation frequency sqrt(2*delta1) of the bare well bottom: the
+    seed of each frequency iteration and the two-state frequency slot."""
+    return math.sqrt(2.0 * p.delta1)
+
+
 def bare_potential(x, p: SystemParams):
     """Symmetric quartic potential -delta1*x^2/2 + delta3*x^4/4."""
     x = np.asarray(x, dtype=float)
-    out = -0.5 * p.delta1 * x**2 + 0.25 * p.delta3 * x**4
+    out = -0.5 * p.delta1 * x * x + 0.25 * p.delta3 * x**4
     return out if out.ndim else float(out)
 
 
 def bare_equilibria(p: SystemParams) -> tuple[float, float, float]:
     """The two stable minima and the saddle of the bare double well."""
-    xs = math.sqrt(p.delta1 / p.delta3)
+    xs = well_minimum(p, p.delta1)
     return (xs, -xs, 0.0)
+
+
+def circuit_stiffness(p: SystemParams, omega):
+    """Stiffness kappa*w^2/(alpha^2+w^2) that the circuit back-action adds at w."""
+    om = np.asarray(omega, dtype=float)
+    out = p.kappa * om**2 / (p.alpha**2 + om**2)
+    return out if out.ndim else float(out)
+
+
+def _delta_eff(p: SystemParams, om: np.ndarray):
+    """delta_eff at om, and the sin(om*tau1), sin(om*tau2), cos(om*tau2) that
+    beta_eff and the slope of delta_eff share with it."""
+    sin1, sin2, cos2 = np.sin(om * p.tau1), np.sin(om * p.tau2), np.cos(om * p.tau2)
+    delta_eff = circuit_stiffness(p, om) - p.mu * np.cos(om * p.tau1) - p.nu * om * sin2
+    return delta_eff, sin1, sin2, cos2
 
 
 def effective_coeffs(p: SystemParams, omega) -> EffectiveCoeffs:
     """Effective damping/stiffness of the uncoupled equivalent oscillator.
 
     The circuit back-action contributes kappa*alpha/(alpha^2+w^2) to damping and
-    kappa*w^2/(alpha^2+w^2) to stiffness; the delayed feedback adds the
-    trigonometric terms in w*tau1, w*tau2.
+    circuit_stiffness to stiffness; the delayed feedback adds the
+    trigonometric terms in w*tau1, w*tau2.  omega broadcasts; 0-d input gives
+    float fields.
     """
     om = np.asarray(omega, dtype=float)
     if np.any(om <= 0):
         raise ParameterError(f"omega must be > 0, got {omega}")
-    den = p.alpha**2 + om**2
+    delta_eff, sin1, _, cos2 = _delta_eff(p, om)
     beta_eff = (
         p.beta
-        + p.kappa * p.alpha / den
-        + (p.mu / om) * np.sin(om * p.tau1)
-        - p.nu * np.cos(om * p.tau2)
-    )
-    delta_eff = (
-        p.kappa * om**2 / den
-        - p.mu * np.cos(om * p.tau1)
-        - p.nu * om * np.sin(om * p.tau2)
+        + p.kappa * p.alpha / (p.alpha**2 + om**2)
+        + (p.mu / om) * sin1
+        - p.nu * cos2
     )
     if om.ndim == 0:
         return EffectiveCoeffs(float(beta_eff), float(delta_eff), float(om))
@@ -155,12 +172,9 @@ def delta_eff_and_slope(p: SystemParams, omega):
     """effective_coeffs(p, omega).delta_eff on an array of frequencies, and
     its frequency derivative term by term, from one sin/cos evaluation."""
     om = np.asarray(omega, dtype=float)
-    den = p.alpha**2 + om**2
-    sin1, cos1 = np.sin(om * p.tau1), np.cos(om * p.tau1)
-    sin2, cos2 = np.sin(om * p.tau2), np.cos(om * p.tau2)
-    delta_eff = p.kappa * om**2 / den - p.mu * cos1 - p.nu * om * sin2
+    delta_eff, sin1, sin2, cos2 = _delta_eff(p, om)
     slope = (
-        2.0 * p.kappa * p.alpha**2 * om / den**2
+        2.0 * p.kappa * p.alpha**2 * om / (p.alpha**2 + om**2) ** 2
         + p.mu * p.tau1 * sin1
         - p.nu * sin2
         - p.nu * p.tau2 * om * cos2
@@ -168,16 +182,18 @@ def delta_eff_and_slope(p: SystemParams, omega):
     return delta_eff, slope
 
 
+def colored_noise_factors(ec: EffectiveCoeffs, c: float):
+    """chi = 1 + c^2 w^2 at w = ec.omega, which divides the intensity D of
+    colored noise of correlation time c, and beta_eff * chi."""
+    chi = 1.0 + c**2 * ec.omega**2
+    return chi, ec.beta_eff * chi
+
+
 def effective_potential(x, p: SystemParams, omega, forcing=0.0):
     """Potential of the equivalent oscillator; caller supplies the instantaneous forcing."""
     d_eff = effective_coeffs(p, omega).delta_eff
     x = np.asarray(x, dtype=float)
-    out = (
-        -0.5 * p.delta1 * x**2
-        + 0.25 * p.delta3 * x**4
-        + 0.5 * d_eff * x**2
-        - x * forcing
-    )
+    out = bare_potential(x, p) + 0.5 * d_eff * x**2 - x * forcing
     return out if out.ndim else float(out)
 
 
@@ -188,29 +204,47 @@ def total_energy(x, v, p: SystemParams, omega, forcing=0.0):
     return out if out.ndim else float(out)
 
 
-def stiffness_margin(p: SystemParams, omega) -> float:
-    """delta1 - delta_eff; must stay positive for the double well to survive."""
+def harvested_power(p: SystemParams, mean_square_voltage):
+    """Mean harvested power kappa * alpha * <V^2>."""
+    return p.kappa * p.alpha * mean_square_voltage
+
+
+def stiffness_margin(p: SystemParams, omega):
+    """a = delta1 - delta_eff; must stay positive for the double well to survive."""
     return p.delta1 - effective_coeffs(p, omega).delta_eff
 
 
-def well_depth(p: SystemParams, omega) -> float:
+def _bistable(a) -> np.ndarray:
+    """a as an array; the double well exists only where the margin a > 0."""
+    a = np.asarray(a, dtype=float)
+    if np.any(a <= 0):
+        raise BistabilityLossError(
+            f"bi-stability lost: stiffness margin {np.min(a):.6g} <= 0"
+        )
+    return a
+
+
+def well_bottom(p: SystemParams, a):
+    """Energy -a^2/(4*delta3) at the minima of the well with stiffness margin a."""
+    a = _bistable(a)
+    out = -a * a / (4.0 * p.delta3)
+    return out if out.ndim else float(out)
+
+
+def well_minimum(p: SystemParams, a):
+    """Right-hand minimum sqrt(a/delta3) of the well with stiffness margin a."""
+    out = np.sqrt(_bistable(a) / p.delta3)
+    return out if out.ndim else float(out)
+
+
+def well_depth(p: SystemParams, omega):
     """Depth |min U_eff| of the unforced effective double well."""
-    a = stiffness_margin(p, omega)
-    if a <= 0:
-        raise BistabilityLossError(
-            f"bi-stability lost: delta1 - delta_eff = {a:.6g} <= 0 at omega={omega}"
-        )
-    return a * a / (4.0 * p.delta3)
+    return -well_bottom(p, stiffness_margin(p, omega))
 
 
-def effective_minima(p: SystemParams, omega) -> tuple[float, float]:
-    """Locations +-sqrt((delta1-delta_eff)/delta3) of the unforced effective minima."""
-    a = stiffness_margin(p, omega)
-    if a <= 0:
-        raise BistabilityLossError(
-            f"bi-stability lost: delta1 - delta_eff = {a:.6g} <= 0 at omega={omega}"
-        )
-    xm = math.sqrt(a / p.delta3)
+def effective_minima(p: SystemParams, omega):
+    """Unforced effective minima +-sqrt((delta1 - delta_eff)/delta3)."""
+    xm = well_minimum(p, stiffness_margin(p, omega))
     return (xm, -xm)
 
 

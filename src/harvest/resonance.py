@@ -12,17 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BistabilityLossError
+from .errors import ParameterError
 from .model import (
-    ExcitationParams,
-    NoiseParams,
-    SystemParams,
-    effective_coeffs,
+    ExcitationParams, NoiseParams, SystemParams, circuit_stiffness,
+    colored_noise_factors, effective_coeffs, effective_potential, seed_frequency,
+    well_minimum,
 )
 
 
 @dataclass(frozen=True)
 class ResonanceResult:
+    """Two-state analysis; R0 to underflow are arrays over an array of D."""
+
     x_s_plus: float
     x_s_minus: float
     x_u: float
@@ -45,13 +46,8 @@ def snr_equilibria(p: SystemParams) -> tuple[float, float, float]:
     frequency slot uses the bare well-bottom value sqrt(2*delta1); folding the
     stiffness correction into omega as well would count it twice.
     """
-    omega = math.sqrt(2.0 * p.delta1)
-    margin = p.delta1 - p.kappa * omega**2 / (p.alpha**2 + omega**2)
-    if margin <= 0:
-        raise BistabilityLossError(
-            f"equilibria lost: delta1 - kappa*w^2/(a^2+w^2) = {margin:.6g}"
-        )
-    xs = math.sqrt(margin / p.delta3)
+    omega = seed_frequency(p)
+    xs = well_minimum(p, p.delta1 - circuit_stiffness(p, omega))
     return (xs, -xs, omega)
 
 
@@ -64,11 +60,7 @@ def linearization_eigenvalues(
     contains the circuit back-action term).
     """
     gamma = effective_coeffs(p, omega_eq).beta_eff
-    curv = (
-        -p.delta1
-        + p.kappa * omega_eq**2 / (p.alpha**2 + omega_eq**2)
-        + 3.0 * p.delta3 * x_m**2
-    )
+    curv = -p.delta1 + circuit_stiffness(p, omega_eq) + 3.0 * p.delta3 * x_m**2
     disc = gamma * gamma - 4.0 * curv
     sq = complex(disc) ** 0.5
     lam_plus = 0.5 * (-gamma + sq)
@@ -76,77 +68,77 @@ def linearization_eigenvalues(
     return (lam_plus, lam_minus)
 
 
-def _rate_pieces(p: SystemParams, omega_eq: float, x_s: float):
-    """Prefactor sqrt(l+_s l-_s l+_u / |l-_u|)/(2 pi) and the well exponent."""
+def _scalar(a):
+    return a if a.ndim else a.item()
+
+
+def _two_state(p: SystemParams, ex: ExcitationParams, D, c: float) -> ResonanceResult:
+    """The two-state analysis at each noise intensity in D (correlation time c).
+
+    The Kramers rate is R0 = sqrt(l+_s l-_s l+_u / |l-_u|) / (2 pi)
+    * exp(beta_eff chi / D * U_eff(x_s)), 0.0 where the exponent is at or below
+    -745 (exp underflows), and R1 = R0 x_s G beta_eff chi / D is its
+    forcing-modulation coefficient.  Linear response splits the output
+    spectrum: q = R1^2 eps^2 / (2 (R0^2 + Omega^2)) is the signal's share of
+    the switching, S1 the integrated signal spike, S2 the noise floor at Omega
+    and snr = S1 / S2.  The SNR is 0.0 where nothing switches (R0 == 0) or
+    nothing drives (eps == 0), and NaN where linear response fails (q >= 1).
+    D-dependent fields have D's shape, floats for scalar D.
+    """
+    D = np.asarray(D, dtype=float)
+    if not (np.all(D > 0) and c > 0):
+        raise ParameterError(f"D and c must be > 0, got D={D}, c={c}")
+    x_s, x_s_m, omega_eq = snr_equilibria(p)
     lam_s = linearization_eigenvalues(p, x_s, omega_eq)
     lam_u = linearization_eigenvalues(p, 0.0, omega_eq)
     prod_s = (lam_s[0] * lam_s[1]).real  # product of roots: real and positive
     lam_u_plus = lam_u[0].real
     lam_u_minus = abs(lam_u[1].real)
     prefactor = math.sqrt(prod_s * lam_u_plus / lam_u_minus) / (2.0 * math.pi)
-    ec = effective_coeffs(p, omega_eq)
-    well_value = (
-        -0.5 * p.delta1 * x_s**2
-        + 0.25 * p.delta3 * x_s**4
-        + 0.5 * ec.delta_eff * x_s**2
-    )
-    lambdas = (abs(lam_s[0]), abs(lam_s[1]), lam_u_plus, lam_u_minus)
-    return prefactor, well_value, ec, lambdas
+    _, beta_chi = colored_noise_factors(effective_coeffs(p, omega_eq), c)
+    expo = beta_chi / D * effective_potential(x_s, p, omega_eq)
+    underflow = expo <= -745.0
+    R0 = np.where(underflow, 0.0, prefactor * np.exp(expo))
+    R1 = R0 * x_s * ex.G * beta_chi / D
 
-
-def transition_rates(
-    p: SystemParams,
-    noise: NoiseParams,
-    ex: ExcitationParams,
-    omega_eq: float | None = None,
-    x_s: float | None = None,
-) -> tuple[float, float]:
-    """Unmodulated Kramers rate R0 and its forcing-modulation coefficient R1."""
-    noise.require_positive_intensity()
-    if omega_eq is None or x_s is None:
-        x_s, _, omega_eq = snr_equilibria(p)
-    prefactor, well_value, ec, _ = _rate_pieces(p, omega_eq, x_s)
-    chi = 1.0 + noise.c**2 * omega_eq**2
-    expo = ec.beta_eff * chi / noise.D * well_value
-    R0 = prefactor * math.exp(expo) if expo > -745.0 else 0.0
-    R1 = R0 * x_s * ex.G * ec.beta_eff * chi / noise.D
-    return (R0, R1)
-
-
-def _response(R0: float, R1: float, x_s: float, ex: ExcitationParams):
-    """Linear-response split of the two-state output spectrum: (q, S1, S2, snr).
-
-    q = R1^2 eps^2 / (2 (R0^2 + Omega^2)) is the signal's share of the
-    switching, S1 the integrated signal spike, S2 the noise floor at Omega and
-    snr = S1 / S2.  The SNR is 0.0 when nothing switches (R0 == 0) or nothing
-    drives (eps == 0), and NaN when linear response fails (q >= 1).
-    """
     lor = R0 * R0 + ex.Omega**2
     q = R1 * R1 * ex.eps**2 / (2.0 * lor)
     S1 = math.pi * x_s**2 * R1 * R1 * ex.eps**2 / (2.0 * lor)
     S2 = (1.0 - q) * 2.0 * x_s**2 * R0 / lor
-    if R0 == 0.0 or ex.eps == 0.0:
-        snr_val = 0.0
-    elif q < 1.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
         snr_val = math.pi * R1 * R1 * ex.eps**2 / (4.0 * R0) / (1.0 - q)
-    else:
-        snr_val = math.nan
-    return q, S1, S2, snr_val
+    snr_val = np.where((R0 == 0.0) | (ex.eps == 0.0), 0.0,
+                       np.where(q < 1.0, snr_val, math.nan))
+    return ResonanceResult(
+        x_s_plus=x_s,
+        x_s_minus=x_s_m,
+        x_u=0.0,
+        lambdas=(abs(lam_s[0]), abs(lam_s[1]), lam_u_plus, lam_u_minus),
+        R0=_scalar(R0),
+        R1=_scalar(R1),
+        S1_integral=_scalar(S1),
+        S2_at_Omega=_scalar(S2),
+        snr=_scalar(snr_val),
+        omega_eq=omega_eq,
+        linear_response_ok=_scalar(q < 1.0),
+        underflow=_scalar(underflow),
+    )
+
+
+def transition_rates(
+    p: SystemParams, noise: NoiseParams, ex: ExcitationParams
+) -> tuple[float, float]:
+    """Unmodulated Kramers rate R0 and its forcing-modulation coefficient R1."""
+    r = _two_state(p, ex, noise.D, noise.c)
+    return (r.R0, r.R1)
 
 
 def output_spectrum(
-    p: SystemParams,
-    noise: NoiseParams,
-    ex: ExcitationParams,
-    omega_eq: float | None = None,
-    x_s: float | None = None,
+    p: SystemParams, noise: NoiseParams, ex: ExcitationParams
 ) -> tuple[float, float]:
     """Integrated signal spectrum and the noise spectrum at the drive frequency."""
-    if omega_eq is None or x_s is None:
-        x_s, _, omega_eq = snr_equilibria(p)
-    R0, R1 = transition_rates(p, noise, ex, omega_eq, x_s)
-    _, S1, S2, _ = _response(R0, R1, x_s, ex)
-    return (S1, S2)
+    r = _two_state(p, ex, noise.D, noise.c)
+    return (r.S1_integral, r.S2_at_Omega)
 
 
 def analyze(
@@ -156,29 +148,7 @@ def analyze(
 
     The SNR is NaN, and linear_response_ok False, where linear response fails.
     """
-    noise.require_positive_intensity()
-    x_s, x_s_m, omega_eq = snr_equilibria(p)
-    prefactor, well_value, ec, lambdas = _rate_pieces(p, omega_eq, x_s)
-    chi = 1.0 + noise.c**2 * omega_eq**2
-    expo = ec.beta_eff * chi / noise.D * well_value
-    underflow = expo <= -745.0
-    R0 = prefactor * math.exp(expo) if not underflow else 0.0
-    R1 = R0 * x_s * ex.G * ec.beta_eff * chi / noise.D
-    q, S1, S2, snr_val = _response(R0, R1, x_s, ex)
-    return ResonanceResult(
-        x_s_plus=x_s,
-        x_s_minus=x_s_m,
-        x_u=0.0,
-        lambdas=lambdas,
-        R0=R0,
-        R1=R1,
-        S1_integral=S1,
-        S2_at_Omega=S2,
-        snr=snr_val,
-        omega_eq=omega_eq,
-        linear_response_ok=q < 1.0,
-        underflow=underflow,
-    )
+    return _two_state(p, ex, noise.D, noise.c)
 
 
 def snr(p: SystemParams, noise: NoiseParams, ex: ExcitationParams) -> float:
@@ -192,10 +162,5 @@ def snr_vs_noise(
     D_values: np.ndarray,
     c: float,
 ) -> np.ndarray:
-    """SNR along a noise-intensity scan (equilibria are D-independent)."""
-    x_s, _, omega_eq = snr_equilibria(p)
-    out = np.empty(len(D_values))
-    for i, D in enumerate(D_values):
-        R0, R1 = transition_rates(p, NoiseParams(D=float(D), c=c), ex, omega_eq, x_s)
-        out[i] = _response(R0, R1, x_s, ex)[3]
-    return out
+    """SNR along a noise-intensity scan: analyze(...).snr at each D."""
+    return _two_state(p, ex, D_values, c).snr

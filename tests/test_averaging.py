@@ -12,7 +12,6 @@ import pytest
 
 from harvest import averaging
 from harvest.averaging import (
-    DensityField,
     GridSpec,
     drift_diffusion,
     effective_generalized_potential,

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from harvest import averaging, cli, mcs, resonance
+from harvest import averaging, cli, freq, mcs, resonance
 from harvest.cli import main, run_sweep
 from harvest.config import (
     SWEEP_QUANTITIES,
@@ -185,6 +185,11 @@ class TestCliCommands:
         assert len(meta["config_hash"]) == 64
         assert meta["lane"] == "numpy"
         assert meta["exclusion_band"] > 0
+        assert meta["tolerances"] == {
+            "frequency_fixed_point": freq._TOL,
+            "orbit_quadrature_rel": freq._ORBIT_REL_TOL,
+            "significant_digits": 12,
+        }
 
     def test_freq_output_monotone_energy(self, tmp_path):
         cfg_path = write_cfg(tmp_path, doc())
@@ -487,10 +492,10 @@ class TestSweep:
                                  "stop": 1e-1, "count": 3, "scale": "log"}],
                        "quantities": ["power", "v_rms"]})
         cfg = parse_config(d)
-        header, serial, errors = run_sweep(cfg, threads=1)
+        header, serial, errors, _ = run_sweep(cfg, threads=1)
         assert errors == []
         monkeypatch.setattr(module, name, dying)
-        h2, rows, cell_errors = run_sweep(cfg, threads=2)
+        h2, rows, cell_errors, _ = run_sweep(cfg, threads=2)
         assert (h2, rows) == (header, serial)
         assert all(r[-1] == "" for r in rows)
         assert all(e["message"] == cli._RERUN_MESSAGE for e in cell_errors)
@@ -514,8 +519,8 @@ class TestSweep:
                                  "stop": 1.0, "count": 4}],
                        "quantities": ["power"]})
         cfg = parse_config(d)
-        h1, serial, e1 = run_sweep(cfg, threads=1)
-        h2, parallel, e2 = run_sweep(cfg, threads=2)
+        h1, serial, e1, _ = run_sweep(cfg, threads=1)
+        h2, parallel, e2, _ = run_sweep(cfg, threads=2)
         assert h1 == h2
         assert e1 == e2 == []
         for a, b in zip(serial, parallel):

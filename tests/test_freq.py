@@ -32,7 +32,6 @@ from harvest.freq import (
 from harvest.model import (
     MotionRegime,
     SystemParams,
-    effective_coeffs,
     effective_potential,
     stiffness_margin,
 )

@@ -10,7 +10,6 @@ import pytest
 from scipy.signal import lfilter
 
 from harvest import _kernels, mcs
-from harvest.averaging import GridSpec
 from harvest.errors import ParameterError
 from harvest.mcs import (
     PsdSettings,

@@ -32,6 +32,23 @@ R1_REF = 0.009181981809913438706
 SNR_REF = 3.2733073186453446869e-5
 
 
+def _failing_excitation(p, noise):
+    """Excitation (G, Omega) = (0.1, 0.05) driven hard enough for q = 4 at noise."""
+    R0, R1 = transition_rates(p, noise, ExcitationParams(G=0.1, Omega=0.05))
+    eps = 2.0 * math.sqrt(2.0 * (R0 * R0 + 0.05**2)) / R1
+    return ExcitationParams(eps=eps, G=0.1, Omega=0.05)
+
+
+def _assert_scan_is_analyze(p, ex, c):
+    """snr_vs_noise over an underflowing D, an ordinary D and the D = 0.005 of
+    _failing_excitation equals analyze(...).snr at each: 0.0, finite, NaN."""
+    D = np.array([1e-7, 1e-3, 0.005])
+    vals = snr_vs_noise(p, ex, D, c=c)
+    expected = [analyze(p, NoiseParams(D=d, c=c), ex).snr for d in D]
+    np.testing.assert_array_equal(vals, expected)
+    assert vals[0] == 0.0 and 0.0 < vals[1] < math.inf and math.isnan(vals[2])
+
+
 class TestEquilibria:
     def test_reference_location(self, controlled_system):
         xs, xs_m, om = snr_equilibria(controlled_system)
@@ -166,13 +183,11 @@ class TestSnr:
         """At q = 4 analyze, snr_vs_noise and output_spectrum agree: SNR NaN,
         the flag down, the same (negative) noise floor."""
         p, noise = controlled_system, baseline_noise
-        R0, R1 = transition_rates(p, noise, ExcitationParams(G=0.1, Omega=0.05))
-        eps = 2.0 * math.sqrt(2.0 * (R0 * R0 + 0.05**2)) / R1
-        ex = ExcitationParams(eps=eps, G=0.1, Omega=0.05)
+        ex = _failing_excitation(p, noise)
         r = analyze(p, noise, ex)
         assert r.R0 > 0 and not r.linear_response_ok
         assert math.isnan(r.snr)
-        assert math.isnan(snr_vs_noise(p, ex, [noise.D], c=noise.c)[0])
+        _assert_scan_is_analyze(p, ex, noise.c)
         assert output_spectrum(p, noise, ex) == (r.S1_integral, r.S2_at_Omega)
         assert r.S2_at_Omega < 0.0
 
@@ -184,6 +199,9 @@ class TestSnr:
         assert r.snr == 0.0
         assert snr_vs_noise(p, baseline_excitation, [1e-7], c=0.3)[0] == 0.0
         assert output_spectrum(p, noise, baseline_excitation) == (0.0, 0.0)
+        _assert_scan_is_analyze(
+            p, _failing_excitation(p, NoiseParams(D=0.005, c=0.3)), 0.3
+        )
 
     @given(D=st.floats(1e-3, 0.1), eps=st.floats(0.0, 0.3))
     @settings(max_examples=60, deadline=None)
