@@ -21,8 +21,8 @@ from .freq import (
 )
 from .model import (
     MotionRegime, NoiseParams, SystemParams, bare_potential, colored_noise_factors,
-    delta_eff_and_slope, effective_coeffs, equilibrium_for_regime, harvested_power,
-    seed_frequency, well_depth, well_minimum,
+    delta_eff_and_slope, effective_coeffs, harvested_power, seed_frequency,
+    well_depth, well_minimum,
 )
 
 
@@ -73,12 +73,6 @@ class DensityField:
         return float(np.trapezoid(np.trapezoid(self.values, self.v, axis=1), self.x))
 
 
-def _resolve_omega(H, p, regime, table: FrequencyTable | None):
-    if table is not None:
-        return table.lookup(H, regime)
-    return solve_frequency(H, p, regime)
-
-
 def loop_average(
     f, H: float, p: SystemParams, regime: MotionRegime, omega: float | None = None
 ) -> float:
@@ -92,44 +86,25 @@ def loop_average(
     return orbit_average(f, H, p, omega, regime)
 
 
-def mean_square_velocity(
-    H: float, p: SystemParams, regime: MotionRegime, omega: float | None = None
-) -> float:
-    if omega is None:
-        omega = solve_frequency(H, p, regime)
-    return orbit_average(lambda x, v: v * v, H, p, omega, regime)
+def mean_square_velocity(H: float, p: SystemParams, regime: MotionRegime) -> float:
+    """<v^2> over the closed orbit at H and its self-consistent frequency."""
+    return loop_average(lambda x, v: v * v, H, p, regime)
 
 
 def drift_diffusion(
-    H: float,
-    p: SystemParams,
-    noise: NoiseParams,
-    regime: MotionRegime,
-    omega: float | None = None,
-    table: FrequencyTable | None = None,
-    reduced: bool = False,
+    H: float, p: SystemParams, noise: NoiseParams, regime: MotionRegime
 ) -> DriftDiffusion:
     """Averaged drift and diffusion of the energy envelope at H.
 
-    The full form averages v*(beta_eff*v - delta_eff*X*) over the orbit; the
-    reduced form uses the vanishing of the cross term on symmetric wells and
-    evaluates -beta_eff*<v^2> directly.
+    The dissipation is -beta_eff*<v^2>: the cross term -delta_eff*X*<v> of
+    v*(beta_eff*v - delta_eff*X*) averages to 0 on every closed orbit.
     """
     noise.require_positive_intensity()
-    if omega is None:
-        omega = _resolve_omega(H, p, regime, table)
+    omega = solve_frequency(H, p, regime)
     ec = effective_coeffs(p, omega)
-    xs = equilibrium_for_regime(p, regime)
     msv = orbit_average(lambda x, v: v * v, H, p, omega, regime)
-    if reduced:
-        dissipation = ec.beta_eff * msv
-    else:
-        dissipation = orbit_average(
-            lambda x, v: v * (ec.beta_eff * v - ec.delta_eff * xs),
-            H, p, omega, regime,
-        )
     chi, _ = colored_noise_factors(ec, noise.c)
-    m = -dissipation + noise.D / chi
+    m = -ec.beta_eff * msv + noise.D / chi
     sigma2 = 2.0 * noise.D / chi * msv
     return DriftDiffusion(m, sigma2)
 
@@ -138,7 +113,6 @@ def energy_spd(
     p: SystemParams,
     noise: NoiseParams,
     H_grid: np.ndarray,
-    table: FrequencyTable | None = None,
 ) -> np.ndarray:
     """Stationary probability density of the total energy on the given grid.
 
@@ -150,7 +124,7 @@ def energy_spd(
     H_grid = np.asarray(H_grid, dtype=float)
     if np.any(np.diff(H_grid) <= 0):
         raise ParameterError("H_grid must be strictly increasing")
-    band = table.band if table is not None else exclusion_band(p)
+    band = exclusion_band(p)
     if np.any(np.abs(H_grid) < band):
         raise SeparatrixBandError(
             f"H_grid contains points inside the exclusion band (+-{band:.6g})"
@@ -159,7 +133,7 @@ def energy_spd(
     ln_s2 = np.empty_like(H_grid)
     for i, H in enumerate(H_grid):
         regime = MotionRegime.CROSS_WELL if H > 0 else MotionRegime.RIGHT_WELL
-        dd = drift_diffusion(H, p, noise, regime, table=table)
+        dd = drift_diffusion(H, p, noise, regime)
         ratio[i] = 2.0 * dd.m / dd.sigma2
         ln_s2[i] = math.log(dd.sigma2)
     inner = np.concatenate(
@@ -200,7 +174,6 @@ def _self_consistent_fields(
     X: np.ndarray,
     V: np.ndarray,
     table: FrequencyTable,
-    tol: float = 1e-12,
 ):
     """Per-point energy and frequency: the root of
     F(H) = B + delta_eff(omega(H)) x^2 / 2 - H, with omega(H) from
@@ -260,7 +233,7 @@ def _self_consistent_fields(
 
     slow = np.flatnonzero(unsolved)
     if slow.size:
-        omega[slow] = _damped_fields(p, base[slow], x[slow], table, d_span, tol)
+        omega[slow] = _damped_fields(p, base[slow], x[slow], table, d_span)
     omega = omega.reshape(shape)
     ec = effective_coeffs(p, omega)
     H = (base + 0.5 * ec.delta_eff.ravel() * x * x).reshape(shape)
@@ -275,7 +248,7 @@ def _certified(table, base, x, d_lo, d_hi, slope_max):
     return np.flatnonzero(half_x2 * slope_max * bound <= _CERTIFIED_GAIN)
 
 
-def _damped_fields(p, base, x, table, d_span, tol):
+def _damped_fields(p, base, x, table, d_span):
     """Damped fixed point on omega for the uncertified points, with the
     stragglers (fixed-point residual above 1e-9) finished by bisection of
     F(H) = base + delta_eff(omega(H)) x^2 / 2 - H on the bracket set by the
@@ -290,7 +263,7 @@ def _damped_fields(p, base, x, table, d_span, tol):
 
     for _ in range(60):
         omega_new = table.lookup_bridged(H_of(omega))
-        if np.max(np.abs(omega_new - omega)) <= tol:
+        if np.max(np.abs(omega_new - omega)) <= 1e-12:
             omega = omega_new
             break
         omega = 0.5 * (omega + omega_new)
@@ -353,19 +326,16 @@ def joint_spd(
     p: SystemParams,
     noise: NoiseParams,
     grid: GridSpec | None = None,
-    table: FrequencyTable | None = None,
-    max_expansions: int = 5,
 ) -> DensityField:
     """Joint stationary density of displacement and velocity (forcing frozen at 0).
 
-    The grid auto-expands until the boundary density falls below 1e-12 of the
-    peak, so normalization captures the tails.
+    The grid expands, up to five times, until the boundary density falls
+    below 1e-12 of the peak, so normalization captures the tails.
     """
     if grid is None:
         grid = GridSpec()
-    for _ in range(max_expansions + 1):
-        tab = table if table is not None else _table_for(p, grid)
-        res = _joint_density(p, noise, grid, tab)
+    for _ in range(6):
+        res = _joint_density(p, noise, grid, _table_for(p, grid))
         vals = res["values"]
         boundary = max(
             vals[0, :].max(), vals[-1, :].max(), vals[:, 0].max(), vals[:, -1].max()
@@ -378,31 +348,23 @@ def joint_spd(
             grid.x_min - sx, grid.x_max + sx, int(grid.nx * 1.4) | 1,
             grid.v_min - sv, grid.v_max + sv, int(grid.nv * 1.4) | 1,
         )
-        if table is not None:
-            table = None  # supplied table may not cover the expanded grid
     raise ConvergenceError("grid expansion did not contain the density tails")
 
 
-def effective_generalized_potential(
-    x, v, p: SystemParams, noise: NoiseParams, table: FrequencyTable | None = None
-):
+def effective_generalized_potential(x, v, p: SystemParams, noise: NoiseParams):
     """Generalized potential whose Boltzmann-like factor exp(-U/D) gives the SPD."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if table is None:
-        xm = max(1.0, float(np.max(np.abs(x))))
-        vm = max(1.0, float(np.max(np.abs(v))))
-        table = _table_for(p, GridSpec(-xm, xm, 32, -vm, vm, 32))
+    xm = max(1.0, float(np.max(np.abs(x))))
+    vm = max(1.0, float(np.max(np.abs(v))))
+    table = _table_for(p, GridSpec(-xm, xm, 32, -vm, vm, 32))
     H, _, ec = _self_consistent_fields(p, x, v, table)
     out = colored_noise_factors(ec, noise.c)[1] * H
     return float(out[0]) if out.size == 1 else out
 
 
 def mean_square_voltage(
-    p: SystemParams,
-    noise: NoiseParams,
-    grid: GridSpec | None = None,
-    table: FrequencyTable | None = None,
+    p: SystemParams, noise: NoiseParams, grid: GridSpec | None = None
 ) -> float:
     """E[V^2]: voltage map squared, integrated against the joint SPD.
 
@@ -414,9 +376,7 @@ def mean_square_voltage(
     """
     if grid is None:
         grid = GridSpec()
-    if table is None:
-        table = _table_for(p, grid)
-    res = _joint_density(p, noise, grid, table)
+    res = _joint_density(p, noise, grid, _table_for(p, grid))
     H, omega, X, V = res["H"], res["omega"], res["X"], res["V"]
     x_min = well_minimum(p, p.delta1 - res["delta_eff"])
     xstar = np.where(H >= 0.0, 0.0, np.where(X >= 0.0, x_min, -x_min))
@@ -427,10 +387,7 @@ def mean_square_voltage(
 
 
 def mean_power(
-    p: SystemParams,
-    noise: NoiseParams,
-    grid: GridSpec | None = None,
-    table: FrequencyTable | None = None,
+    p: SystemParams, noise: NoiseParams, grid: GridSpec | None = None
 ) -> float:
     """Mean harvested power kappa * alpha * E[V^2]."""
-    return harvested_power(p, mean_square_voltage(p, noise, grid, table))
+    return harvested_power(p, mean_square_voltage(p, noise, grid))

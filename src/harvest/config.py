@@ -129,6 +129,14 @@ def _number(value: Any, path: str) -> float:
     return float(value)
 
 
+def _integer(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def parse_config(document: str | dict) -> RunConfig:
     """Parse and validate one JSON run document into a RunConfig.
 
@@ -175,10 +183,10 @@ def parse_config(document: str | dict) -> RunConfig:
     grid = GridSpec(
         x_min=_number(grid_raw["x_min"], "sim.grid.x_min"),
         x_max=_number(grid_raw["x_max"], "sim.grid.x_max"),
-        nx=int(grid_raw["nx"]),
+        nx=_integer(grid_raw["nx"], "sim.grid.nx"),
         v_min=_number(grid_raw["v_min"], "sim.grid.v_min"),
         v_max=_number(grid_raw["v_max"], "sim.grid.v_max"),
-        nv=int(grid_raw["nv"]),
+        nv=_integer(grid_raw["nv"], "sim.grid.nv"),
     )
     psd_block = sim_raw.pop("psd")
     psd = None
@@ -188,7 +196,7 @@ def parse_config(document: str | dict) -> RunConfig:
         psd = PsdSettings(
             segment_time=_number(psd_raw["segment_time"], "sim.psd.segment_time"),
             overlap=_number(psd_raw["overlap"], "sim.psd.overlap"),
-            n_bootstrap=int(psd_raw["n_bootstrap"]),
+            n_bootstrap=_integer(psd_raw["n_bootstrap"], "sim.psd.n_bootstrap"),
         )
     sim = SimConfig(
         dt=_number(sim_raw["dt"], "sim.dt"),
@@ -198,8 +206,8 @@ def parse_config(document: str | dict) -> RunConfig:
             if sim_raw["t_transient"] is None
             else _number(sim_raw["t_transient"], "sim.t_transient")
         ),
-        n_traj=int(sim_raw["n_traj"]),
-        seed=int(sim_raw["seed"]),
+        n_traj=_integer(sim_raw["n_traj"], "sim.n_traj"),
+        seed=_integer(sim_raw["seed"], "sim.seed"),
         x0=None if sim_raw["x0"] is None else _number(sim_raw["x0"], "sim.x0"),
         v0=_number(sim_raw["v0"], "sim.v0"),
         V0=_number(sim_raw["V0"], "sim.V0"),
@@ -223,7 +231,7 @@ def parse_config(document: str | dict) -> RunConfig:
                 raise ConfigError(
                     f"sweep.axes[{i}].param: '{param}' is not a sweepable parameter"
                 )
-            count = int(ax_raw["count"])
+            count = _integer(ax_raw["count"], f"sweep.axes[{i}].count")
             if count < 2:
                 raise ConfigError(f"sweep.axes[{i}].count: must be >= 2, got {count}")
             scale = ax_raw["scale"]
@@ -240,6 +248,8 @@ def parse_config(document: str | dict) -> RunConfig:
                     scale=scale,
                 )
             )
+        if not isinstance(sweep_raw["quantities"], list):
+            raise ConfigError("sweep.quantities: expected a list of quantity names")
         quantities = tuple(sweep_raw["quantities"])
         for q in quantities:
             if q not in SWEEP_QUANTITIES:

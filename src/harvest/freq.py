@@ -38,8 +38,9 @@ BAND_FRACTION = 1e-4
 _DEGENERATE_GAP = 1e-13  # orbit treated as harmonic when (H - U_min) is this small
 
 # Relative change of the orbit quadrature's Gauss-Legendre order doubling at
-# which it stops; its adaptive fallback aims at a tenth of it.
-_ORBIT_REL_TOL = 1e-8
+# which it stops; its adaptive fallback aims at a tenth of it.  Near the
+# separatrix a looser stop leaves the time average of 1 off by ~1e-9.
+_ORBIT_REL_TOL = 1e-12
 _MAX_ORDER = 2048
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -296,15 +297,16 @@ def solve_frequency(H, p: SystemParams, regime: MotionRegime, strict: bool = Tru
     return float(out[0]) if H.ndim == 0 else out.reshape(H.shape)
 
 
-def bottom_frequency(p: SystemParams, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Self-consistent small-oscillation frequency at the well bottom."""
+def bottom_frequency(p: SystemParams) -> float:
+    """Self-consistent small-oscillation frequency at the well bottom: the
+    damped fixed point of omega -> sqrt(2a), stopped at a step of 1e-12."""
     omega = seed_frequency(p)
-    for _ in range(max_iter):
+    for _ in range(200):
         a = stiffness_margin(p, omega)
         if a <= 0:
             raise BistabilityLossError(f"bi-stability lost at omega={omega}")
         omega_new = 0.5 * omega + 0.5 * math.sqrt(2.0 * a)
-        if abs(omega_new - omega) <= tol:
+        if abs(omega_new - omega) <= 1e-12:
             return omega_new
         omega = omega_new
     raise ConvergenceError("well-bottom frequency iteration did not converge")
@@ -340,22 +342,6 @@ class FrequencyTable:
             interp.x.flags.writeable = False
             interp.c.flags.writeable = False
             object.__setattr__(self, name, interp)
-
-    def lookup(self, H, regime: MotionRegime):
-        """Interpolated omega(H) for the given regime; no extrapolation."""
-        H = np.asarray(H, dtype=float)
-        if regime is MotionRegime.CROSS_WELL:
-            lo, hi, interp = self.H_pos[0], self.H_pos[-1], self._interp_pos
-        else:
-            lo, hi, interp = self.H_neg[0], self.H_neg[-1], self._interp_neg
-        if np.any(H < lo) or np.any(H > hi):
-            bad = H[(np.asarray(H) < lo) | (np.asarray(H) > hi)]
-            raise EnergyRangeError(
-                f"energy outside table range [{lo}, {hi}] for {regime.name}: "
-                f"{np.atleast_1d(bad)[:5]}"
-            )
-        out = interp(H)
-        return float(out) if out.ndim == 0 else out
 
     def lookup_bridged(self, H, slope: bool = False):
         """Vectorized omega(H) with the exclusion band bridged linearly.
@@ -424,18 +410,21 @@ class FrequencyTable:
         return np.where(hi < knots[0], 0.0, run[i, j])
 
 
+# Samples per branch of build_table.
+_TABLE_SAMPLES = 96
+
+
 def build_table(
-    p: SystemParams,
-    H_range: tuple[float, float] | None = None,
-    n: int = 96,
+    p: SystemParams, H_range: tuple[float, float] | None = None
 ) -> FrequencyTable:
-    """Tabulate solve_frequency on log-spaced |H| grids on both sides of the band."""
-    if n < 16:
-        raise ParameterError(f"table needs n >= 16 samples per branch, got {n}")
+    """Tabulate solve_frequency on log-spaced |H| grids on both sides of the band.
+
+    The default range runs from just above the self-consistent well bottom to
+    50 well depths.
+    """
     band = exclusion_band(p)
-    omega_bot = bottom_frequency(p)
-    depth = well_depth(p, omega_bot)
     if H_range is None:
+        depth = well_depth(p, bottom_frequency(p))
         H_min, H_max = -depth * (1.0 - 1e-6), 50.0 * depth
     else:
         H_min, H_max = H_range
@@ -443,8 +432,8 @@ def build_table(
         raise ParameterError(
             f"H_range {H_range} must straddle the exclusion band (+-{band:.6g})"
         )
-    H_neg = -np.geomspace(abs(H_min), band, n)  # ascending (toward -band)
-    H_pos = np.geomspace(band, H_max, n)
+    H_neg = -np.geomspace(abs(H_min), band, _TABLE_SAMPLES)  # ascending (toward -band)
+    H_pos = np.geomspace(band, H_max, _TABLE_SAMPLES)
     omega_neg = solve_frequency(H_neg, p, MotionRegime.RIGHT_WELL)
     omega_pos = solve_frequency(H_pos, p, MotionRegime.CROSS_WELL)
     return FrequencyTable(H_neg, omega_neg, H_pos, omega_pos, band)

@@ -344,7 +344,6 @@ def simulate_trajectory(
     ex: ExcitationParams,
     cfg: SimConfig,
     traj_seed,
-    x_init: float | None = None,
 ) -> TrajectoryResult:
     """Integrate one trajectory; deterministic given traj_seed.
 
@@ -354,12 +353,9 @@ def simulate_trajectory(
     first trajectory reproduces the one-trajectory ensemble bit for bit.
     The delay history before t=0 is held constant at the initial condition.
     """
-    x0 = (
-        _initial_positions(p, cfg, 1) if x_init is None
-        else np.array([float(x_init)])
-    )
     acc, _, divergent, series, final = _ensemble_core(
-        p, noise, ex, cfg, [np.random.default_rng(traj_seed)], x0,
+        p, noise, ex, cfg, [np.random.default_rng(traj_seed)],
+        _initial_positions(p, cfg, 1),
         _kernels.STORE_XVV,
     )
     _, skip = _step_counts(ex, cfg)

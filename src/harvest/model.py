@@ -191,16 +191,20 @@ def colored_noise_factors(ec: EffectiveCoeffs, c: float):
 
 def effective_potential(x, p: SystemParams, omega, forcing=0.0):
     """Potential of the equivalent oscillator; caller supplies the instantaneous forcing."""
-    d_eff = effective_coeffs(p, omega).delta_eff
+    return _effective_potential(x, p, effective_coeffs(p, omega).delta_eff, forcing)
+
+
+def _effective_potential(x, p: SystemParams, d_eff, forcing):
+    """effective_potential with the stiffness correction d_eff given."""
     x = np.asarray(x, dtype=float)
     out = bare_potential(x, p) + 0.5 * d_eff * x**2 - x * forcing
     return out if out.ndim else float(out)
 
 
-def total_energy(x, v, p: SystemParams, omega, forcing=0.0):
+def total_energy(x, v, p: SystemParams, omega):
     """Mechanical energy v^2/2 + U_eff(x)."""
     v = np.asarray(v, dtype=float)
-    out = 0.5 * v**2 + effective_potential(x, p, omega, forcing)
+    out = 0.5 * v**2 + effective_potential(x, p, omega)
     return out if out.ndim else float(out)
 
 

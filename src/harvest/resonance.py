@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import (
-    ExcitationParams, NoiseParams, SystemParams, circuit_stiffness,
-    colored_noise_factors, effective_coeffs, effective_potential, seed_frequency,
-    well_minimum,
+    EffectiveCoeffs, ExcitationParams, NoiseParams, SystemParams,
+    _effective_potential, circuit_stiffness, colored_noise_factors,
+    effective_coeffs, seed_frequency, well_minimum,
 )
 
 
@@ -59,7 +59,14 @@ def linearization_eigenvalues(
     The damping slot is the full effective damping at omega_eq (which already
     contains the circuit back-action term).
     """
-    gamma = effective_coeffs(p, omega_eq).beta_eff
+    return _eigenvalues(p, x_m, omega_eq, effective_coeffs(p, omega_eq))
+
+
+def _eigenvalues(
+    p: SystemParams, x_m: float, omega_eq: float, ec: EffectiveCoeffs
+) -> tuple[complex, complex]:
+    """linearization_eigenvalues with the effective coefficients at omega_eq given."""
+    gamma = ec.beta_eff
     curv = -p.delta1 + circuit_stiffness(p, omega_eq) + 3.0 * p.delta3 * x_m**2
     disc = gamma * gamma - 4.0 * curv
     sq = complex(disc) ** 0.5
@@ -89,14 +96,15 @@ def _two_state(p: SystemParams, ex: ExcitationParams, D, c: float) -> ResonanceR
     if not (np.all(D > 0) and c > 0):
         raise ParameterError(f"D and c must be > 0, got D={D}, c={c}")
     x_s, x_s_m, omega_eq = snr_equilibria(p)
-    lam_s = linearization_eigenvalues(p, x_s, omega_eq)
-    lam_u = linearization_eigenvalues(p, 0.0, omega_eq)
+    ec = effective_coeffs(p, omega_eq)
+    lam_s = _eigenvalues(p, x_s, omega_eq, ec)
+    lam_u = _eigenvalues(p, 0.0, omega_eq, ec)
     prod_s = (lam_s[0] * lam_s[1]).real  # product of roots: real and positive
     lam_u_plus = lam_u[0].real
     lam_u_minus = abs(lam_u[1].real)
     prefactor = math.sqrt(prod_s * lam_u_plus / lam_u_minus) / (2.0 * math.pi)
-    _, beta_chi = colored_noise_factors(effective_coeffs(p, omega_eq), c)
-    expo = beta_chi / D * effective_potential(x_s, p, omega_eq)
+    _, beta_chi = colored_noise_factors(ec, c)
+    expo = beta_chi / D * _effective_potential(x_s, p, ec.delta_eff, 0.0)
     underflow = expo <= -745.0
     R0 = np.where(underflow, 0.0, prefactor * np.exp(expo))
     R1 = R0 * x_s * ex.G * beta_chi / D

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from harvest import averaging
+from harvest import averaging, freq
 from harvest.averaging import (
     GridSpec,
     drift_diffusion,
@@ -23,7 +23,9 @@ from harvest.averaging import (
     mean_square_voltage,
 )
 from harvest.errors import ParameterError, SeparatrixBandError
-from harvest.freq import build_table, exclusion_band, period_integral, solve_frequency
+from harvest.freq import (
+    bottom_frequency, exclusion_band, period_integral, solve_frequency,
+)
 from harvest.model import (
     MotionRegime,
     NoiseParams,
@@ -48,11 +50,6 @@ MSX_CROSSWELL = 0.7631893891025496
 @pytest.fixture(scope="module")
 def uncontrolled(baseline_system):
     return baseline_system
-
-
-@pytest.fixture(scope="module")
-def table(controlled_system):
-    return build_table(controlled_system)
 
 
 class TestOrbitAverages:
@@ -109,17 +106,6 @@ class TestDriftDiffusion:
         expected_s2 = 2.0 * baseline_noise.D / chi * MSV_CROSSWELL
         assert dd.m == pytest.approx(expected_m, rel=1e-8)
         assert dd.sigma2 == pytest.approx(expected_s2, rel=1e-8)
-
-    def test_full_equals_reduced_on_symmetric_wells(
-        self, controlled_system, baseline_noise
-    ):
-        for H, regime in [(-0.3, MotionRegime.RIGHT_WELL), (0.5, MotionRegime.CROSS_WELL)]:
-            full = drift_diffusion(H, controlled_system, baseline_noise, regime)
-            red = drift_diffusion(
-                H, controlled_system, baseline_noise, regime, reduced=True
-            )
-            assert full.m == pytest.approx(red.m, rel=1e-7)
-            assert full.sigma2 == pytest.approx(red.sigma2, rel=1e-12)
 
     def test_requires_positive_noise(self, uncontrolled):
         with pytest.raises(ParameterError):
@@ -224,9 +210,7 @@ class TestJointSpd:
         xm = effective_minima(controlled_system, om)[0]
         assert abs(x_peak - xm) <= 1.5 * (fld.x[1] - fld.x[0])
 
-    def test_constant_along_each_orbit(
-        self, controlled_system, baseline_noise, table
-    ):
+    def test_constant_along_each_orbit(self, controlled_system, baseline_noise):
         """The joint density depends on (x, v) only through the orbit energy."""
         p = controlled_system
         from scipy.interpolate import RegularGridInterpolator
@@ -235,7 +219,7 @@ class TestJointSpd:
         from harvest.model import effective_potential
 
         grid = GridSpec(-2.2, 2.2, 301, -2.2, 2.2, 301)
-        fld = joint_spd(p, baseline_noise, grid=grid, table=table)
+        fld = joint_spd(p, baseline_noise, grid=grid)
         interp = RegularGridInterpolator((fld.x, fld.v), fld.values)
         for H0, regime in [
             (-0.25, MotionRegime.RIGHT_WELL),
@@ -252,7 +236,7 @@ class TestJointSpd:
             assert max(vals) == pytest.approx(min(vals), rel=2e-3)
 
     def test_energy_dependence_matches_closed_form(
-        self, controlled_system, baseline_noise, table
+        self, controlled_system, baseline_noise
     ):
         """Density ratio between two orbits equals the closed-form exponent
         ratio chi/D * exp(-beta_eff*chi*H/D) with per-energy coefficients."""
@@ -263,7 +247,7 @@ class TestJointSpd:
         from harvest.model import effective_potential
 
         grid = GridSpec(-2.2, 2.2, 301, -2.2, 2.2, 301)
-        fld = joint_spd(p, baseline_noise, grid=grid, table=table)
+        fld = joint_spd(p, baseline_noise, grid=grid)
         interp = RegularGridInterpolator((fld.x, fld.v), fld.values)
 
         def at_energy(H0, regime):
@@ -294,18 +278,16 @@ class TestJointSpd:
 
 
 class TestGeneralizedPotential:
-    def test_reproduces_density_exponent(
-        self, controlled_system, baseline_noise, table
-    ):
+    def test_reproduces_density_exponent(self, controlled_system, baseline_noise):
         """exp(-U_gen/D) is proportional to the joint density (same grid)."""
         p = controlled_system
         grid = GridSpec(-2.0, 2.0, 41, -2.0, 2.0, 41)
         x, v = grid.axes()
         X, V = np.meshgrid(x, v, indexing="ij")
         ug = effective_generalized_potential(
-            X.ravel(), V.ravel(), p, baseline_noise, table=table
+            X.ravel(), V.ravel(), p, baseline_noise
         ).reshape(X.shape)
-        fld = joint_spd(p, baseline_noise, table=table)
+        fld = joint_spd(p, baseline_noise)
         from scipy.interpolate import RegularGridInterpolator
 
         interp = RegularGridInterpolator((fld.x, fld.v), np.log(fld.values + 1e-300))
@@ -317,12 +299,12 @@ class TestGeneralizedPotential:
         # allow the slowly varying ln(chi) term a small spread
         assert np.ptp(resid) < 0.15 * np.ptp(ug[mask] / baseline_noise.D)
 
-    def test_wells_below_saddle(self, controlled_system, baseline_noise, table):
+    def test_wells_below_saddle(self, controlled_system, baseline_noise):
         p = controlled_system
         om = math.sqrt(2.0 * p.delta1)
         xm = effective_minima(p, om)[0]
-        u_well = effective_generalized_potential(xm, 0.0, p, baseline_noise, table)
-        u_saddle = effective_generalized_potential(0.0, 0.0, p, baseline_noise, table)
+        u_well = effective_generalized_potential(xm, 0.0, p, baseline_noise)
+        u_saddle = effective_generalized_potential(0.0, 0.0, p, baseline_noise)
         assert u_well < u_saddle
         assert u_saddle == pytest.approx(0.0, abs=1e-8)
 
@@ -465,6 +447,19 @@ class TestTableCache:
         assert averaging._table_for(controlled_system, GridSpec()) is table
         for arr in (table.H_neg, table.omega_neg, table.H_pos, table.omega_pos):
             assert not arr.flags.writeable
+
+    def test_cold_table_solves_the_bottom_once(self, controlled_system, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return bottom_frequency(p)
+
+        monkeypatch.setattr(averaging, "bottom_frequency", counting)
+        monkeypatch.setattr(freq, "bottom_frequency", counting)
+        averaging._table_for.cache_clear()
+        averaging._table_for(controlled_system, GridSpec())
+        assert len(calls) == 1
 
     def test_power_same_on_cold_and_warm_cache(self, controlled_system,
                                                baseline_noise):

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -140,6 +141,31 @@ class TestParseConfig:
                          "quantities": ["entropy"]})
         with pytest.raises(ConfigError, match="entropy"):
             parse_config(bad)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("sim.n_traj", "abc"),
+            ("sim.n_traj", 2.7),
+            ("sim.seed", True),
+            ("sim.grid.nx", "64"),
+            ("sim.psd.n_bootstrap", 2.5),
+            ("sweep.axes[0].count", "8"),
+            ("sweep.quantities", "power"),
+        ],
+    )
+    def test_integer_and_list_keys_are_checked(self, path, value):
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 0.004,
+                                 "stop": 0.006, "count": 2}]})
+        d["sim"]["grid"] = {}
+        d["sim"]["psd"] = {"segment_time": 150.0}
+        *parents, key = path.replace("[0]", ".0").split(".")
+        node = d
+        for part in parents:
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: expected")):
+            parse_config(d)
 
     def test_psd_block(self):
         d = doc()

@@ -36,3 +36,73 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+PACKAGE = sorted((ROOT / "src" / "harvest").glob("*.py"))
+CALLERS = sorted(
+    [*PACKAGE, *(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tests").glob("*.py")]
+)
+
+
+def _defaulted(fn: ast.FunctionDef):
+    """(position or None, name) of each parameter of fn that has a default;
+    the position counts from the first argument a caller writes."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    first = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    out = [
+        (i - first, a.arg)
+        for i, a in enumerate(positional)
+        if i >= len(positional) - len(args.defaults)
+    ]
+    out += [
+        (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+    return out
+
+
+def _passed(calls) -> dict[str, tuple[int, set[str]]]:
+    """Per called name: the most positional arguments any call passes (up to
+    its first *args) and every keyword any call passes."""
+    seen: dict[str, tuple[int, set[str]]] = {}
+    for call in calls:
+        f = call.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name is None:
+            continue
+        n_pos = 0
+        for arg in call.args:
+            if isinstance(arg, ast.Starred):
+                break
+            n_pos += 1
+        most, keywords = seen.get(name, (0, set()))
+        seen[name] = (
+            max(most, n_pos),
+            keywords | {k.arg for k in call.keywords if k.arg is not None},
+        )
+    return seen
+
+
+def unset_defaults() -> list[str]:
+    """'function.parameter' for each defaulted parameter of a package function
+    that no call in the package, the benchmark or the tests passes."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
+    passed = _passed(
+        node for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    )
+    unset = []
+    for path in PACKAGE:
+        for fn in ast.walk(trees[path]):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            most, keywords = passed.get(fn.name, (0, set()))
+            for pos, name in _defaulted(fn):
+                if name not in keywords and (pos is None or pos >= most):
+                    unset.append(f"{fn.name}.{name}")
+    return sorted(unset)
+
+
+def test_every_default_is_set():
+    """A default that no call overrides is a constant in disguise."""
+    assert unset_defaults() == []

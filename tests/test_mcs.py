@@ -233,8 +233,7 @@ class TestOnePass:
         cfg = SimConfig(dt=0.01, t_total=120.0, t_transient=20.0, n_traj=1,
                         seed=321)
         traj = simulate_trajectory(
-            p, noise, ex, cfg, np.random.SeedSequence(321).spawn(1)[0],
-            x_init=math.sqrt(p.delta1 / p.delta3),
+            p, noise, ex, cfg, np.random.SeedSequence(321).spawn(1)[0]
         )
         est = run_ensemble(p, noise, ex, cfg)
         assert not traj.divergent and est.n_divergent == 0

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harvest import model, resonance
 from harvest.errors import BistabilityLossError, ParameterError
 from harvest.model import ExcitationParams, NoiseParams, SystemParams
 from harvest.resonance import (
@@ -226,3 +227,19 @@ class TestSnr:
             math.pi * R1 * R1 * baseline_excitation.eps**2 / (4.0 * R0) / (1.0 - q)
         )
         assert r.snr == pytest.approx(expected, rel=1e-14)
+
+
+def test_analyze_evaluates_the_coefficients_once(
+    controlled_system, baseline_noise, baseline_excitation, monkeypatch
+):
+    calls = []
+    effective_coeffs = model.effective_coeffs
+
+    def counting(p, omega):
+        calls.append(omega)
+        return effective_coeffs(p, omega)
+
+    monkeypatch.setattr(model, "effective_coeffs", counting)
+    monkeypatch.setattr(resonance, "effective_coeffs", counting)
+    analyze(controlled_system, baseline_noise, baseline_excitation)
+    assert len(calls) == 1
