@@ -16,13 +16,13 @@ import math
 import os
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 import numpy as np
+import scipy
 
 from . import __version__, averaging, freq, mcs, resonance
 from .config import RunConfig, apply_override, parse_config
-from .errors import ConfigError, HarvestError
+from .errors import ConfigError, HarvestError, LinearResponseError
 from .freq import build_table, exclusion_band
 from .model import harvested_power, seed_frequency, well_depth
 
@@ -65,8 +65,6 @@ def _config_hash(doc: dict) -> str:
 
 
 def _versions() -> dict:
-    import scipy
-
     return {
         "harvest": __version__,
         "numpy": np.__version__,
@@ -242,6 +240,11 @@ def _sweep_cell(args):
                 values[q] = averaging.mean_power(cfg.system, cfg.noise)
             elif q == "snr":
                 values[q] = resonance.snr(cfg.system, cfg.noise, cfg.excitation)
+                if math.isnan(values[q]):
+                    raise LinearResponseError(
+                        "linear response fails (q >= 1): the two-state SNR is "
+                        "undefined"
+                    )
             elif q == "well_depth":
                 values[q] = well_depth(cfg.system, seed_frequency(cfg.system))
             elif q == "omega_eq":
@@ -274,6 +277,8 @@ def _run_tasks(tasks, threads: int):
     """
     if threads <= 1:
         return [fn(arg) for fn, arg in tasks], []
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     results = [None] * len(tasks)
     rerun = []
     with ProcessPoolExecutor(max_workers=threads) as pool:

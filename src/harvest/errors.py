@@ -29,5 +29,9 @@ class EnergyRangeError(HarvestError):
     """Energy outside the admissible range for the requested motion regime or table."""
 
 
+class LinearResponseError(HarvestError):
+    """The two-state linear-response expansion fails: the signal's share of the switching is q >= 1."""
+
+
 class ConfigError(HarvestError, ValueError):
     """Run configuration document violates the schema."""

@@ -4,8 +4,10 @@ The effective stiffness correction depends on the oscillation frequency, which i
 turn depends on the energy through the orbit period, so the frequency at a given
 energy is obtained by a damped-secant fixed-point iteration, run elementwise
 over an array of energies.  The period of the frozen quartic well is a closed
-form in the complete elliptic integral K.  A tabulated version with monotone
-cubic interpolation serves the grid-heavy consumers.
+form in the complete elliptic integral K, evaluated by the arithmetic-geometric
+mean.  A tabulated version, one piecewise cubic over both branches, serves the
+grid-heavy consumers.  The module needs only numpy: scipy is imported on first
+use by the orbit quadrature, which no CLI command runs.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.special import ellipkm1, roots_legendre
 
 from .errors import (
     BistabilityLossError,
@@ -48,11 +47,21 @@ _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _leggauss_cache:
+        from scipy.special import roots_legendre
+
         nodes, weights = roots_legendre(n)
         # map [-1, 1] -> [0, pi/2]
         theta = 0.25 * math.pi * (nodes + 1.0)
         _leggauss_cache[n] = (theta, 0.25 * math.pi * weights)
     return _leggauss_cache[n]
+
+
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on first use: only the adaptive fallback
+    of the orbit quadrature calls it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -190,6 +199,29 @@ def _orbit_integral(
     return val
 
 
+# Arithmetic-geometric mean steps of _ellipkm1: from p = 5e-324, the smallest
+# double, a and b agree to extended precision after 12.
+_AGM_STEPS = 14
+_HALF_PI = np.arctan(np.longdouble(1.0)) * 2
+
+
+def _ellipkm1(p):
+    """Complete elliptic integral K(m) of the first kind at 1 - m = p.
+
+    K = pi / (2 AGM(1, sqrt(p))) (Abramowitz & Stegun 17.6), iterated in
+    numpy's long double for a fixed number of steps, so each element depends
+    on its own p alone.  Where long double is the x87 80-bit format (x86-64)
+    K is within one ulp of the exact value; in double precision the rounding
+    of the steps adds up to a few ulp.  K = inf at p = 0.
+    """
+    p = np.asarray(p, dtype=float)
+    a = np.ones(p.shape, dtype=np.longdouble)
+    b = np.sqrt(p.astype(np.longdouble))
+    for _ in range(_AGM_STEPS):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return np.where(p == 0.0, np.inf, (_HALF_PI / a).astype(float))
+
+
 def period_integral(H, p: SystemParams, omega, regime: MotionRegime):
     """Closed-loop period T(H) = 2 * int dx / sqrt(2H - 2U) over the orbit interval.
 
@@ -198,7 +230,7 @@ def period_integral(H, p: SystemParams, omega, regime: MotionRegime):
     Handbook of Elliptic Integrals).  In a well
     T = sqrt(8/delta3) K(m) / sqrt(y_out) with 1 - m = y_in / y_out;
     across both wells T = 4 sqrt(2/delta3) K(m) / sqrt(y_out - y_in) with
-    1 - m = -y_in / (y_out - y_in).  K = ellipkm1(1 - m) keeps full precision
+    1 - m = -y_in / (y_out - y_in).  K = _ellipkm1(1 - m) keeps full precision
     at the separatrix, where K diverges like a logarithm; at the well bottom
     m = 0 gives the harmonic period 2 pi / sqrt(2a).  H and omega broadcast;
     a float is returned for scalar inputs.
@@ -206,11 +238,11 @@ def period_integral(H, p: SystemParams, omega, regime: MotionRegime):
     _, y_in, y_out = _level_roots(H, p, omega, regime)
     if regime is MotionRegime.CROSS_WELL:
         span = y_out - y_in
-        T = 4.0 * math.sqrt(2.0 / p.delta3) * ellipkm1(-y_in / span) / np.sqrt(span)
+        T = 4.0 * math.sqrt(2.0 / p.delta3) * _ellipkm1(-y_in / span) / np.sqrt(span)
     else:
         # within _DEGENERATE_GAP of the bottom rounding can put y_in above y_out
         ratio = np.minimum(y_in / y_out, 1.0)
-        T = math.sqrt(8.0 / p.delta3) * ellipkm1(ratio) / np.sqrt(y_out)
+        T = math.sqrt(8.0 / p.delta3) * _ellipkm1(ratio) / np.sqrt(y_out)
     return float(T) if T.ndim == 0 else T
 
 
@@ -312,12 +344,47 @@ def bottom_frequency(p: SystemParams) -> float:
     raise ConvergenceError("well-bottom frequency iteration did not converge")
 
 
+def _pchip_slopes(H: np.ndarray, om: np.ndarray) -> np.ndarray:
+    """Knot slopes of the monotone cubic through (H, om), as
+    scipy.interpolate.PchipInterpolator sets them (Fritsch & Butland 1984):
+    the weighted harmonic mean of the neighbouring secants inside, 0 where
+    they differ in sign or one is 0, and the one-sided three-point rule at
+    the ends (Moler, Numerical Computing with MATLAB, 3.6)."""
+    h = np.diff(H)
+    m = np.diff(om) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.empty_like(om)
+    d[1:-1] = np.where(flat, 0.0, inner)
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Tabulated omega(H) per motion regime with monotone cubic interpolation.
+    """Tabulated omega(H) per motion regime, read through one piecewise cubic.
 
     The single-well branch covers H in [H_neg[0], -band] (left and right wells are
-    symmetric); the cross-well branch covers [band, H_pos[-1]].
+    symmetric); the cross-well branch covers [band, H_pos[-1]].  The cubic runs
+    over the knots concat(H_neg, H_pos): each branch is its monotone cubic
+    (_pchip_slopes) and the segment [-band, band] across the excluded band is
+    the straight line between omega_neg[-1] and omega_pos[0].  coeffs[:, k]
+    holds segment k's (c0, c1, c2, c3) in s = H - knots[k], so that
+    omega = c0 s^3 + c1 s^2 + c2 s + c3; slopes holds each branch's knot
+    slopes.
     """
 
     H_neg: np.ndarray
@@ -325,8 +392,9 @@ class FrequencyTable:
     H_pos: np.ndarray
     omega_pos: np.ndarray
     band: float
-    _interp_neg: PchipInterpolator = field(repr=False, compare=False, default=None)
-    _interp_pos: PchipInterpolator = field(repr=False, compare=False, default=None)
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
+    slopes: np.ndarray = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # read-only copies: one table may be shared by many consumers
@@ -334,14 +402,22 @@ class FrequencyTable:
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        for name, H, om in (
-            ("_interp_neg", self.H_neg, self.omega_neg),
-            ("_interp_pos", self.H_pos, self.omega_pos),
-        ):
-            interp = PchipInterpolator(H, om)
-            interp.x.flags.writeable = False
-            interp.c.flags.writeable = False
-            object.__setattr__(self, name, interp)
+        H = np.concatenate((self.H_neg, self.H_pos))
+        om = np.concatenate((self.omega_neg, self.omega_pos))
+        d = np.concatenate(
+            (_pchip_slopes(self.H_neg, self.omega_neg),
+             _pchip_slopes(self.H_pos, self.omega_pos))
+        )
+        # cubic Hermite segments, term for term as scipy's CubicHermiteSpline
+        h = np.diff(H)
+        secant = np.diff(om) / h
+        t = (d[:-1] + d[1:] - 2 * secant) / h
+        coeffs = np.stack((t / h, (secant - d[:-1]) / h - t, d[:-1], om[:-1]))
+        bridge = self.H_neg.size - 1
+        coeffs[:, bridge] = (0.0, 0.0, secant[bridge], om[bridge])
+        for name, arr in (("knots", H), ("slopes", d), ("coeffs", coeffs)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def lookup_bridged(self, H, slope: bool = False):
         """Vectorized omega(H) with the exclusion band bridged linearly.
@@ -349,58 +425,42 @@ class FrequencyTable:
         Energies below the deepest tabulated sample clamp to the deepest value
         (the frequency is flat at the well bottom); energies above the cross-well
         table range are an error.  With slope=True the pair (omega, d omega/dH)
-        is returned: the PCHIP derivative on the tabulated branches, the
-        bridge's constant slope in the band and 0 below the clamp.
+        is returned: the cubic's derivative, the bridge's constant slope in the
+        band and 0 below the clamp.  Each segment is closed on the left, the
+        last one on both ends, and is evaluated in the term order of scipy's
+        PPoly.
         """
         H = np.atleast_1d(np.asarray(H, dtype=float))
-        if np.any(H > self.H_pos[-1]):
+        knots = self.knots
+        if np.any(H > knots[-1]):
             raise EnergyRangeError(
-                f"energy above table range {self.H_pos[-1]}: max requested {H.max()}"
+                f"energy above table range {knots[-1]}: max requested {H.max()}"
             )
-        out = np.empty_like(H)
-        d = np.zeros_like(H) if slope else None
-        neg = H <= -self.band
-        pos = H >= self.band
-        mid = ~(neg | pos)
-        if np.any(neg):
-            Hn = H[neg]
-            Hc = np.clip(Hn, self.H_neg[0], None)
-            out[neg] = self._interp_neg(Hc)
-            if slope:
-                d[neg] = np.where(Hn < self.H_neg[0], 0.0, self._interp_neg(Hc, 1))
-        if np.any(pos):
-            out[pos] = self._interp_pos(H[pos])
-            if slope:
-                d[pos] = self._interp_pos(H[pos], 1)
-        if np.any(mid):
-            w_lo = float(self.omega_neg[-1])
-            w_hi = float(self.omega_pos[0])
-            t = (H[mid] + self.band) / (2.0 * self.band)
-            out[mid] = w_lo + (w_hi - w_lo) * t
-            if slope:
-                d[mid] = (w_hi - w_lo) / (2.0 * self.band)
-        return (out, d) if slope else out
+        Hc = np.maximum(H, knots[0])
+        k = np.minimum(np.searchsorted(knots, Hc, side="right") - 1, knots.size - 2)
+        s = Hc - knots[k]
+        c0, c1, c2, c3 = (c[k] for c in self.coeffs)
+        s2 = s * s
+        out = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+        if not slope:
+            return out
+        d = c2 + c1 * s * 2 + c0 * s2 * 3
+        return out, np.where(H < knots[0], 0.0, d)
 
     def slope_bound(self, lo, hi):
         """Upper bound on |d omega/dH| of lookup_bridged over each [lo, hi].
 
-        On a PCHIP segment with end slopes d0, d1 and secant s the cubic's
-        derivative is d0 (1 - 4t + 3t^2) + d1 (3t^2 - 2t) + 6 s t (1 - t) for
-        t in [0, 1], so it is bounded by |d0| + |d1| + 1.5 |s|.  The bridge
-        has its own constant slope and the clamp below the table has slope 0.
+        On a cubic segment with end slopes d0, d1 and secant s the derivative
+        is d0 (1 - 4t + 3t^2) + d1 (3t^2 - 2t) + 6 s t (1 - t) for t in
+        [0, 1], so it is bounded by |d0| + |d1| + 1.5 |s|.  The bridge has its
+        own constant slope and the clamp below the table has slope 0.
         """
-        knots = np.concatenate((self.H_neg, self.H_pos))
-        seg = []
-        for H, om, interp in (
-            (self.H_neg, self.omega_neg, self._interp_neg),
-            (self.H_pos, self.omega_pos, self._interp_pos),
-        ):
-            d = np.abs(interp(H, 1))
-            seg.append(d[:-1] + d[1:] + 1.5 * np.abs(np.diff(om) / np.diff(H)))
-        bridge = abs(self.omega_pos[0] - self.omega_neg[-1]) / (
-            self.H_pos[0] - self.H_neg[-1]
-        )
-        seg = np.concatenate((seg[0], [bridge], seg[1]))  # one per knot interval
+        knots, d = self.knots, np.abs(self.slopes)
+        om = np.concatenate((self.omega_neg, self.omega_pos))
+        # one bound per knot interval
+        seg = d[:-1] + d[1:] + 1.5 * np.abs(np.diff(om) / np.diff(knots))
+        bridge = self.H_neg.size - 1
+        seg[bridge] = abs(self.coeffs[2, bridge])
         # row i holds the running maximum of seg[i:], so [i, j] is max(seg[i:j+1])
         run = np.maximum.accumulate(
             np.triu(np.broadcast_to(seg, (seg.size, seg.size))), axis=1

@@ -20,6 +20,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads these lazily; load them at import, so a run's time is its work:
+# every run draws from numpy.random, every psd run transforms with numpy.fft
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import _kernels
 from .averaging import DensityField, GridSpec

@@ -5,6 +5,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -167,6 +170,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: expected")):
             parse_config(d)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    @pytest.mark.parametrize("path", ["noise.D", "sim.t_total", "system.tau1"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, path, value):
+        """The NaN and Infinity tokens of Python's JSON reader, and integers
+        beyond the float range, are no numbers of a run: the CLI names the
+        key and exits with code 2."""
+        d = doc()
+        block, key = path.split(".")
+        d[block][key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: expected a finite")):
+            parse_config(d)
+        assert main(["power", "--config", write_cfg(tmp_path, d),
+                     "--out", str(tmp_path)]) == 2
+        assert path in capsys.readouterr().err
+
     def test_psd_block(self):
         d = doc()
         d["sim"]["psd"] = {"segment_time": 150.0}
@@ -292,6 +310,33 @@ class TestCliCommands:
         assert main(["power", "--config", malformed_set,
                      "--set", "nonsense"]) == 2
 
+    def test_cli_runs_without_scipy_submodules(self, tmp_path):
+        """A fresh interpreter that imports harvest.cli and runs power, mcs
+        and a one-worker sweep never loads scipy's integrate, interpolate,
+        special or optimize."""
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
+                                 "stop": 1e-1, "count": 2, "scale": "log"}],
+                       "quantities": ["power", "snr", "v_rms"]})
+        cfg_path = write_cfg(tmp_path, d)
+        script = textwrap.dedent(f"""
+            import sys
+            from harvest import cli
+            for cmd in (["power"], ["mcs"], ["sweep", "--threads", "1"]):
+                code = cli.main(cmd + ["--config", {cfg_path!r}, "--out", {str(tmp_path)!r}])
+                assert code == 0, (cmd, code)
+            heavy = ("scipy.integrate", "scipy.interpolate", "scipy.special",
+                     "scipy.optimize")
+            print(",".join(m for m in heavy if m in sys.modules))
+        """)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+        assert (tmp_path / "harvest_sweep.csv").exists()
+
     def test_csv_values_have_twelve_significant_digits(self, tmp_path):
         cfg_path = write_cfg(tmp_path, doc())
         assert main(["power", "--config", cfg_path, "--out", str(tmp_path)]) == 0
@@ -351,6 +396,26 @@ class TestSweep:
             assert r[-1] == "BistabilityLossError"
         for r in good:
             assert math.isfinite(float(r[1]))
+
+    def test_failed_linear_response_is_flagged(self, tmp_path):
+        """A cell where linear response fails (q >= 1) reads NaN and names
+        LinearResponseError in its error column; the other cells keep their
+        SNR and the sweep exits 1."""
+        d = doc(excitation={"eps": 1.0, "G": 1.0, "Omega": 0.05},
+                sweep={"axes": [{"param": "noise.D", "start": 1e-3,
+                                 "stop": 1e-1, "count": 3, "scale": "log"}],
+                       "quantities": ["snr"]})
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                     "--threads", "1"]) == 1
+        _, rows = read_csv(tmp_path / "harvest_sweep.csv")
+        assert [r[-1] for r in rows] == ["", "LinearResponseError", ""]
+        assert rows[1][1] == "nan"
+        assert all(math.isfinite(float(r[1])) for r in (rows[0], rows[2]))
+        with open(tmp_path / "harvest_sweep.meta.json") as f:
+            meta = json.load(f)
+        assert [e["quantity"] for e in meta["cell_errors"]] == ["snr"]
+        assert "q >= 1" in meta["cell_errors"][0]["message"]
 
     def test_unexpected_exception_keeps_other_rows(self, tmp_path, monkeypatch):
         snr = resonance.snr

@@ -12,7 +12,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
+from scipy.special import ellipkm1
+
+from harvest import averaging
 
 from harvest.errors import (
     BistabilityLossError,
@@ -21,6 +25,7 @@ from harvest.errors import (
 )
 from harvest.freq import (
     FrequencyTable,
+    _ellipkm1,
     build_table,
     exclusion_band,
     orbit_average,
@@ -202,6 +207,17 @@ class TestPeriodIntegral:
         )
         assert T == pytest.approx(NEAR_BAND_PERIOD, rel=1e-14)
 
+    def test_agm_k_matches_scipy(self):
+        """The arithmetic-geometric mean K is within 2 ulp of scipy's cephes
+        ellipkm1 from p = 1e-300 to 1, and infinite at p = 0."""
+        p = np.concatenate((
+            np.geomspace(1e-300, 1.0, 4001),
+            np.random.default_rng(11).uniform(0.0, 1.0, 4000),
+        ))
+        ref = ellipkm1(p)
+        assert np.all(np.abs(_ellipkm1(p) - ref) <= 2 * np.spacing(ref))
+        assert _ellipkm1(0.0) == np.inf
+
     @pytest.mark.parametrize(
         "regime", [MotionRegime.RIGHT_WELL, MotionRegime.LEFT_WELL]
     )
@@ -338,6 +354,27 @@ def table(controlled_system) -> FrequencyTable:
     return build_table(controlled_system)
 
 
+def scipy_lookup(table: FrequencyTable, H: np.ndarray):
+    """(omega, d omega/dH) from scipy: one PchipInterpolator per branch, the
+    clamp below the table and the straight line across the band."""
+    neg_interp = PchipInterpolator(table.H_neg, table.omega_neg)
+    pos_interp = PchipInterpolator(table.H_pos, table.omega_pos)
+    om = np.empty_like(H)
+    dom = np.zeros_like(H)
+    neg = H <= -table.band
+    pos = H >= table.band
+    mid = ~(neg | pos)
+    Hc = np.clip(H[neg], table.H_neg[0], None)
+    om[neg] = neg_interp(Hc)
+    dom[neg] = np.where(H[neg] < table.H_neg[0], 0.0, neg_interp(Hc, 1))
+    om[pos] = pos_interp(H[pos])
+    dom[pos] = pos_interp(H[pos], 1)
+    w_lo, w_hi = table.omega_neg[-1], table.omega_pos[0]
+    om[mid] = w_lo + (w_hi - w_lo) * (H[mid] + table.band) / (2.0 * table.band)
+    dom[mid] = (w_hi - w_lo) / (2.0 * table.band)
+    return om, dom
+
+
 class TestFrequencyTable:
     def test_lookup_matches_direct_solve(self, table, controlled_system):
         p = controlled_system
@@ -365,7 +402,7 @@ class TestFrequencyTable:
     def test_bridged_lookup_clamps_below_bottom(self, table):
         deep = table.H_neg[0] - 1.0
         assert table.lookup_bridged(np.array([deep]))[0] == pytest.approx(
-            float(table._interp_neg(table.H_neg[0])), rel=1e-12
+            float(table.lookup_bridged(table.H_neg[0])[0]), rel=1e-12
         )
 
     def test_samples_are_fixed_points(self, table, controlled_system):
@@ -384,10 +421,40 @@ class TestFrequencyTable:
 
     def test_arrays_are_read_only(self, table):
         for arr in (table.H_neg, table.omega_neg, table.H_pos, table.omega_pos,
-                    table._interp_neg.c, table._interp_pos.c):
+                    table.knots, table.slopes, table.coeffs):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             table.omega_pos[0] = 1.0
+
+    def test_lookup_is_scipy_pchip_on_grid_energies(self, controlled_system):
+        """On every energy of the default grid's field solve, off the band,
+        the one-cubic lookup and its slope are bit for bit scipy's."""
+        p = controlled_system
+        grid = averaging.GridSpec()
+        table = averaging._table_for(p, grid)
+        X, V = np.meshgrid(*grid.axes(), indexing="ij")
+        H = averaging._self_consistent_fields(p, X, V, table)[0].ravel()
+        H = H[np.abs(H) > table.band]
+        assert H.size > 40000
+        om, dom = table.lookup_bridged(H, slope=True)
+        ref_om, ref_dom = scipy_lookup(table, H)
+        assert np.array_equal(om, ref_om)
+        assert np.array_equal(dom, ref_dom)
+
+    def test_lookup_is_scipy_pchip_off_the_band(self, table):
+        """Random energies on both branches, below the table and on every
+        knot off the band: bit for bit scipy's value and slope."""
+        rng = np.random.default_rng(5)
+        H = np.concatenate((
+            rng.uniform(table.H_neg[0] - 1.0, -table.band, 20000),
+            rng.uniform(table.band, table.H_pos[-1], 20000),
+            table.knots,
+        ))
+        H = H[np.abs(H) > table.band]
+        om, dom = table.lookup_bridged(H, slope=True)
+        ref_om, ref_dom = scipy_lookup(table, H)
+        assert np.array_equal(om, ref_om)
+        assert np.array_equal(dom, ref_dom)
 
     def test_slope_matches_finite_difference(self, table):
         band = table.band
