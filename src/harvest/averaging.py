@@ -20,9 +20,9 @@ from .freq import (
     solve_frequency,
 )
 from .model import (
-    MotionRegime, NoiseParams, SystemParams, bare_potential, colored_noise_factors,
-    delta_eff_and_slope, effective_coeffs, harvested_power, seed_frequency,
-    well_depth, well_minimum,
+    EffectiveCoeffs, MotionRegime, NoiseParams, SystemParams, bare_potential,
+    colored_noise_factors, delta_eff_and_slope, effective_coeffs, harvested_power,
+    seed_frequency, well_depth, well_minimum,
 )
 
 
@@ -291,35 +291,51 @@ def _damped_fields(p, base, x, table, d_span):
     return omega
 
 
-def _joint_density(
-    p: SystemParams,
-    noise: NoiseParams,
-    grid: GridSpec,
-    table: FrequencyTable,
-):
-    noise.require_positive_intensity()
+@dataclass(frozen=True)
+class _Fields:
+    """Self-consistent energy and frequency over an (x, v) grid."""
+
+    x: np.ndarray
+    v: np.ndarray
+    X: np.ndarray
+    V: np.ndarray
+    H: np.ndarray
+    omega: np.ndarray
+    ec: EffectiveCoeffs
+
+
+def _grid_fields(p: SystemParams, grid: GridSpec) -> _Fields:
+    """The fields of _self_consistent_fields over the grid's lattice."""
     x, v = grid.axes()
     X, V = np.meshgrid(x, v, indexing="ij")
-    H, omega, ec = _self_consistent_fields(p, X, V, table)
-    chi, beta_chi = colored_noise_factors(ec, noise.c)
-    ln_raw = np.log(chi / noise.D) - beta_chi / noise.D * H
+    H, omega, ec = _self_consistent_fields(p, X, V, _table_for(p, grid))
+    return _Fields(x, v, X, V, H, omega, ec)
+
+
+@functools.lru_cache(maxsize=2)
+def _fields_for(p: SystemParams, grid: GridSpec) -> _Fields:
+    """_grid_fields, cached like _table_for: the fields do not depend on the
+    noise, so a sweep over noise.* solves them once per process.  Their arrays
+    are read-only, so the shared fields cannot be changed by a caller."""
+    f = _grid_fields(p, grid)
+    ec = f.ec
+    for arr in (f.x, f.v, f.X, f.V, f.H, f.omega, ec.beta_eff, ec.delta_eff, ec.omega):
+        arr.flags.writeable = False
+    return f
+
+
+def _joint_density(noise: NoiseParams, f: _Fields):
+    """Joint density on the fields' grid, trapezoid-normalized to 1, and its
+    normalization constant N0."""
+    noise.require_positive_intensity()
+    chi, beta_chi = colored_noise_factors(f.ec, noise.c)
+    ln_raw = np.log(chi / noise.D) - beta_chi / noise.D * f.H
     M = ln_raw.max()
     scaled = np.exp(ln_raw - M)
-    Z_scaled = np.trapezoid(np.trapezoid(scaled, v, axis=1), x)
+    Z_scaled = np.trapezoid(np.trapezoid(scaled, f.v, axis=1), f.x)
     values = scaled / Z_scaled
     ln_norm = -(M + math.log(Z_scaled))  # log of N0
-    return {
-        "x": x,
-        "v": v,
-        "values": values,
-        "norm_const": math.exp(ln_norm) if ln_norm > -700 else 0.0,
-        "ln_norm": ln_norm,
-        "H": H,
-        "omega": omega,
-        "X": X,
-        "V": V,
-        "delta_eff": ec.delta_eff,
-    }
+    return values, math.exp(ln_norm) if ln_norm > -700 else 0.0
 
 
 def joint_spd(
@@ -330,18 +346,20 @@ def joint_spd(
     """Joint stationary density of displacement and velocity (forcing frozen at 0).
 
     The grid expands, up to five times, until the boundary density falls
-    below 1e-12 of the peak, so normalization captures the tails.
+    below 1e-12 of the peak, so normalization captures the tails.  The fields
+    of each grid are solved afresh, not cached, so the expansion keeps no
+    earlier grid alive.
     """
     if grid is None:
         grid = GridSpec()
     for _ in range(6):
-        res = _joint_density(p, noise, grid, _table_for(p, grid))
-        vals = res["values"]
+        f = _grid_fields(p, grid)
+        vals, norm_const = _joint_density(noise, f)
         boundary = max(
             vals[0, :].max(), vals[-1, :].max(), vals[:, 0].max(), vals[:, -1].max()
         )
         if boundary < 1e-12 * vals.max():
-            return DensityField(res["x"], res["v"], vals, res["norm_const"])
+            return DensityField(f.x, f.v, vals, norm_const)
         sx = 0.2 * (grid.x_max - grid.x_min)
         sv = 0.2 * (grid.v_max - grid.v_min)
         grid = GridSpec(
@@ -376,14 +394,15 @@ def mean_square_voltage(
     """
     if grid is None:
         grid = GridSpec()
-    res = _joint_density(p, noise, grid, _table_for(p, grid))
-    H, omega, X, V = res["H"], res["omega"], res["X"], res["V"]
-    x_min = well_minimum(p, p.delta1 - res["delta_eff"])
+    f = _fields_for(p, grid)
+    values, _ = _joint_density(noise, f)
+    H, omega, X, V = f.H, f.omega, f.X, f.V
+    x_min = well_minimum(p, p.delta1 - f.ec.delta_eff)
     xstar = np.where(H >= 0.0, 0.0, np.where(X >= 0.0, x_min, -x_min))
     den = p.alpha**2 + omega**2
     volt = omega**2 / den * (X - xstar) + p.alpha / den * V
-    integrand = volt * volt * res["values"]
-    return float(np.trapezoid(np.trapezoid(integrand, res["v"], axis=1), res["x"]))
+    integrand = volt * volt * values
+    return float(np.trapezoid(np.trapezoid(integrand, f.v, axis=1), f.x))
 
 
 def mean_power(

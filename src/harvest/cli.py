@@ -453,6 +453,9 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as e:
         print(f"error: invalid JSON in {args.config}: {e}", file=sys.stderr)
         return 2
+    except ValueError as e:  # invalid UTF-8, or an integer beyond the digit limit
+        print(f"error: cannot parse config {args.config}: {e}", file=sys.stderr)
+        return 2
 
     try:
         if not isinstance(doc, dict):

@@ -153,7 +153,7 @@ def parse_config(document: str | dict) -> RunConfig:
     if isinstance(document, str):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError or the int-string limit
             raise ConfigError(f"invalid JSON: {e}") from e
     else:
         doc = document
@@ -290,6 +290,8 @@ def apply_override(doc: dict, dotted: str, raw_value: str) -> None:
         value = json.loads(raw_value)
     except json.JSONDecodeError:
         value = raw_value
+    except ValueError as e:  # an integer literal beyond the int-string limit
+        raise ConfigError(f"--set {dotted}: {e}") from e
     parts = dotted.split(".")
     node = doc
     for part in parts[:-1]:

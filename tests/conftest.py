@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from harvest import averaging
 from harvest.model import ExcitationParams, NoiseParams, SystemParams
 
 # One line per acceptance criterion, printed at the end of the session so the
@@ -15,6 +16,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def cold_analytic_caches():
+    """Every test starts with empty frequency-table and field caches, so a test
+    that counts solves or cache hits does not depend on the tests before it."""
+    averaging._table_for.cache_clear()
+    averaging._fields_for.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -457,14 +457,37 @@ class TestTableCache:
 
         monkeypatch.setattr(averaging, "bottom_frequency", counting)
         monkeypatch.setattr(freq, "bottom_frequency", counting)
-        averaging._table_for.cache_clear()
         averaging._table_for(controlled_system, GridSpec())
         assert len(calls) == 1
 
     def test_power_same_on_cold_and_warm_cache(self, controlled_system,
                                                baseline_noise):
-        averaging._table_for.cache_clear()
         cold = mean_power(controlled_system, baseline_noise)
+        # re-solve the fields, so that the second call reads the warm table
+        averaging._fields_for.cache_clear()
         warm = mean_power(controlled_system, baseline_noise)
         assert averaging._table_for.cache_info().hits >= 1
         assert warm == cold
+
+
+class TestFieldCache:
+    def test_cached_fields_are_read_only(self, controlled_system):
+        f = averaging._fields_for(controlled_system, GridSpec())
+        assert averaging._fields_for(controlled_system, GridSpec()) is f
+        for arr in (f.x, f.v, f.X, f.V, f.H, f.omega,
+                    f.ec.beta_eff, f.ec.delta_eff, f.ec.omega):
+            assert not arr.flags.writeable
+
+    def test_power_same_on_cold_and_warm_cache(self, controlled_system,
+                                               baseline_noise):
+        cold = mean_power(controlled_system, baseline_noise)
+        warm = mean_power(controlled_system, baseline_noise)
+        assert averaging._fields_for.cache_info().hits == 1
+        assert warm == cold
+
+    def test_joint_spd_does_not_fill_the_cache(self, baseline_system,
+                                              controlled_system, baseline_noise):
+        mean_power(baseline_system, baseline_noise)
+        before = averaging._fields_for.cache_info().currsize
+        joint_spd(controlled_system, baseline_noise)
+        assert averaging._fields_for.cache_info().currsize == before

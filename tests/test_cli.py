@@ -104,6 +104,8 @@ class TestParseConfig:
     def test_invalid_json_text(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            parse_config('{"system": {"delta1": %s}}' % ("9" * 5000))
         with pytest.raises(ConfigError, match="top level"):
             parse_config("[1, 2]")
 
@@ -310,6 +312,30 @@ class TestCliCommands:
         assert main(["power", "--config", malformed_set,
                      "--set", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("case", ["long_int_file", "bad_utf8_file",
+                                      "long_int_set"])
+    def test_unparseable_input_is_a_config_error(self, tmp_path, capsys, case):
+        """Input that JSON decoding rejects with a ValueError other than
+        JSONDecodeError exits 2 with a message naming the file or the key."""
+        digits = "9" * 5000
+        path = tmp_path / "run.json"
+        argv = ["power", "--config", str(path), "--out", str(tmp_path)]
+        if case == "long_int_file":
+            path.write_text('{"system": {"delta1": %s}}' % digits)
+            named = str(path)
+        elif case == "bad_utf8_file":
+            path.write_bytes(b'{"system": "\xff\xfe"}')
+            named = str(path)
+        else:
+            path.write_text(json.dumps(doc()))
+            argv += ["--set", f"system.delta1={digits}"]
+            named = "system.delta1"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert named in err
+        assert "Traceback" not in err
+
     def test_cli_runs_without_scipy_submodules(self, tmp_path):
         """A fresh interpreter that imports harvest.cli and runs power, mcs
         and a one-worker sweep never loads scipy's integrate, interpolate,
@@ -476,7 +502,6 @@ class TestSweep:
             return build_table(*args, **kwargs)
 
         monkeypatch.setattr(averaging, "build_table", counting)
-        averaging._table_for.cache_clear()
         d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
                                  "stop": 1e-1, "count": 3, "scale": "log"}],
                        "quantities": ["power"]})
@@ -486,6 +511,27 @@ class TestSweep:
         assert len(calls) == 1
         _, rows = read_csv(tmp_path / "harvest_sweep.csv")
         assert all(math.isfinite(float(r[1])) for r in rows)
+
+    def test_noise_sweep_solves_the_fields_once(self, tmp_path, monkeypatch):
+        """The self-consistent (H, omega) fields do not depend on the noise,
+        so a one-worker sweep over noise.D solves them once."""
+        calls = []
+        solve = averaging._self_consistent_fields
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(averaging, "_self_consistent_fields", counting)
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
+                                 "stop": 1e-1, "count": 3, "scale": "log"}],
+                       "quantities": ["power"]})
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                     "--threads", "1"]) == 0
+        assert len(calls) == 1
+        _, rows = read_csv(tmp_path / "harvest_sweep.csv")
+        assert len({r[1] for r in rows}) == 3
 
     def test_one_ensemble_run_per_cell(self, tmp_path, monkeypatch):
         """The cells' ensembles step as the rows of one lockstep pass."""
@@ -616,6 +662,20 @@ class TestSweep:
         assert e1 == e2 == []
         for a, b in zip(serial, parallel):
             assert a == b
+
+    def test_parallel_noise_sweep_matches_serial(self):
+        """Each worker process solves and caches its own fields; its rows
+        equal the one-process rows."""
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
+                                 "stop": 1e-1, "count": 4, "scale": "log"}],
+                       "quantities": ["power", "v_rms"]})
+        cfg = parse_config(d)
+        # the pool first, so that its forked workers start with cold caches
+        h2, parallel, e2, _ = run_sweep(cfg, threads=2)
+        h1, serial, e1, _ = run_sweep(cfg, threads=1)
+        assert h1 == h2
+        assert e1 == e2 == []
+        assert serial == parallel
 
     def test_quantity_whitelist_is_stable(self):
         assert SWEEP_QUANTITIES == (
