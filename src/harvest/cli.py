@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -107,16 +108,20 @@ def _cmd_freq(cfg: RunConfig, out_dir, t0) -> int:
     return 0
 
 
+def _density_csv(fld) -> tuple[list[str], list[list]]:
+    """Header and (x, v, density) rows of a density field, x-major."""
+    rows = [
+        [x, v, fld.values[i, j]]
+        for i, x in enumerate(fld.x) for j, v in enumerate(fld.v)
+    ]
+    return ["x", "v", "density"], rows
+
+
 def _cmd_spd(cfg: RunConfig, out_dir, t0) -> int:
     fld = averaging.joint_spd(cfg.system, cfg.noise, cfg.sim.grid)
-    header = ["x", "v", "density"]
-    rows = []
-    for i, x in enumerate(fld.x):
-        for j, v in enumerate(fld.v):
-            rows.append([x, v, fld.values[i, j]])
     meta = _base_meta(cfg, "spd", t0)
     meta["norm_const"] = fld.norm_const
-    emit_csv(_out_path(cfg, out_dir, "spd"), header, rows, meta)
+    emit_csv(_out_path(cfg, out_dir, "spd"), *_density_csv(fld), meta)
     return 0
 
 
@@ -162,15 +167,9 @@ def _cmd_mcs(cfg: RunConfig, out_dir, t0) -> int:
         psd_val, psd_err,
     ]]
     emit_csv(_out_path(cfg, out_dir, "mcs"), header, rows, _base_meta(cfg, "mcs", t0))
-    hist = est.histogram
-    hrows = []
-    for i, x in enumerate(hist.x):
-        for j, v in enumerate(hist.v):
-            hrows.append([x, v, hist.values[i, j]])
     emit_csv(
         _out_path(cfg, out_dir, "mcs_hist"),
-        ["x", "v", "density"],
-        hrows,
+        *_density_csv(est.histogram),
         _base_meta(cfg, "mcs", t0),
     )
     return 1 if est.n_divergent else 0
@@ -196,19 +195,12 @@ def _cmd_compare(cfg: RunConfig, out_dir, t0) -> int:
     return 1 if est.n_divergent else 0
 
 
-def _with_param(cfg: RunConfig, param: str, value: float) -> RunConfig:
-    block, key = param.split(".", 1)
-    target = getattr(cfg, block)
-    replaced = dataclasses.replace(target, **{key: value})
-    return dataclasses.replace(cfg, **{block: replaced})
-
-
-def _axis_values(ax) -> np.ndarray:
-    if ax.scale == "log":
-        if ax.start <= 0 or ax.stop <= 0:
-            raise ConfigError(f"sweep axis {ax.param}: log scale needs positive bounds")
-        return np.geomspace(ax.start, ax.stop, ax.count)
-    return np.linspace(ax.start, ax.stop, ax.count)
+def _cell_config(cfg: RunConfig, assignments) -> RunConfig:
+    for param, value in assignments:
+        block, key = param.split(".", 1)
+        target = dataclasses.replace(getattr(cfg, block), **{key: float(value)})
+        cfg = dataclasses.replace(cfg, **{block: target})
+    return cfg
 
 
 # Quantities read off one shared Monte Carlo ensemble run per cell.
@@ -217,19 +209,13 @@ _ENSEMBLE_QUANTITIES = ("v_rms", "efficiency")
 _RERUN_MESSAGE = "rerun in the main process after a worker process died"
 
 
-def _cell_config(cfg: RunConfig, assignments) -> RunConfig:
-    for param, value in assignments:
-        cfg = _with_param(cfg, param, float(value))
-    return cfg
-
-
 def _failure(e: Exception) -> tuple[str, str]:
     return type(e).__name__, str(e)
 
 
 def _sweep_cell(args):
-    """Analytic quantities of one cell: ({quantity: value}, {quantity:
-    (error type, message)}); a failed quantity reads NaN."""
+    """Analytic quantities of one cell, as a one-cell list of ({quantity:
+    value}, {quantity: (error type, message)}); a failed quantity reads NaN."""
     cfg, assignments, quantities = args
     cfg = _cell_config(cfg, assignments)
     values = {}
@@ -253,35 +239,40 @@ def _sweep_cell(args):
             # any failure is confined to this cell so the other rows survive
             values[q] = math.nan
             failures[q] = _failure(e)
-    return values, failures
+    return [(values, failures)]
+
+
+def _ensemble_values(est, quantity: str):
+    """({quantity: value}, failures) of one cell's ensemble estimates, or of
+    the exception it raised, filed under quantity."""
+    if isinstance(est, Exception):
+        return dict.fromkeys(_ENSEMBLE_QUANTITIES, math.nan), {quantity: _failure(est)}
+    return {"v_rms": est.v_rms, "efficiency": est.efficiency_pct}, {}
 
 
 def _ensemble_batch(args):
-    """Ensemble quantities of a batch of cells, stepped together: per cell
-    {quantity: value} or the (error type, message) of its failure."""
-    sim, cells = args
-    return [
-        _failure(est) if isinstance(est, Exception)
-        else {"v_rms": est.v_rms, "efficiency": est.efficiency_pct}
-        for est in mcs.run_ensembles(cells, sim)
-    ]
+    """_ensemble_values of each cell of one lockstep batch of mcs.plan."""
+    sim, cells, quantity = args
+    return [_ensemble_values(est, quantity) for est in mcs.run_batch(cells, sim)]
 
 
 def _run_tasks(tasks, threads: int):
     """fn(arg) for each (fn, arg) in tasks, in order, and the indices of the
     tasks rerun in this process.
 
-    With threads > 1 every task is its own future on a pool of worker
-    processes, and each result is collected from its future.  If a worker
-    dies, the tasks it left unfinished are rerun here, one after another.
+    With more than one task and thread, every task is its own future on a
+    pool of at most one worker process per task, and each result is
+    collected from its future.  If a worker dies, the tasks it left
+    unfinished are rerun here, one after another.
     """
-    if threads <= 1:
+    workers = min(threads, len(tasks))
+    if workers <= 1:
         return [fn(arg) for fn, arg in tasks], []
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     results = [None] * len(tasks)
     rerun = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, arg) for fn, arg in tasks]
         for i, future in enumerate(futures):
             try:
@@ -294,40 +285,12 @@ def _run_tasks(tasks, threads: int):
     return results, rerun
 
 
-def _sweep_plan(cfg: RunConfig):
-    """The sweep's cells and its Monte Carlo plan.
-
-    Returns the grid points, each cell's {param: value} assignments, the sim
-    block the ensembles run with, each cell's (system, noise, excitation) and
-    the lockstep batches of mcs.ensemble_batches; the last three are None
-    and [] when the sweep has no ensemble quantity.
-    """
-    if cfg.sweep is None:
-        raise ConfigError("config has no sweep block")
-    axes = cfg.sweep.axes
-    grids = [_axis_values(ax) for ax in axes]
-    if len(axes) == 1:
-        coords = [(a,) for a in grids[0]]
-    else:
-        coords = [(a, b) for a in grids[0] for b in grids[1]]
-    assignments = [tuple(zip([ax.param for ax in axes], point)) for point in coords]
-    if not set(cfg.sweep.quantities) & set(_ENSEMBLE_QUANTITIES):
-        return coords, assignments, None, None, []
-    # a sweep has no spectral SNR column, so it stores no series and runs no
-    # periodograms
-    sim = dataclasses.replace(cfg.sim, psd=None)
-    cells = []
-    for a in assignments:
-        c = _cell_config(cfg, a)
-        cells.append((c.system, c.noise, c.excitation))
-    return coords, assignments, sim, cells, mcs.ensemble_batches(cells, sim)
-
-
 def run_sweep(cfg: RunConfig, threads: int = 1):
     """Evaluate the configured quantities over the 1-D or 2-D parameter grid.
 
-    The Monte Carlo ensembles of all cells run first, as the rows of few
-    lockstep batches; then each cell's analytic quantities.  Failures are
+    The Monte Carlo ensembles of all cells are planned once (mcs.plan) and
+    run first, as the rows of few lockstep batches; then each cell's
+    analytic quantities.  Failures are
     encoded per cell, never dropped, and results are merged in grid order
     regardless of scheduling.  Returns the CSV header and rows, one
     {cell, quantity, message} entry per exception raised in a cell and per
@@ -335,43 +298,52 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
     parameter values, and the lockstep batches of cell indices that were
     stepped.
     """
-    coords, assignments, sim, cells, batches = _sweep_plan(cfg)
+    if cfg.sweep is None:
+        raise ConfigError("config has no sweep block")
+    axes = cfg.sweep.axes
+    spaces = {"linear": np.linspace, "log": np.geomspace}
+    coords = list(itertools.product(
+        *(spaces[ax.scale](ax.start, ax.stop, ax.count) for ax in axes)
+    ))
+    assignments = [tuple(zip([ax.param for ax in axes], point)) for point in coords]
     quantities = tuple(dict.fromkeys(cfg.sweep.quantities))
     analytic = tuple(q for q in quantities if q not in _ENSEMBLE_QUANTITIES)
     ensemble = tuple(q for q in quantities if q in _ENSEMBLE_QUANTITIES)
-    groups = []
-    if ensemble:
-        # cells that fail their checks before stepping are in no batch; their
-        # run_ensembles call steps nothing and returns the errors
-        stepped = {i for batch in batches for i in batch}
-        rest = [i for i in range(len(cells)) if i not in stepped]
-        groups = batches + ([rest] if rest else [])
-    tasks = [(_ensemble_batch, (sim, [cells[i] for i in g])) for g in groups]
-    if analytic:
-        tasks += [(_sweep_cell, (cfg, a, analytic)) for a in assignments]
-    results, rerun = _run_tasks(tasks, threads)
-
     n = len(coords)
     values = [{} for _ in range(n)]
     failures = [{} for _ in range(n)]  # per cell: {quantity: (type, message)}
-    reruns = [set() for _ in range(n)]  # per cell: the quantities rerun here
-    rerun = set(rerun)
-    for t, (group, outs) in enumerate(zip(groups, results)):
-        for i, out in zip(group, outs):
-            if isinstance(out, dict):
-                values[i].update(out)
-            else:
-                values[i].update(dict.fromkeys(_ENSEMBLE_QUANTITIES, math.nan))
-                failures[i][ensemble[0]] = out
-            if t in rerun:
-                reruns[i].update(ensemble)
-    for i, (cell_values, cell_failures) in enumerate(results[len(groups):]):
-        values[i].update(cell_values)
-        failures[i].update(cell_failures)
-        if len(groups) + i in rerun:
-            reruns[i].update(analytic)
+    tasks = []  # (fn, arg, the cells its result lists, the quantities it computes)
+    batches = []
+    if ensemble:
+        # a sweep has no spectral SNR column, so it stores no series and runs
+        # no periodograms
+        sim = dataclasses.replace(cfg.sim, psd=None)
+        cells = [
+            (c.system, c.noise, c.excitation)
+            for c in (_cell_config(cfg, a) for a in assignments)
+        ]
+        batches, unsteppable = mcs.plan(cells, sim)
+        for i, e in unsteppable.items():
+            values[i], failures[i] = _ensemble_values(e, ensemble[0])
+        tasks += [
+            (_ensemble_batch, (sim, [cells[i] for i in b], ensemble[0]), b, ensemble)
+            for b in batches
+        ]
+    if analytic:
+        tasks += [
+            (_sweep_cell, (cfg, a, analytic), [i], analytic)
+            for i, a in enumerate(assignments)
+        ]
+    results, rerun = _run_tasks([task[:2] for task in tasks], threads)
 
-    axes = cfg.sweep.axes
+    reruns = [set() for _ in range(n)]  # per cell: the quantities rerun here
+    for t, ((_, _, cells_t, quantities_t), outs) in enumerate(zip(tasks, results)):
+        for i, (cell_values, cell_failures) in zip(cells_t, outs):
+            values[i].update(cell_values)
+            failures[i].update(cell_failures)
+            if t in rerun:
+                reruns[i].update(quantities_t)
+
     header = [ax.param for ax in axes] + list(cfg.sweep.quantities) + ["error"]
     rows = []
     cell_errors = []

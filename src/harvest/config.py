@@ -27,48 +27,6 @@ SWEEP_QUANTITIES = (
     "omega_eq",
 )
 
-_SYSTEM_KEYS = {
-    "delta1": None,
-    "delta3": None,
-    "kappa": 0.0,
-    "alpha": 0.05,
-    "beta": 0.0,
-    "mu": 0.0,
-    "nu": 0.0,
-    "tau1": 0.0,
-    "tau2": 0.0,
-}
-_NOISE_KEYS = {"D": None, "c": None}
-_EXCITATION_KEYS = {"eps": 0.0, "G": 0.1, "Omega": 0.05}
-_SIM_KEYS = {
-    "dt": 0.01,
-    "t_total": 2000.0,
-    "t_transient": None,
-    "n_traj": 100,
-    "seed": 0,
-    "x0": None,
-    "v0": 0.0,
-    "V0": 0.0,
-    "grid": None,
-    "psd": None,
-}
-_GRID_KEYS = {
-    "x_min": -2.5,
-    "x_max": 2.5,
-    "nx": 64,
-    "v_min": -3.0,
-    "v_max": 3.0,
-    "nv": 64,
-}
-_PSD_KEYS = {"segment_time": None, "overlap": 0.5, "n_bootstrap": 200}
-_AXIS_KEYS = {"param": None, "start": None, "stop": None, "count": None, "scale": "linear"}
-_SWEEP_KEYS = {"axes": None, "quantities": ["power"]}
-_OUTPUT_KEYS = {"dir": ".", "prefix": "harvest"}
-
-_AXIS_PARAMS = {
-    f"system.{k}" for k in _SYSTEM_KEYS
-} | {f"noise.{k}" for k in _NOISE_KEYS} | {f"excitation.{k}" for k in _EXCITATION_KEYS}
-
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -103,25 +61,8 @@ class RunConfig:
     document: dict = field(default_factory=dict)
 
 
-def _check_block(block: Any, schema: dict, path: str) -> dict:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(block).__name__}")
-    unknown = set(block) - set(schema)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-    out = {}
-    applied = []
-    for key, default in schema.items():
-        if key in block:
-            out[key] = block[key]
-        else:
-            if default is None and key in ("delta1", "delta3", "D", "c", "param",
-                                           "start", "stop", "count", "axes",
-                                           "segment_time"):
-                raise ConfigError(f"{path}.{key}: required key missing")
-            out[key] = default
-            applied.append(f"{path}.{key}")
-    return out, applied
+# Each reader takes a value and its key path and returns the value read, or
+# raises ConfigError naming the path.
 
 
 def _number(value: Any, path: str) -> float:
@@ -136,12 +77,128 @@ def _number(value: Any, path: str) -> float:
     return number
 
 
+def _optional_number(value: Any, path: str) -> float | None:
+    return None if value is None else _number(value, path)
+
+
 def _integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not (
         isinstance(value, int) or isinstance(value, float) and value.is_integer()
     ):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _nested(value: Any, path: str) -> Any:
+    """A block inside a block, read by its own table after its parent."""
+    return value
+
+
+def _text(value: Any, path: str) -> str:
+    return str(value)
+
+
+def _param(value: Any, path: str) -> str:
+    if not isinstance(value, str) or value not in _AXIS_PARAMS:
+        raise ConfigError(f"{path}: {value!r} is not a sweepable parameter")
+    return value
+
+
+def _count(value: Any, path: str) -> int:
+    count = _integer(value, path)
+    if count < 2:
+        raise ConfigError(f"{path}: must be >= 2, got {count}")
+    return count
+
+
+def _scale(value: Any, path: str) -> str:
+    if not isinstance(value, str) or value not in ("linear", "log"):
+        raise ConfigError(f"{path}: must be 'linear' or 'log', got {value!r}")
+    return value
+
+
+def _axes(value: Any, path: str) -> list:
+    if not isinstance(value, list) or not 1 <= len(value) <= 2:
+        raise ConfigError(f"{path}: expected a list of 1 or 2 axis objects")
+    return value
+
+
+def _quantities(value: Any, path: str) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of quantity names")
+    for q in value:
+        if not isinstance(q, str) or q not in SWEEP_QUANTITIES:
+            raise ConfigError(f"{path}: {q!r} not one of {SWEEP_QUANTITIES}")
+    if not value:
+        raise ConfigError(f"{path}: at least one quantity required")
+    return tuple(value)
+
+
+# One table per block, {key: (reader, default)}, in the order the keys are
+# read and their defaults recorded.
+_REQUIRED = object()
+
+_SYSTEM = {
+    "delta1": (_number, _REQUIRED), "delta3": (_number, _REQUIRED),
+    "kappa": (_number, 0.0), "alpha": (_number, 0.05), "beta": (_number, 0.0),
+    "mu": (_number, 0.0), "nu": (_number, 0.0),
+    "tau1": (_number, 0.0), "tau2": (_number, 0.0),
+}
+_NOISE = {"D": (_number, _REQUIRED), "c": (_number, _REQUIRED)}
+_EXCITATION = {"eps": (_number, 0.0), "G": (_number, 0.1), "Omega": (_number, 0.05)}
+_SIM = {
+    "dt": (_number, 0.01),
+    "t_total": (_number, 2000.0),
+    "t_transient": (_optional_number, None),
+    "n_traj": (_integer, 100),
+    "seed": (_integer, 0),
+    "x0": (_optional_number, None),
+    "v0": (_number, 0.0),
+    "V0": (_number, 0.0),
+    "grid": (_nested, None),
+    "psd": (_nested, None),
+}
+_GRID = {
+    "x_min": (_number, -2.5), "x_max": (_number, 2.5), "nx": (_integer, 64),
+    "v_min": (_number, -3.0), "v_max": (_number, 3.0), "nv": (_integer, 64),
+}
+_PSD = {
+    "segment_time": (_number, _REQUIRED), "overlap": (_number, 0.5),
+    "n_bootstrap": (_integer, 200),
+}
+_AXIS = {
+    "param": (_param, _REQUIRED), "start": (_number, _REQUIRED),
+    "stop": (_number, _REQUIRED), "count": (_count, _REQUIRED),
+    "scale": (_scale, "linear"),
+}
+_SWEEP = {"axes": (_axes, _REQUIRED), "quantities": (_quantities, ("power",))}
+_OUTPUT = {"dir": (_text, "."), "prefix": (_text, "harvest")}
+
+_AXIS_PARAMS = (
+    {f"system.{k}" for k in _SYSTEM} | {f"noise.{k}" for k in _NOISE}
+    | {f"excitation.{k}" for k in _EXCITATION}
+)
+
+
+def _block(raw: Any, table: dict, path: str, applied: list[str]) -> dict:
+    """Read one block by its table: reject unknown keys and missing required
+    ones, append to applied the path of each default used, and read each
+    value given."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(raw).__name__}")
+    unknown = set(raw) - set(table)
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+    out = {}
+    for key, (read, default) in table.items():
+        if key in raw:
+            out[key] = read(raw[key], f"{path}.{key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"{path}.{key}: required key missing")
+        else:
+            out[key] = default
+            applied.append(f"{path}.{key}")
+    return out
 
 
 def parse_config(document: str | dict) -> RunConfig:
@@ -159,8 +216,7 @@ def parse_config(document: str | dict) -> RunConfig:
         doc = document
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected a JSON object")
-    known_top = {"system", "noise", "excitation", "sim", "sweep", "output"}
-    unknown = set(doc) - known_top
+    unknown = set(doc) - {"system", "noise", "excitation", "sim", "sweep", "output"}
     if unknown:
         raise ConfigError(f"top level: unknown key(s) {sorted(unknown)}")
     for req in ("system", "noise"):
@@ -168,108 +224,31 @@ def parse_config(document: str | dict) -> RunConfig:
             raise ConfigError(f"top level: required block '{req}' missing")
 
     applied: list[str] = []
-
-    sys_raw, a = _check_block(doc["system"], _SYSTEM_KEYS, "system")
-    applied += a
-    system = SystemParams(**{k: _number(v, f"system.{k}") for k, v in sys_raw.items()})
-
-    noise_raw, a = _check_block(doc["noise"], _NOISE_KEYS, "noise")
-    applied += a
-    noise = NoiseParams(**{k: _number(v, f"noise.{k}") for k, v in noise_raw.items()})
-
-    exc_raw, a = _check_block(doc.get("excitation", {}), _EXCITATION_KEYS, "excitation")
-    applied += a
+    system = SystemParams(**_block(doc["system"], _SYSTEM, "system", applied))
+    noise = NoiseParams(**_block(doc["noise"], _NOISE, "noise", applied))
     excitation = ExcitationParams(
-        **{k: _number(v, f"excitation.{k}") for k, v in exc_raw.items()}
+        **_block(doc.get("excitation", {}), _EXCITATION, "excitation", applied)
     )
-
-    sim_raw, a = _check_block(doc.get("sim", {}), _SIM_KEYS, "sim")
-    applied += a
-    grid_raw, a = _check_block(sim_raw.pop("grid") or {}, _GRID_KEYS, "sim.grid")
-    applied += a
-    grid = GridSpec(
-        x_min=_number(grid_raw["x_min"], "sim.grid.x_min"),
-        x_max=_number(grid_raw["x_max"], "sim.grid.x_max"),
-        nx=_integer(grid_raw["nx"], "sim.grid.nx"),
-        v_min=_number(grid_raw["v_min"], "sim.grid.v_min"),
-        v_max=_number(grid_raw["v_max"], "sim.grid.v_max"),
-        nv=_integer(grid_raw["nv"], "sim.grid.nv"),
-    )
-    psd_block = sim_raw.pop("psd")
-    psd = None
-    if psd_block is not None:
-        psd_raw, a = _check_block(psd_block, _PSD_KEYS, "sim.psd")
-        applied += a
-        psd = PsdSettings(
-            segment_time=_number(psd_raw["segment_time"], "sim.psd.segment_time"),
-            overlap=_number(psd_raw["overlap"], "sim.psd.overlap"),
-            n_bootstrap=_integer(psd_raw["n_bootstrap"], "sim.psd.n_bootstrap"),
-        )
-    sim = SimConfig(
-        dt=_number(sim_raw["dt"], "sim.dt"),
-        t_total=_number(sim_raw["t_total"], "sim.t_total"),
-        t_transient=(
-            None
-            if sim_raw["t_transient"] is None
-            else _number(sim_raw["t_transient"], "sim.t_transient")
-        ),
-        n_traj=_integer(sim_raw["n_traj"], "sim.n_traj"),
-        seed=_integer(sim_raw["seed"], "sim.seed"),
-        x0=None if sim_raw["x0"] is None else _number(sim_raw["x0"], "sim.x0"),
-        v0=_number(sim_raw["v0"], "sim.v0"),
-        V0=_number(sim_raw["V0"], "sim.V0"),
-        grid=grid,
-        psd=psd,
-    )
+    sim_raw = _block(doc.get("sim", {}), _SIM, "sim", applied)
+    grid = {} if sim_raw["grid"] is None else sim_raw["grid"]
+    sim_raw["grid"] = GridSpec(**_block(grid, _GRID, "sim.grid", applied))
+    if sim_raw["psd"] is not None:
+        sim_raw["psd"] = PsdSettings(**_block(sim_raw["psd"], _PSD, "sim.psd", applied))
+    sim = SimConfig(**sim_raw)
 
     sweep = None
     if "sweep" in doc:
-        sweep_raw, a = _check_block(doc["sweep"], _SWEEP_KEYS, "sweep")
-        applied += a
-        axes_raw = sweep_raw["axes"]
-        if not isinstance(axes_raw, list) or not 1 <= len(axes_raw) <= 2:
-            raise ConfigError("sweep.axes: expected a list of 1 or 2 axis objects")
+        sweep_raw = _block(doc["sweep"], _SWEEP, "sweep", applied)
         axes = []
-        for i, ax in enumerate(axes_raw):
-            ax_raw, a = _check_block(ax, _AXIS_KEYS, f"sweep.axes[{i}]")
-            applied += a
-            param = ax_raw["param"]
-            if param not in _AXIS_PARAMS:
-                raise ConfigError(
-                    f"sweep.axes[{i}].param: '{param}' is not a sweepable parameter"
-                )
-            count = _integer(ax_raw["count"], f"sweep.axes[{i}].count")
-            if count < 2:
-                raise ConfigError(f"sweep.axes[{i}].count: must be >= 2, got {count}")
-            scale = ax_raw["scale"]
-            if scale not in ("linear", "log"):
-                raise ConfigError(
-                    f"sweep.axes[{i}].scale: must be 'linear' or 'log', got {scale!r}"
-                )
-            axes.append(
-                SweepAxis(
-                    param=param,
-                    start=_number(ax_raw["start"], f"sweep.axes[{i}].start"),
-                    stop=_number(ax_raw["stop"], f"sweep.axes[{i}].stop"),
-                    count=count,
-                    scale=scale,
-                )
-            )
-        if not isinstance(sweep_raw["quantities"], list):
-            raise ConfigError("sweep.quantities: expected a list of quantity names")
-        quantities = tuple(sweep_raw["quantities"])
-        for q in quantities:
-            if q not in SWEEP_QUANTITIES:
-                raise ConfigError(
-                    f"sweep.quantities: '{q}' not one of {SWEEP_QUANTITIES}"
-                )
-        if not quantities:
-            raise ConfigError("sweep.quantities: at least one quantity required")
-        sweep = SweepSpec(axes=tuple(axes), quantities=quantities)
-
-    out_raw, a = _check_block(doc.get("output", {}), _OUTPUT_KEYS, "output")
-    applied += a
-    output = OutputSpec(dir=str(out_raw["dir"]), prefix=str(out_raw["prefix"]))
+        for i, raw in enumerate(sweep_raw["axes"]):
+            path = f"sweep.axes[{i}]"
+            ax = SweepAxis(**_block(raw, _AXIS, path, applied))
+            if ax.scale == "log" and not (ax.start > 0 and ax.stop > 0):
+                raise ConfigError(f"{path}: log scale needs positive bounds")
+            if any(other.param == ax.param for other in axes):
+                raise ConfigError(f"{path}.param: '{ax.param}' is swept twice")
+            axes.append(ax)
+        sweep = SweepSpec(axes=tuple(axes), quantities=sweep_raw["quantities"])
 
     return RunConfig(
         system=system,
@@ -277,7 +256,7 @@ def parse_config(document: str | dict) -> RunConfig:
         excitation=excitation,
         sim=sim,
         sweep=sweep,
-        output=output,
+        output=OutputSpec(**_block(doc.get("output", {}), _OUTPUT, "output", applied)),
         defaults_applied=tuple(applied),
         document=doc,
     )

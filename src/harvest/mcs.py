@@ -400,10 +400,11 @@ def _check_segment(ex: ExcitationParams, cfg: SimConfig) -> None:
         )
 
 
-def _plan(cells: list[Cell], cfg: SimConfig):
+def plan(cells: list[Cell], cfg: SimConfig):
     """Lockstep batches of cell indices, and the exception of each cell that
     cannot be stepped.  A batch holds cells with the same step counts and
-    delay offsets, in order, up to _BATCH_ROWS rows."""
+    delay offsets, in order, up to _BATCH_ROWS rows; a cell that fails its
+    checks before stepping is in none."""
     groups: dict[tuple, list[int]] = {}
     failures: dict[int, Exception] = {}
     for i, (p, noise, ex) in enumerate(cells):
@@ -421,12 +422,6 @@ def _plan(cells: list[Cell], cfg: SimConfig):
         for j in range(0, len(group), per)
     ]
     return batches, failures
-
-
-def ensemble_batches(cells: list[Cell], cfg: SimConfig) -> list[list[int]]:
-    """Indices of the cells that run_ensembles steps together, one list per
-    lockstep pass.  Cells that fail their checks before stepping are in none."""
-    return _plan(cells, cfg)[0]
 
 
 def _estimates(p, ex, cfg, acc, hist, divergent, series) -> EnsembleEstimates:
@@ -456,8 +451,8 @@ def _estimates(p, ex, cfg, acc, hist, divergent, series) -> EnsembleEstimates:
     )
 
 
-def _run_batch(cells: list[Cell], cfg: SimConfig) -> list:
-    """run_ensembles on one lockstep batch of cells."""
+def run_batch(cells: list[Cell], cfg: SimConfig) -> list:
+    """run_ensembles on the cells of one lockstep batch of plan."""
     gens = [
         np.random.default_rng(c)
         for c in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
@@ -489,14 +484,14 @@ def run_ensembles(
     """run_ensemble for many cells, stepped as the rows of few lockstep runs.
 
     Each cell is a (system, noise, excitation) triple.  Cells with the same
-    step counts and delay offsets step together (ensemble_batches), so a
-    sweep of many narrow ensembles costs about one wide one.  Returns, per
-    cell, its EnsembleEstimates or the exception it raised; each equals the
-    cell's own run_ensemble bit for bit.
+    step counts and delay offsets step together (plan), so a sweep of many
+    narrow ensembles costs about one wide one.  Returns, per cell, its
+    EnsembleEstimates or the exception it raised; each equals the cell's own
+    run_ensemble bit for bit.
     """
-    batches, out = _plan(cells, cfg)
+    batches, out = plan(cells, cfg)
     for batch in batches:
-        for i, result in zip(batch, _run_batch([cells[i] for i in batch], cfg)):
+        for i, result in zip(batch, run_batch([cells[i] for i in batch], cfg)):
             out[i] = result
     return [out[i] for i in range(len(cells))]
 

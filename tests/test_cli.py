@@ -1,6 +1,8 @@
 """Config parsing (fail-closed), overrides, CLI subcommands, CSV output."""
 
+import concurrent.futures.process
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,14 +13,19 @@ import textwrap
 
 import pytest
 
-from harvest import averaging, cli, freq, mcs, resonance
+from harvest import averaging, cli, config, freq, mcs, resonance
+from harvest.averaging import GridSpec
 from harvest.cli import main, run_sweep
 from harvest.config import (
     SWEEP_QUANTITIES,
+    OutputSpec,
+    SweepAxis,
     apply_override,
     parse_config,
 )
 from harvest.errors import ConfigError, ParameterError
+from harvest.mcs import PsdSettings, SimConfig
+from harvest.model import ExcitationParams, SystemParams
 
 BASE_DOC = {
     "system": {
@@ -196,6 +203,54 @@ class TestParseConfig:
         d["sim"]["psd"] = {"overlap": 0.5}
         with pytest.raises(ConfigError, match="segment_time"):
             parse_config(d)
+
+    def test_axis_swept_twice_rejected(self):
+        """A second axis over the same parameter would overwrite the first
+        in every cell, so rows with different labels would hold one cell."""
+        d = doc(sweep={"axes": [
+            {"param": "system.delta1", "start": 1.0, "stop": 3.0, "count": 3},
+            {"param": "system.delta1", "start": 2.0, "stop": 4.0, "count": 3},
+        ]})
+        with pytest.raises(ConfigError, match=r"system\.delta1.*swept twice"):
+            parse_config(d)
+
+    @pytest.mark.parametrize("start, stop", [(0.0, 0.1), (0.1, -1.0)])
+    def test_log_scale_needs_positive_bounds(self, start, stop):
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": start, "stop": stop,
+                                 "count": 3, "scale": "log"}]})
+        with pytest.raises(ConfigError, match=r"sweep\.axes\[0\]: log scale"):
+            parse_config(d)
+
+    @pytest.mark.parametrize("grid", [False, 0, "", []])
+    def test_grid_is_an_object_or_null(self, grid):
+        """sim.grid, like sim.psd, is an object, null or absent."""
+        d = doc()
+        d["sim"]["grid"] = grid
+        with pytest.raises(ConfigError, match=r"sim\.grid: expected an object"):
+            parse_config(d)
+        d["sim"]["grid"] = None
+        assert parse_config(d).sim.grid == parse_config(doc()).sim.grid
+
+    @pytest.mark.parametrize("table, cls", [
+        ("_SYSTEM", SystemParams), ("_EXCITATION", ExcitationParams),
+        ("_SIM", SimConfig), ("_PSD", PsdSettings), ("_AXIS", SweepAxis),
+        ("_OUTPUT", OutputSpec),
+    ])
+    def test_table_defaults_match_the_dataclasses(self, table, cls):
+        """A key's default in its config table equals the default of the
+        dataclass field it fills."""
+        defaults = {k: default for k, (_, default) in getattr(config, table).items()}
+        fields = [
+            f for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING
+        ]
+        assert fields
+        for f in fields:
+            assert defaults[f.name] == f.default, f.name
+
+    def test_grid_defaults_match_the_sim_default_grid(self):
+        grid = SimConfig(dt=0.01, t_total=1.0).grid
+        defaults = {k: default for k, (_, default) in config._GRID.items()}
+        assert GridSpec(**defaults) == grid
 
 
 class TestOverrides:
@@ -617,7 +672,7 @@ class TestSweep:
         is logged in cell_errors."""
         parent = os.getpid()
         module, name = ((averaging, "mean_power") if target == "power"
-                        else (mcs, "run_ensembles"))
+                        else (mcs, "run_batch"))
         original = getattr(module, name)
 
         def dying(*args, **kwargs):
@@ -640,6 +695,61 @@ class TestSweep:
         # target is rerun; other tasks are rerun if the pool broke first
         rerun = {(e["cell"]["noise.D"], e["quantity"]) for e in cell_errors}
         assert {(r[0], target) for r in rows} <= rerun
+
+    def test_sweep_plans_its_ensembles_once(self, monkeypatch):
+        """The sweep plans its lockstep batches once and each batch task
+        steps its cells without planning them again."""
+        calls = []
+        plan = mcs.plan
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(mcs, "plan", counting)
+        d = doc(sweep={"axes": [{"param": "noise.c", "start": 0.1,
+                                 "stop": 0.3, "count": 3}],
+                       "quantities": ["v_rms", "power"]})
+        _, rows, cell_errors, batches = run_sweep(parse_config(d), threads=1)
+        assert len(calls) == 1
+        assert batches == [[1, 2]]
+        assert [r[-1] for r in rows] == ["ParameterError", "", ""]
+        assert [e["quantity"] for e in cell_errors] == ["v_rms"]
+
+    @pytest.mark.parametrize("threads, quantities, workers", [
+        (8, ["power"], [3]),  # three analytic cells
+        (2, ["power", "v_rms"], [2]),  # one ensemble batch and three cells
+        (8, ["v_rms"], []),  # one ensemble batch: run inline
+    ])
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch, threads,
+                                              quantities, workers):
+        """The pool starts no more workers than there are tasks, and none
+        for a single task.  The fake pool starts no process."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, arg):
+                future = concurrent.futures.Future()
+                future.set_result(fn(arg))
+                return future
+
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
+                                 "stop": 1e-1, "count": 3, "scale": "log"}],
+                       "quantities": quantities})
+        cfg = parse_config(d)
+        serial = run_sweep(cfg, threads=1)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", FakePool)
+        assert run_sweep(cfg, threads=threads) == serial
+        assert sizes == workers
 
     def test_log_scale_axis(self, tmp_path):
         d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,

@@ -511,7 +511,7 @@ class TestBatchedCells:
     def test_batch_equals_per_cell_runs(self, cells, batches):
         cells = cells()
         cfg = small_cfg(t_total=40.0, t_transient=10.0, n_traj=4, seed=11)
-        assert mcs.ensemble_batches(cells, cfg) == batches
+        assert mcs.plan(cells, cfg)[0] == batches
         for cell, est in zip(cells, mcs.run_ensembles(cells, cfg)):
             _assert_same_ensemble(est, run_ensemble(*cell, cfg))
 
@@ -521,7 +521,7 @@ class TestBatchedCells:
         cfg = small_cfg(t_total=40.0, t_transient=10.0, n_traj=4, seed=11)
         whole = mcs.run_ensembles(cells, cfg)
         monkeypatch.setattr(mcs, "_BATCH_ROWS", 10)
-        assert mcs.ensemble_batches(cells, cfg) == [[0, 1], [2, 3], [4, 5]]
+        assert mcs.plan(cells, cfg)[0] == [[0, 1], [2, 3], [4, 5]]
         for a, b in zip(mcs.run_ensembles(cells, cfg), whole):
             _assert_same_ensemble(a, b)
 
@@ -541,7 +541,7 @@ class TestBatchedCells:
             (_sweep_system(), NoiseParams(D=0.05, c=0.3), _SWEEP_DRIVE),
         ]
         cfg = small_cfg(t_total=40.0, t_transient=10.0, n_traj=4, seed=11)
-        assert mcs.ensemble_batches(cells, cfg) == [[0, 2, 3, 4]]
+        assert mcs.plan(cells, cfg)[0] == [[0, 2, 3, 4]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = mcs.run_ensembles(cells, cfg)
