@@ -7,6 +7,22 @@ is the ensemble at step s0 + i, so a delayed read is a plain row read.  The
 step loop does only the dynamics, unmasked; divergence, the accumulators,
 the histogram and the stored series are worked out once per chunk from the
 recorded rows.
+
+The loop is bound by the cost of a numpy call, not by its arithmetic, so it
+makes few and cheap ones:
+
+- Block-precomputed feedback.  A step reads the delayed rows k1 and k2 steps
+  back, so a block of min(k1, k2) + 1 steps reads only rows written before
+  the block starts; the interpolated feedback mu*x(t - tau1) and
+  nu*v(t - tau2) of the whole block is one vectorized pass.  Without delay a
+  block is one step.
+- Array operands.  Every coefficient is a float64 array, 0-d for one cell and
+  (m,) for a batch: a ufunc converts a Python float operand anew on every
+  call.  A step writes its temporaries into two preallocated rows and walks
+  the state rows with iterators instead of indexing them.
+
+Each element still sees the operations of the update equations in their
+order, so every result is bit-identical to a step-at-a-time evaluation.
 """
 
 from __future__ import annotations
@@ -88,44 +104,74 @@ def _chunk_batch(
     m = x.shape[0]
     xh[L] = x
     vh[L] = v
+    # coefficients as float64 arrays, 0-d for one cell and (m,) for a batch
+    dt, nbeta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, E_ou = (
+        np.asarray(c, dtype=float)
+        for c in (dt, -beta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, E_ou)
+    )
+    c1 = np.asarray(1.0 - f1)
+    c2 = np.asarray(1.0 - f2)
+
     # colored-noise path and drive: they do not depend on the state
     xis = np.empty((n + 1, m))
     xis[0] = xi
     np.multiply(draws, S_ou, out=draws)
-    for i in range(n):
-        np.multiply(xis[i], E_ou, out=xis[i + 1])
-        xis[i + 1] += draws[i]
+    prev = xis[0]
+    for new, d in zip(xis[1:], draws):
+        np.multiply(prev, E_ou, out=new)
+        new += d
+        prev = new
     drive = xis[:n] + forcing
     Vs = np.empty((n + 1, m))
     Vs[0] = V
 
-    c1 = 1.0 - f1
-    c2 = 1.0 - f2
-    nbeta = -beta
+    # Step i reads the delayed rows r - k - 1 and r - k (r = L + i), so the
+    # min(k1, k2) + 1 steps of a block read only rows written before it
+    # starts: the delayed feedback of a whole block is one vectorized pass.
+    block = min(k1, k2) + 1
+    # row iterators over the state: each step reads one row and writes the next
+    xs, vs, Vi, drives = iter(xh[L:]), iter(vh[L:]), iter(Vs), iter(drive)
+    xc, vc, Vc = next(xs), next(vs), next(Vi)
+    a = np.empty(m)
+    b = np.empty(m)
     # Only rows past the divergence limit (dead at entry or crossing inside
     # the chunk) can overflow; their samples and state are discarded below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            r = L + i
-            xc = xh[r]
-            vc = vh[r]
-            Vc = Vs[i]
-            xd = xh[r - k1] * c1 + xh[r - k1 - 1] * f1
-            vd = vh[r - k2] * c2 + vh[r - k2 - 1] * f2
-            a = (
-                nbeta * vc
-                + delta1 * xc
-                - delta3 * xc * xc * xc
-                - kappa * Vc
-                + mu * xd
-                + nu * vd
-                + drive[i]
-            )
-            # semi-implicit step: position advances with the updated velocity,
-            # which avoids the secular energy injection of the fully explicit form
-            np.add(Vc, dt * (vc - alpha * Vc), out=Vs[i + 1])
-            np.add(vc, dt * a, out=vh[r + 1])
-            np.add(xc, dt * vh[r + 1], out=xh[r + 1])
+        for start in range(0, n, block):
+            r0, r1 = L + start, L + min(start + block, n)
+            # the feedback mu*x(t - tau1) and nu*v(t - tau2) of each step
+            fx = xh[r0 - k1 : r1 - k1] * c1 + xh[r0 - k1 - 1 : r1 - k1 - 1] * f1
+            fx *= mu
+            fv = vh[r0 - k2 : r1 - k2] * c2 + vh[r0 - k2 - 1 : r1 - k2 - 1] * f2
+            fv *= nu
+            # fx leads the zip, so the shared iterators advance by one block
+            for fxi, fvi, d, xn, vn, Vn in zip(fx, fv, drives, xs, vs, Vi):
+                # a = nbeta*vc + delta1*xc - delta3*xc*xc*xc - kappa*Vc
+                #     + mu*x(t - tau1) + nu*v(t - tau2) + drive, left to right
+                np.multiply(nbeta, vc, out=a)
+                np.multiply(delta1, xc, out=b)
+                a += b
+                np.multiply(delta3, xc, out=b)
+                b *= xc
+                b *= xc
+                a -= b
+                np.multiply(kappa, Vc, out=b)
+                a -= b
+                a += fxi
+                a += fvi
+                a += d
+                # semi-implicit step: position advances with the updated
+                # velocity, which avoids the secular energy injection of the
+                # fully explicit form
+                np.multiply(alpha, Vc, out=b)
+                np.subtract(vc, b, out=b)
+                b *= dt
+                np.add(Vc, b, out=Vn)
+                a *= dt
+                np.add(vc, a, out=vn)
+                np.multiply(dt, vn, out=a)
+                np.add(xc, a, out=xn)
+                xc, vc, Vc = xn, vn, Vn
 
         # live[j]: the steps of this chunk trajectory j took while alive; one
         # that crosses the limit at step i took steps 0 .. i
@@ -136,18 +182,26 @@ def _chunk_batch(
 
         i0 = min(max(skip - s0, 0), n)
         if i0 < n:
-            # valid[i, j]: trajectory j took post-transient step i0 + i
-            valid = np.arange(i0, n)[:, None] < live
+            # valid[i, j]: trajectory j took post-transient step i0 + i; None
+            # when every trajectory took every step, so nothing is masked
+            valid = None if live.min() == n else np.arange(i0, n)[:, None] < live
+
+            def kept(rows):
+                return rows if valid is None else np.where(valid, rows, 0.0)
+
             xp = xh[L + i0 : L + n]
             vp = vh[L + i0 : L + n]
             Vp = Vs[i0:n]
-            acc[:, 0] = _running_sum(acc[:, 0], np.where(valid, vp * drive[i0:], 0.0))
-            acc[:, 1] = _running_sum(acc[:, 1], np.where(valid, Vp * Vp, 0.0))
-            acc[:, 2] += valid.sum(axis=0)
+            acc[:, 0] = _running_sum(acc[:, 0], kept(vp * drive[i0:]))
+            acc[:, 1] = _running_sum(acc[:, 1], kept(Vp * Vp))
+            # the post-transient steps each trajectory took, the count of valid
+            acc[:, 2] += np.maximum(live - i0, 0)
 
             ix = np.floor((xp - x_min) / dx).astype(np.int64)
             iv = np.floor((vp - v_min) / dv).astype(np.int64)
-            ok = valid & (ix >= 0) & (ix < nx) & (iv >= 0) & (iv < nv)
+            ok = (ix >= 0) & (ix < nx) & (iv >= 0) & (iv < nv)
+            if valid is not None:
+                ok &= valid
             cell = np.arange(m) // (m // hist.shape[0])
             hist += np.bincount(
                 (cell * (nx * nv) + ix * nv + iv)[ok], minlength=hist.size
@@ -157,7 +211,7 @@ def _chunk_batch(
                 out = slice(s0 + i0 - skip, s0 + n - skip)
                 stored = (xp, vp, Vp) if store == STORE_XVV else (xp,)
                 for col, rows in enumerate(stored):
-                    series[:, col, out] = np.where(valid, rows, 0.0).T
+                    series[:, col, out] = kept(rows).T
 
     # a frozen trajectory keeps the state of the step that crossed the limit
     cols = np.arange(m)

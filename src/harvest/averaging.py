@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -293,7 +293,8 @@ def _damped_fields(p, base, x, table, d_span):
 
 @dataclass(frozen=True)
 class _Fields:
-    """Self-consistent energy and frequency over an (x, v) grid."""
+    """Self-consistent energy and frequency over an (x, v) grid; the cached
+    fields of _fields_for also hold the squared voltage map."""
 
     x: np.ndarray
     v: np.ndarray
@@ -302,6 +303,7 @@ class _Fields:
     H: np.ndarray
     omega: np.ndarray
     ec: EffectiveCoeffs
+    volt_sq: np.ndarray | None = None
 
 
 def _grid_fields(p: SystemParams, grid: GridSpec) -> _Fields:
@@ -312,14 +314,36 @@ def _grid_fields(p: SystemParams, grid: GridSpec) -> _Fields:
     return _Fields(x, v, X, V, H, omega, ec)
 
 
+def _squared_voltage(p: SystemParams, f: _Fields) -> np.ndarray:
+    """The voltage map over the fields' grid, squared.
+
+    The oscillation center X* per grid point follows the regime rule: above the
+    saddle energy the center is 0; below it, the minimum of the effective
+    potential on the side of the current displacement.  The effective minimum
+    (not the bare equilibrium) is the center the density actually oscillates
+    around, so using it keeps the voltage map consistent with the joint SPD.
+    """
+    H, omega, X, V = f.H, f.omega, f.X, f.V
+    x_min = well_minimum(p, p.delta1 - f.ec.delta_eff)
+    xstar = np.where(H >= 0.0, 0.0, np.where(X >= 0.0, x_min, -x_min))
+    den = p.alpha**2 + omega**2
+    volt = omega**2 / den * (X - xstar) + p.alpha / den * V
+    return volt * volt
+
+
 @functools.lru_cache(maxsize=2)
 def _fields_for(p: SystemParams, grid: GridSpec) -> _Fields:
-    """_grid_fields, cached like _table_for: the fields do not depend on the
-    noise, so a sweep over noise.* solves them once per process.  Their arrays
-    are read-only, so the shared fields cannot be changed by a caller."""
+    """_grid_fields and their squared voltage map, cached like _table_for:
+    neither depends on the noise, so a sweep over noise.* computes them once
+    per process.  Their arrays are read-only, so the shared fields cannot be
+    changed by a caller."""
     f = _grid_fields(p, grid)
+    f = replace(f, volt_sq=_squared_voltage(p, f))
     ec = f.ec
-    for arr in (f.x, f.v, f.X, f.V, f.H, f.omega, ec.beta_eff, ec.delta_eff, ec.omega):
+    for arr in (
+        f.x, f.v, f.X, f.V, f.H, f.omega, f.volt_sq,
+        ec.beta_eff, ec.delta_eff, ec.omega,
+    ):
         arr.flags.writeable = False
     return f
 
@@ -384,24 +408,13 @@ def effective_generalized_potential(x, v, p: SystemParams, noise: NoiseParams):
 def mean_square_voltage(
     p: SystemParams, noise: NoiseParams, grid: GridSpec | None = None
 ) -> float:
-    """E[V^2]: voltage map squared, integrated against the joint SPD.
-
-    The oscillation center X* per grid point follows the regime rule: above the
-    saddle energy the center is 0; below it, the minimum of the effective
-    potential on the side of the current displacement.  The effective minimum
-    (not the bare equilibrium) is the center the density actually oscillates
-    around, so using it keeps the voltage map consistent with the joint SPD.
-    """
+    """E[V^2]: voltage map squared (_squared_voltage), integrated against the
+    joint SPD."""
     if grid is None:
         grid = GridSpec()
     f = _fields_for(p, grid)
     values, _ = _joint_density(noise, f)
-    H, omega, X, V = f.H, f.omega, f.X, f.V
-    x_min = well_minimum(p, p.delta1 - f.ec.delta_eff)
-    xstar = np.where(H >= 0.0, 0.0, np.where(X >= 0.0, x_min, -x_min))
-    den = p.alpha**2 + omega**2
-    volt = omega**2 / den * (X - xstar) + p.alpha / den * V
-    integrand = volt * volt * values
+    integrand = f.volt_sq * values
     return float(np.trapezoid(np.trapezoid(integrand, f.v, axis=1), f.x))
 
 

@@ -95,7 +95,9 @@ def _nested(value: Any, path: str) -> Any:
 
 
 def _text(value: Any, path: str) -> str:
-    return str(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
 
 
 def _param(value: Any, path: str) -> str:

@@ -37,10 +37,11 @@ from .model import (
 # to about a dozen (1024, m) float arrays, less than (m, 16384) draws.
 _CHUNK = 1024
 
-# Rows of one lockstep batch of sweep cells.  A step costs about the same at
-# any ensemble width up to here (an 8-row ensemble of the noise-sweep system
-# steps in 0.165 s, a 64-row one in 0.19-0.20 s), so a batch of narrow cells
-# costs about one cell.
+# Rows of one lockstep batch of sweep cells.  A step costs far less than
+# proportionally more as the ensemble widens up to here (run_ensembles on the
+# noise-sweep system, 4000 steps, 2-vCPU host: 8 rows in 0.055-0.070 s, 64 in
+# 0.08-0.09 s, 128 in 0.10-0.13 s), so a batch of narrow cells costs a small
+# multiple of one cell.
 _BATCH_ROWS = 128
 
 

@@ -474,7 +474,7 @@ class TestFieldCache:
     def test_cached_fields_are_read_only(self, controlled_system):
         f = averaging._fields_for(controlled_system, GridSpec())
         assert averaging._fields_for(controlled_system, GridSpec()) is f
-        for arr in (f.x, f.v, f.X, f.V, f.H, f.omega,
+        for arr in (f.x, f.v, f.X, f.V, f.H, f.omega, f.volt_sq,
                     f.ec.beta_eff, f.ec.delta_eff, f.ec.omega):
             assert not arr.flags.writeable
 
@@ -484,6 +484,20 @@ class TestFieldCache:
         warm = mean_power(controlled_system, baseline_noise)
         assert averaging._fields_for.cache_info().hits == 1
         assert warm == cold
+
+    def test_voltage_same_on_cold_and_warm_cache(self, controlled_system,
+                                                 baseline_noise):
+        """A warm call reads the cached squared voltage map; it gives the
+        number that the map worked out afresh gives."""
+        cold = mean_square_voltage(controlled_system, baseline_noise)
+        warm = mean_square_voltage(controlled_system, baseline_noise)
+        assert averaging._fields_for.cache_info().hits == 1
+        f = averaging._grid_fields(controlled_system, GridSpec())
+        values, _ = averaging._joint_density(baseline_noise, f)
+        volt_sq = averaging._squared_voltage(controlled_system, f)
+        fresh = float(np.trapezoid(np.trapezoid(volt_sq * values, f.v, axis=1), f.x))
+        assert f.volt_sq is None
+        assert cold == warm == fresh
 
     def test_joint_spd_does_not_fill_the_cache(self, baseline_system,
                                               controlled_system, baseline_noise):

@@ -367,6 +367,20 @@ class TestCliCommands:
         assert main(["power", "--config", malformed_set,
                      "--set", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("prefix", "null"), ("dir", "[1]"), ("prefix", "7"), ("dir", "false"),
+    ])
+    def test_output_keys_must_be_strings(self, tmp_path, monkeypatch, capsys,
+                                         key, value):
+        """output.dir and output.prefix name the files a run writes: another
+        JSON value exits 2 naming the key, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["snr", "--config", write_cfg(tmp_path, doc()),
+                "--set", f"output.{key}={value}"]
+        assert main(argv) == 2
+        assert f"output.{key}: expected a string" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.json"]
+
     @pytest.mark.parametrize("case", ["long_int_file", "bad_utf8_file",
                                       "long_int_set"])
     def test_unparseable_input_is_a_config_error(self, tmp_path, capsys, case):
