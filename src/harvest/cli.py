@@ -19,7 +19,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__, averaging, freq, mcs, resonance
 from .config import RunConfig, apply_override, parse_config
@@ -69,7 +68,6 @@ def _versions() -> dict:
     return {
         "harvest": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
 
 
@@ -155,6 +153,8 @@ def _cmd_snr(cfg: RunConfig, out_dir, t0) -> int:
 
 def _cmd_mcs(cfg: RunConfig, out_dir, t0) -> int:
     est = mcs.run_ensemble(cfg.system, cfg.noise, cfg.excitation, cfg.sim)
+    # read before anything is written: an empty histogram writes no CSV
+    histogram = est.histogram
     header = [
         "mean_power", "v_rms", "efficiency_pct", "efficiency_defined",
         "n_divergent", "n_samples", "psd_snr", "psd_snr_stderr",
@@ -169,7 +169,7 @@ def _cmd_mcs(cfg: RunConfig, out_dir, t0) -> int:
     emit_csv(_out_path(cfg, out_dir, "mcs"), header, rows, _base_meta(cfg, "mcs", t0))
     emit_csv(
         _out_path(cfg, out_dir, "mcs_hist"),
-        *_density_csv(est.histogram),
+        *_density_csv(histogram),
         _base_meta(cfg, "mcs", t0),
     )
     return 1 if est.n_divergent else 0

@@ -251,11 +251,12 @@ def orbit_average(
 ) -> float:
     """Time average (omega/2pi) * loop-integral of f(x, v)/|v| dx at energy H.
 
-    f must accept array x and signed array v and return an array.
+    f must accept array x and signed array v and return an array.  On an
+    orbit that _turning_points collapsed onto the well minimum it is f there.
     """
     roots = _level_roots(H, p, omega, regime)
     tp = _turning_points(H, p, regime, *roots)
-    if tp.x_b - tp.x_a <= 1e-9 * max(1.0, abs(tp.x_b)):
+    if tp.x_a == tp.x_b:
         return float(f(np.array([tp.x_a]), np.array([0.0]))[0])
     val = _orbit_integral(f, H, p.delta3, tp, roots[1])
     return omega / (2.0 * math.pi) * val

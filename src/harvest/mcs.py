@@ -9,9 +9,9 @@ stationary histogram and a periodogram-based SNR.
 The ensemble is stepped in chunks of _CHUNK steps.  Each chunk keeps its
 (history + chunk, m) displacement and velocity rows, with the previous
 chunk's last steps on top, and accumulates the estimators once from them.
-The ensembles of many sweep cells step as the rows of one lockstep run
-(run_ensembles); run_ensemble and simulate_trajectory are one-cell runs of
-the same path.
+plan groups the cells of a sweep into lockstep batches and run_batch steps
+each batch as the rows of one run (_step_cells); run_ensemble is a one-cell
+batch and simulate_trajectory a one-row _step_cells run.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .model import (
 _CHUNK = 1024
 
 # Rows of one lockstep batch of sweep cells.  A step costs far less than
-# proportionally more as the ensemble widens up to here (run_ensembles on the
+# proportionally more as the ensemble widens up to here (run_batch on the
 # noise-sweep system, 4000 steps, 2-vCPU host: 8 rows in 0.055-0.070 s, 64 in
 # 0.08-0.09 s, 128 in 0.10-0.13 s), so a batch of narrow cells costs a small
 # multiple of one cell.
@@ -132,16 +132,33 @@ class TrajectoryResult:
 
 @dataclass(frozen=True)
 class EnsembleEstimates:
-    """Pooled stationary estimators of the simulated ensemble."""
+    """Pooled stationary estimators of the simulated ensemble; counts holds
+    the (nx, nv) phase-space histogram counts on grid."""
 
     mean_power: float
     v_rms: float
     efficiency_pct: float
     efficiency_defined: bool
-    histogram: DensityField
+    counts: np.ndarray
+    grid: GridSpec
     n_divergent: int
     n_samples: int
     psd_snr: PsdSnr | None = None
+
+    @property
+    def histogram(self) -> DensityField:
+        """Stationary density estimate from counts, built where it is read:
+        an ensemble with no sample on the grid fails only here."""
+        g = self.grid
+        dx = (g.x_max - g.x_min) / g.nx
+        dv = (g.v_max - g.v_min) / g.nv
+        total = self.counts.sum()
+        if total == 0:
+            raise ParameterError("no in-grid samples collected; widen the grid")
+        dens = self.counts / (total * dx * dv)
+        xc = g.x_min + dx * (np.arange(g.nx) + 0.5)
+        vc = g.v_min + dv * (np.arange(g.nv) + 0.5)
+        return DensityField(x=xc, v=vc, values=dens, norm_const=1.0)
 
 
 # One sweep cell of an ensemble run: its system, noise and excitation.
@@ -159,16 +176,6 @@ def _ou_coefficients(noise: NoiseParams, dt: float) -> tuple[float, float]:
     decay = math.exp(-dt / noise.c)
     scale = math.sqrt(noise.D / noise.c * (1.0 - math.exp(-2.0 * dt / noise.c)))
     return decay, scale
-
-
-def ou_path_step(
-    xi: float, noise: NoiseParams, dt: float, gaussian_draw: float
-) -> float:
-    """Exact one-step update of the exponentially correlated noise."""
-    if not dt > 0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    decay, scale = _ou_coefficients(noise, dt)
-    return xi * decay + scale * gaussian_draw
 
 
 def ou_initial_draw(noise: NoiseParams, gaussian_draw: float) -> float:
@@ -326,23 +333,6 @@ def _step_cells(
     return acc, hist, ~alive, out_series, (x, v, V, xi)
 
 
-def _ensemble_core(
-    p: SystemParams,
-    noise: NoiseParams,
-    ex: ExcitationParams,
-    cfg: SimConfig,
-    gens: list[np.random.Generator],
-    x0: np.ndarray,
-    store: int,
-):
-    """One cell's _step_cells run: one trajectory per generator, started
-    from x0, with the cell's histogram counts (nx, nv)."""
-    acc, hist, divergent, series, final = _step_cells(
-        [(p, noise, ex)], cfg, gens, x0, store
-    )
-    return acc, hist[0], divergent, series, final
-
-
 def simulate_trajectory(
     p: SystemParams,
     noise: NoiseParams,
@@ -358,10 +348,9 @@ def simulate_trajectory(
     first trajectory reproduces the one-trajectory ensemble bit for bit.
     The delay history before t=0 is held constant at the initial condition.
     """
-    acc, _, divergent, series, final = _ensemble_core(
-        p, noise, ex, cfg, [np.random.default_rng(traj_seed)],
-        _initial_positions(p, cfg, 1),
-        _kernels.STORE_XVV,
+    acc, _, divergent, series, final = _step_cells(
+        [(p, noise, ex)], cfg, [np.random.default_rng(traj_seed)],
+        _initial_positions(p, cfg, 1), _kernels.STORE_XVV,
     )
     _, skip = _step_counts(ex, cfg)
     n_samples = int(acc[0, 2])
@@ -377,19 +366,6 @@ def simulate_trajectory(
         divergent=bool(divergent[0]),
         final_state=tuple(float(a[0]) for a in final),
     )
-
-
-def _histogram_density(cfg: SimConfig, hist: np.ndarray) -> DensityField:
-    g = cfg.grid
-    dx = (g.x_max - g.x_min) / g.nx
-    dv = (g.v_max - g.v_min) / g.nv
-    total = hist.sum()
-    if total == 0:
-        raise ParameterError("no in-grid samples collected; widen the grid")
-    dens = hist / (total * dx * dv)
-    xc = g.x_min + dx * (np.arange(g.nx) + 0.5)
-    vc = g.v_min + dv * (np.arange(g.nv) + 0.5)
-    return DensityField(x=xc, v=vc, values=dens, norm_const=1.0)
 
 
 def _check_segment(ex: ExcitationParams, cfg: SimConfig) -> None:
@@ -442,7 +418,8 @@ def _estimates(p, ex, cfg, acc, hist, divergent, series) -> EnsembleEstimates:
         v_rms=math.sqrt(vsq_mean),
         efficiency_pct=eff,
         efficiency_defined=defined,
-        histogram=_histogram_density(cfg, hist),
+        counts=hist,
+        grid=cfg.grid,
         n_divergent=int(np.sum(divergent)),
         n_samples=int(n),
         psd_snr=(
@@ -453,7 +430,9 @@ def _estimates(p, ex, cfg, acc, hist, divergent, series) -> EnsembleEstimates:
 
 
 def run_batch(cells: list[Cell], cfg: SimConfig) -> list:
-    """run_ensembles on the cells of one lockstep batch of plan."""
+    """Per cell of one lockstep batch of plan, its EnsembleEstimates (its own
+    run_ensemble, bit for bit) or the exception it raised; an exception of
+    the lockstep pass is every cell's."""
     gens = [
         np.random.default_rng(c)
         for c in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
@@ -479,24 +458,6 @@ def run_batch(cells: list[Cell], cfg: SimConfig) -> list:
     return out
 
 
-def run_ensembles(
-    cells: list[Cell], cfg: SimConfig
-) -> list[EnsembleEstimates | Exception]:
-    """run_ensemble for many cells, stepped as the rows of few lockstep runs.
-
-    Each cell is a (system, noise, excitation) triple.  Cells with the same
-    step counts and delay offsets step together (plan), so a sweep of many
-    narrow ensembles costs about one wide one.  Returns, per cell, its
-    EnsembleEstimates or the exception it raised; each equals the cell's own
-    run_ensemble bit for bit.
-    """
-    batches, out = plan(cells, cfg)
-    for batch in batches:
-        for i, result in zip(batch, run_batch([cells[i] for i in batch], cfg)):
-            out[i] = result
-    return [out[i] for i in range(len(cells))]
-
-
 def run_ensemble(
     p: SystemParams,
     noise: NoiseParams,
@@ -511,9 +472,11 @@ def run_ensemble(
     collected before diverging and are counted in n_divergent.  With a psd
     block the displacement series is stored in the same pass and psd_snr is
     estimated from it; storing it does not change the other estimates.  This
-    is the one-cell run_ensembles.
+    is a one-cell batch: plan, then run_batch.
     """
-    (result,) = run_ensembles([(p, noise, ex)], cfg)
+    cells = [(p, noise, ex)]
+    _, failures = plan(cells, cfg)
+    (result,) = failures.values() if failures else run_batch(cells, cfg)
     if isinstance(result, Exception):
         raise result
     return result

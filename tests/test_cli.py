@@ -39,6 +39,10 @@ BASE_DOC = {
 }
 
 
+# A histogram grid that no trajectory of BASE_DOC's system visits.
+OFF_GRID = {"x_min": 5.0, "x_max": 6.0, "v_min": 5.0, "v_max": 6.0}
+
+
 def doc(**patch) -> dict:
     d = json.loads(json.dumps(BASE_DOC))
     d.update(patch)
@@ -342,6 +346,30 @@ class TestCliCommands:
         assert float(vals["analytic_power"]) > 0
         assert float(vals["mcs_power"]) > 0
 
+    def test_empty_histogram_fails_only_where_it_is_read(self, tmp_path, capsys):
+        """With no sample on sim.grid, compare (which reads no histogram)
+        writes its ensemble's values; mcs, which writes the histogram, exits
+        2 and writes no CSV."""
+        d = doc()
+        d["sim"]["grid"] = OFF_GRID
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["compare", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        cfg = parse_config(d)
+        est = mcs.run_ensemble(cfg.system, cfg.noise, cfg.excitation, cfg.sim)
+        assert est.n_samples > 0 and not est.counts.any()
+        _, rows = read_csv(tmp_path / "harvest_compare.csv")
+        assert rows[0][1] == cli._fmt(est.mean_power)
+        assert rows[0][3:] == [
+            cli._fmt(v) for v in (est.v_rms, est.efficiency_pct,
+                                  est.n_divergent, est.n_samples)
+        ]
+        capsys.readouterr()
+        assert main(["mcs", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no in-grid samples collected; widen the grid\n"
+        )
+        assert list(tmp_path.glob("harvest_mcs*")) == []
+
     def test_set_override_changes_result(self, tmp_path):
         cfg_path = write_cfg(tmp_path, doc())
         out_a = tmp_path / "a"
@@ -407,8 +435,8 @@ class TestCliCommands:
 
     def test_cli_runs_without_scipy_submodules(self, tmp_path):
         """A fresh interpreter that imports harvest.cli and runs power, mcs
-        and a one-worker sweep never loads scipy's integrate, interpolate,
-        special or optimize."""
+        and a one-worker sweep never loads scipy, nor its integrate,
+        interpolate, special or optimize."""
         d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
                                  "stop": 1e-1, "count": 2, "scale": "log"}],
                        "quantities": ["power", "snr", "v_rms"]})
@@ -419,8 +447,8 @@ class TestCliCommands:
             for cmd in (["power"], ["mcs"], ["sweep", "--threads", "1"]):
                 code = cli.main(cmd + ["--config", {cfg_path!r}, "--out", {str(tmp_path)!r}])
                 assert code == 0, (cmd, code)
-            heavy = ("scipy.integrate", "scipy.interpolate", "scipy.special",
-                     "scipy.optimize")
+            heavy = ("scipy", "scipy.integrate", "scipy.interpolate",
+                     "scipy.special", "scipy.optimize")
             print(",".join(m for m in heavy if m in sys.modules))
         """)
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -677,6 +705,58 @@ class TestSweep:
             "message": "dt=0.01 too large: must be <= min(tau1, tau2, c)/20 = 0.005",
         }]
         assert meta["mc_batches"] == [{"cells": 2, "rows": 8}]
+
+    def test_empty_histogram_keeps_the_ensemble_values(self, tmp_path):
+        """A sweep reads no histogram: with no sample on sim.grid its
+        ensemble quantities are still every cell's own run_ensemble."""
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
+                                 "stop": 1e-1, "count": 2, "scale": "log"}],
+                       "quantities": ["v_rms", "efficiency"]})
+        d["sim"]["grid"] = OFF_GRID
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                     "--threads", "1"]) == 0
+        _, rows = read_csv(tmp_path / "harvest_sweep.csv")
+        cfg = parse_config(d)
+        for row, D in zip(rows, (1e-3, 1e-1), strict=True):
+            cell = cli._cell_config(cfg, [("noise.D", D)])
+            est = mcs.run_ensemble(cell.system, cell.noise, cell.excitation,
+                                   cell.sim)
+            assert row[1:] == [cli._fmt(est.v_rms), cli._fmt(est.efficiency_pct), ""]
+
+    def test_failed_lockstep_pass_fails_its_batch(self, monkeypatch):
+        """A system.tau1 axis steps one batch per delay offset.  When one
+        batch's lockstep pass raises, each of its cells reads NaN with the
+        error type and is named in cell_errors; the other rows are those of
+        a clean run."""
+        d = doc(sweep={"axes": [
+            {"param": "system.tau1", "start": 0.2, "stop": 1.0, "count": 3},
+            {"param": "noise.D", "start": 1e-3, "stop": 1e-1, "count": 2,
+             "scale": "log"},
+        ], "quantities": ["v_rms", "efficiency"]})
+        d["sim"]["t_total"] = 40.0
+        d["sim"]["t_transient"] = 10.0
+        cfg = parse_config(d)
+        _, clean, errors, batches = run_sweep(cfg, threads=1)
+        assert errors == [] and batches == [[0, 1], [2, 3], [4, 5]]
+        step_cells = mcs._step_cells
+
+        def failing(cells, *args, **kwargs):
+            if cells[0][0].tau1 == pytest.approx(0.6):
+                raise FloatingPointError("injected")
+            return step_cells(cells, *args, **kwargs)
+
+        monkeypatch.setattr(mcs, "_step_cells", failing)
+        _, rows, cell_errors, _ = run_sweep(cfg, threads=1)
+        assert [r[-1] for r in rows] == ["", "", "FloatingPointError",
+                                         "FloatingPointError", "", ""]
+        assert all(math.isnan(v) for r in rows[2:4] for v in r[2:4])
+        for i in (0, 1, 4, 5):
+            assert rows[i] == clean[i]
+        assert [(e["cell"], e["quantity"], e["message"]) for e in cell_errors] == [
+            ({"system.tau1": rows[i][0], "noise.D": rows[i][1]}, "v_rms", "injected")
+            for i in (2, 3)
+        ]
 
     @pytest.mark.parametrize("target", ["power", "v_rms"])
     def test_dead_worker_is_rerun(self, tmp_path, monkeypatch, target):

@@ -16,7 +16,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import ellipkm1
 
-from harvest import averaging
+from harvest import averaging, freq
 
 from harvest.errors import (
     BistabilityLossError,
@@ -38,6 +38,8 @@ from harvest.model import (
     SystemParams,
     effective_potential,
     stiffness_margin,
+    well_bottom,
+    well_minimum,
 )
 
 # delta1 = delta3 = 3 with no stiffness correction (kappa = mu = nu = 0):
@@ -273,6 +275,29 @@ class TestOrbitAverage:
             float(NEAR_BAND_OMEGA_SC), MotionRegime.CROSS_WELL,
         )
         assert abs(avg - 1.0) <= 1e-12
+
+    def test_collapse_at_the_well_bottom(self):
+        """Half a _DEGENERATE_GAP above the well bottom the orbit collapses
+        onto the minimum and averages to f there exactly; two gaps above it
+        the quadrature over the open orbit agrees to 1e-9.  omega is the
+        harmonic frequency sqrt(2a) of the bottom, where omega T / 2pi = 1."""
+        p = bare()
+        a = stiffness_margin(p, 1.0)
+        omega = math.sqrt(2.0 * a)
+        u_min = well_bottom(p, a)
+        gap = freq._DEGENERATE_GAP * max(1.0, abs(u_min))
+
+        def f(x, v):
+            return 1.0 + x**3 + v * v
+
+        at_min = float(f(np.array([well_minimum(p, a)]), np.array([0.0]))[0])
+        regime = MotionRegime.RIGHT_WELL
+        assert orbit_average(f, u_min + 0.5 * gap, p, omega, regime) == at_min
+        tp = turning_points(u_min + 2.0 * gap, p, omega, regime)
+        assert tp.x_a < tp.x_b
+        assert orbit_average(f, u_min + 2.0 * gap, p, omega, regime) == (
+            pytest.approx(at_min, rel=1e-9)
+        )
 
 
 class TestSolveFrequency:

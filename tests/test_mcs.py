@@ -16,7 +16,6 @@ from harvest.mcs import (
     SimConfig,
     estimate_snr_psd,
     ou_initial_draw,
-    ou_path_step,
     run_ensemble,
     simulate_trajectory,
 )
@@ -54,21 +53,6 @@ class TestNoiseGenerator:
         se = target_var * math.sqrt(2.0 / n_eff)
         assert abs(var - target_var) <= 3.0 * se
         assert abs(acf - target_acf) <= 3.0 * se
-
-    def test_single_step_matches_recursion(self):
-        noise = NoiseParams(D=0.01, c=0.5)
-        xi = 0.037
-        g = -1.2
-        dt = 0.02
-        decay = math.exp(-dt / noise.c)
-        scale = math.sqrt(noise.D / noise.c * (1.0 - math.exp(-2.0 * dt / noise.c)))
-        assert ou_path_step(xi, noise, dt, g) == pytest.approx(
-            xi * decay + scale * g, rel=1e-15
-        )
-
-    def test_step_rejects_bad_dt(self):
-        with pytest.raises(ParameterError):
-            ou_path_step(0.0, NoiseParams(D=0.01, c=0.5), -0.1, 0.0)
 
 
 class TestDeterministicLimits:
@@ -296,7 +280,8 @@ def _assert_same_ensemble(a, b):
     assert a.efficiency_pct == b.efficiency_pct
     assert a.n_divergent == b.n_divergent
     assert a.n_samples == b.n_samples
-    np.testing.assert_array_equal(a.histogram.values, b.histogram.values)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    assert a.grid == b.grid
     assert a.psd_snr == b.psd_snr
 
 
@@ -344,13 +329,13 @@ class TestChunking:
         x_calm, x_wild = 1.0, 58.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            acc, _, divergent, series, final = mcs._ensemble_core(
-                p, noise, EX_OFF, cfg,
+            acc, _, divergent, series, final = mcs._step_cells(
+                [(p, noise, EX_OFF)], cfg,
                 [np.random.default_rng(1), np.random.default_rng(3)],
                 np.array([x_calm, x_wild]), _kernels.STORE_XVV,
             )
-            acc1, _, div1, series1, final1 = mcs._ensemble_core(
-                p, noise, EX_OFF, cfg, [np.random.default_rng(1)],
+            acc1, _, div1, series1, final1 = mcs._step_cells(
+                [(p, noise, EX_OFF)], cfg, [np.random.default_rng(1)],
                 np.array([x_calm]), _kernels.STORE_XVV,
             )
         assert divergent.tolist() == [False, True] and not div1[0]
@@ -497,8 +482,9 @@ def _tau1_axis():
 
 
 class TestBatchedCells:
-    """The ensembles of many cells step as the rows of one lockstep run and
-    give each cell its own run_ensemble, bit for bit."""
+    """The ensembles of many cells step as the rows of one lockstep run
+    (plan, then run_batch on each batch) and give each cell its own
+    run_ensemble, bit for bit."""
 
     @pytest.mark.parametrize("cells, batches", [
         (_noise_axis, [[0, 1, 2, 3, 4, 5]]),
@@ -511,25 +497,32 @@ class TestBatchedCells:
     def test_batch_equals_per_cell_runs(self, cells, batches):
         cells = cells()
         cfg = small_cfg(t_total=40.0, t_transient=10.0, n_traj=4, seed=11)
-        assert mcs.plan(cells, cfg)[0] == batches
-        for cell, est in zip(cells, mcs.run_ensembles(cells, cfg)):
-            _assert_same_ensemble(est, run_ensemble(*cell, cfg))
+        assert mcs.plan(cells, cfg) == (batches, {})
+        for batch in batches:
+            out = mcs.run_batch([cells[i] for i in batch], cfg)
+            for i, est in zip(batch, out, strict=True):
+                _assert_same_ensemble(est, run_ensemble(*cells[i], cfg))
 
     def test_batches_hold_at_most_the_row_limit(self, monkeypatch):
         """A batch is cut at _BATCH_ROWS rows; the cut changes no result."""
         cells = _noise_axis()
         cfg = small_cfg(t_total=40.0, t_transient=10.0, n_traj=4, seed=11)
-        whole = mcs.run_ensembles(cells, cfg)
+        assert mcs.plan(cells, cfg)[0] == [[0, 1, 2, 3, 4, 5]]
+        whole = mcs.run_batch(cells, cfg)
         monkeypatch.setattr(mcs, "_BATCH_ROWS", 10)
-        assert mcs.plan(cells, cfg)[0] == [[0, 1], [2, 3], [4, 5]]
-        for a, b in zip(mcs.run_ensembles(cells, cfg), whole):
-            _assert_same_ensemble(a, b)
+        batches = mcs.plan(cells, cfg)[0]
+        assert batches == [[0, 1], [2, 3], [4, 5]]
+        for batch in batches:
+            out = mcs.run_batch([cells[i] for i in batch], cfg)
+            for i, est in zip(batch, out, strict=True):
+                _assert_same_ensemble(est, whole[i])
 
     def test_cell_error_stays_in_its_cell(self):
-        """A cell failing the step check is not stepped; a cell with no
-        samples on the histogram grid and a cell whose trajectories all
-        diverge share the pass with good cells, fail alone and leave the
-        other rows as their own runs give them."""
+        """A cell failing the step check is not stepped; a cell whose
+        trajectories all diverge shares the pass with good cells, fails
+        alone and leaves the other rows as their own runs give them.  A cell
+        with no samples on the histogram grid gets its own run's estimates
+        and fails only when its histogram is read."""
         good = (_sweep_system(), _SWEEP_NOISE, _SWEEP_DRIVE)
         cells = [
             good,
@@ -541,13 +534,13 @@ class TestBatchedCells:
             (_sweep_system(), NoiseParams(D=0.05, c=0.3), _SWEEP_DRIVE),
         ]
         cfg = small_cfg(t_total=40.0, t_transient=10.0, n_traj=4, seed=11)
-        assert mcs.plan(cells, cfg)[0] == [[0, 2, 3, 4]]
+        (batch,), out = mcs.plan(cells, cfg)
+        assert batch == [0, 2, 3, 4] and list(out) == [1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = mcs.run_ensembles(cells, cfg)
+            out.update(zip(batch, mcs.run_batch([cells[i] for i in batch], cfg)))
         messages = {
             1: "dt=0.01 too large",
-            2: "no in-grid samples collected",
             3: "all trajectories diverged before the transient ended",
         }
         for i, start in messages.items():
@@ -555,5 +548,8 @@ class TestBatchedCells:
             assert str(out[i]).startswith(start)
             with pytest.raises(ParameterError, match=start):
                 run_ensemble(*cells[i], cfg)
-        for i in (0, 4):
+        for i in (0, 2, 4):
             _assert_same_ensemble(out[i], run_ensemble(*cells[i], cfg))
+        assert out[2].n_samples > 0 and not out[2].counts.any()
+        with pytest.raises(ParameterError, match="no in-grid samples collected"):
+            out[2].histogram
