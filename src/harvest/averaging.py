@@ -86,11 +86,6 @@ def loop_average(
     return orbit_average(f, H, p, omega, regime)
 
 
-def mean_square_velocity(H: float, p: SystemParams, regime: MotionRegime) -> float:
-    """<v^2> over the closed orbit at H and its self-consistent frequency."""
-    return loop_average(lambda x, v: v * v, H, p, regime)
-
-
 def drift_diffusion(
     H: float, p: SystemParams, noise: NoiseParams, regime: MotionRegime
 ) -> DriftDiffusion:

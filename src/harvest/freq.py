@@ -66,9 +66,12 @@ def quad(func, a, b, **kwargs):
 
 @dataclass(frozen=True)
 class TurningPoints:
+    """Ends x_a <= x_b of the orbit, and the inner root y_in of _level_roots."""
+
     x_a: float
     x_b: float
     regime: MotionRegime
+    y_in: float
 
 
 def exclusion_band(p: SystemParams) -> float:
@@ -84,6 +87,14 @@ def _raise_at_first(bad, H, error: type[Exception], what: str) -> None:
     """Raise error naming the first energy in H at which bad holds."""
     if np.any(bad):
         raise error(f"H={H[bad][0]}: {what}")
+
+
+def _raise_below_bottom(H, u_min, what: str) -> None:
+    """Raise EnergyRangeError where H lies more than _DEGENERATE_GAP *
+    max(1, |u_min|) below the well bottom u_min: the one energy-range rule of
+    the orbit, the period and the frequency."""
+    gap = _DEGENERATE_GAP * np.maximum(1.0, np.abs(u_min))
+    _raise_at_first(H - u_min < -gap, H, EnergyRangeError, what)
 
 
 def _level_roots(H, p: SystemParams, omega, regime: MotionRegime):
@@ -106,10 +117,8 @@ def _level_roots(H, p: SystemParams, omega, regime: MotionRegime):
         f"wrong sign of H for regime {regime.name}",
     )
     if not cross:
-        u_min = well_bottom(p, a)
-        _raise_at_first(
-            H - u_min < -_DEGENERATE_GAP * np.maximum(1.0, np.abs(u_min)), H,
-            EnergyRangeError, f"below the well-bottom energy of regime {regime.name}",
+        _raise_below_bottom(
+            H, well_bottom(p, a), f"below the well-bottom energy of regime {regime.name}"
         )
     s = np.sqrt(np.maximum(a * a + 4.0 * d3 * H, 0.0))
     return a, -4.0 * H / (a + s), (a + s) / d3
@@ -118,16 +127,14 @@ def _level_roots(H, p: SystemParams, omega, regime: MotionRegime):
 def turning_points(
     H: float, p: SystemParams, omega: float, regime: MotionRegime
 ) -> TurningPoints:
-    """Roots of U_eff(x) = H bracketing the accessible interval of the regime."""
-    return _turning_points(H, p, regime, *_level_roots(H, p, omega, regime))
-
-
-def _turning_points(H, p, regime, a, y_in, y_out) -> TurningPoints:
-    """The square roots of _level_roots' y_in and y_out; an orbit within
+    """Roots of U_eff(x) = H bracketing the accessible interval of the regime:
+    the square roots of _level_roots' y_in and y_out.  An orbit within
     _DEGENERATE_GAP of the well bottom collapses onto the minimum."""
+    a, y_in, y_out = _level_roots(H, p, omega, regime)
+    y_in = float(y_in)
     x_b = math.sqrt(y_out)
     if regime is MotionRegime.CROSS_WELL:
-        return TurningPoints(-x_b, x_b, regime)
+        return TurningPoints(-x_b, x_b, regime, y_in)
     u_min = well_bottom(p, a)
     if H - u_min <= _DEGENERATE_GAP * max(1.0, abs(u_min)):
         x_a = x_b = well_minimum(p, a)
@@ -135,12 +142,10 @@ def _turning_points(H, p, regime, a, y_in, y_out) -> TurningPoints:
         x_a = math.sqrt(y_in)
     if regime is MotionRegime.LEFT_WELL:
         x_a, x_b = -x_b, -x_a
-    return TurningPoints(x_a, x_b, regime)
+    return TurningPoints(x_a, x_b, regime, y_in)
 
 
-def _orbit_integral(
-    func, H: float, delta3: float, tp: TurningPoints, y_in
-) -> float:
+def _orbit_integral(func, H: float, delta3: float, tp: TurningPoints) -> float:
     """Integral over the closed orbit of [func(x, v) + func(x, -v)] / v dx.
 
     Uses the substitution x = x_a + (x_b - x_a) sin^2(theta).  The turning points
@@ -149,7 +154,7 @@ def _orbit_integral(
     orbit.  The substitution cancels the (x - x_a)(x_b - x) factor exactly, so
     the integrand is 2*[func(x,v)+func(x,-v)] / sqrt(2 S(x)) with no endpoint
     singularity and no cancellation near the well bottom.  Across both wells
-    S(x) = delta3/4 (x^2 - y_in) with the inner root y_in < 0 of _level_roots.
+    S(x) = delta3/4 (x^2 - y_in) with the inner root tp.y_in < 0.
     Gauss-Legendre order doubling until the relative change is below
     _ORBIT_REL_TOL; near the separatrix the integrand has a sharp (bounded) peak
     and an adaptive quadrature takes over.
@@ -159,7 +164,7 @@ def _orbit_integral(
     if tp.regime is MotionRegime.CROSS_WELL:
 
         def smooth_part(x):
-            return q * (x * x - y_in)
+            return q * (x * x - tp.y_in)
 
     else:
 
@@ -252,14 +257,15 @@ def orbit_average(
     """Time average (omega/2pi) * loop-integral of f(x, v)/|v| dx at energy H.
 
     f must accept array x and signed array v and return an array.  On an
-    orbit that _turning_points collapsed onto the well minimum it is f there.
+    orbit that turning_points collapsed onto the well minimum it is
+    omega / sqrt(2a) times f there, with a the stiffness margin: the limit of
+    the open orbit, whose period tends to the harmonic 2 pi / sqrt(2a).
     """
-    roots = _level_roots(H, p, omega, regime)
-    tp = _turning_points(H, p, regime, *roots)
+    tp = turning_points(H, p, omega, regime)
     if tp.x_a == tp.x_b:
-        return float(f(np.array([tp.x_a]), np.array([0.0]))[0])
-    val = _orbit_integral(f, H, p.delta3, tp, roots[1])
-    return omega / (2.0 * math.pi) * val
+        scale = omega / math.sqrt(2.0 * stiffness_margin(p, omega))
+        return scale * float(f(np.array([tp.x_a]), np.array([0.0]))[0])
+    return omega / (2.0 * math.pi) * _orbit_integral(f, H, p.delta3, tp)
 
 
 # Damped-secant fixed point of solve_frequency: damping of the fallback step,
@@ -322,9 +328,8 @@ def solve_frequency(H, p: SystemParams, regime: MotionRegime, strict: bool = Tru
             f"H={h[idx][0]}: frequency iteration did not converge for {regime.name}"
         )
     if strict and well:
-        bottom = well_bottom(p, stiffness_margin(p, out))
-        _raise_at_first(
-            h < bottom * (1.0 + 1e-12), h, EnergyRangeError,
+        _raise_below_bottom(
+            h, well_bottom(p, stiffness_margin(p, out)),
             "below the self-consistent well bottom",
         )
     return float(out[0]) if H.ndim == 0 else out.reshape(H.shape)

@@ -29,7 +29,7 @@ from . import _kernels
 from .averaging import DensityField, GridSpec
 from .errors import ParameterError
 from .model import (
-    ExcitationParams, NoiseParams, SystemParams, bare_equilibria, harvested_power,
+    ExcitationParams, NoiseParams, SystemParams, harvested_power, well_minimum,
 )
 
 # Steps per lockstep chunk.  A chunk's step-major records (draws, noise path,
@@ -229,7 +229,7 @@ def _forcing_chunk(ex: ExcitationParams, dt: float, s0: int, n: int) -> np.ndarr
 
 
 def _initial_positions(p: SystemParams, cfg: SimConfig, n: int) -> np.ndarray:
-    base = cfg.x0 if cfg.x0 is not None else bare_equilibria(p)[0]
+    base = cfg.x0 if cfg.x0 is not None else well_minimum(p, p.delta1)
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     return base * signs
 

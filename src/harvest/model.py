@@ -124,12 +124,6 @@ def bare_potential(x, p: SystemParams):
     return out if out.ndim else float(out)
 
 
-def bare_equilibria(p: SystemParams) -> tuple[float, float, float]:
-    """The two stable minima and the saddle of the bare double well."""
-    xs = well_minimum(p, p.delta1)
-    return (xs, -xs, 0.0)
-
-
 def circuit_stiffness(p: SystemParams, omega):
     """Stiffness kappa*w^2/(alpha^2+w^2) that the circuit back-action adds at w."""
     om = np.asarray(omega, dtype=float)
@@ -189,22 +183,11 @@ def colored_noise_factors(ec: EffectiveCoeffs, c: float):
     return chi, ec.beta_eff * chi
 
 
-def effective_potential(x, p: SystemParams, omega, forcing=0.0):
-    """Potential of the equivalent oscillator; caller supplies the instantaneous forcing."""
-    return _effective_potential(x, p, effective_coeffs(p, omega).delta_eff, forcing)
-
-
-def _effective_potential(x, p: SystemParams, d_eff, forcing):
-    """effective_potential with the stiffness correction d_eff given."""
+def effective_potential(x, p: SystemParams, d_eff, forcing=0.0):
+    """Potential of the equivalent oscillator with stiffness correction d_eff
+    (effective_coeffs(...).delta_eff); caller supplies the instantaneous forcing."""
     x = np.asarray(x, dtype=float)
     out = bare_potential(x, p) + 0.5 * d_eff * x**2 - x * forcing
-    return out if out.ndim else float(out)
-
-
-def total_energy(x, v, p: SystemParams, omega):
-    """Mechanical energy v^2/2 + U_eff(x)."""
-    v = np.asarray(v, dtype=float)
-    out = 0.5 * v**2 + effective_potential(x, p, omega)
     return out if out.ndim else float(out)
 
 
@@ -246,24 +229,9 @@ def well_depth(p: SystemParams, omega):
     return -well_bottom(p, stiffness_margin(p, omega))
 
 
-def effective_minima(p: SystemParams, omega):
-    """Unforced effective minima +-sqrt((delta1 - delta_eff)/delta3)."""
-    xm = well_minimum(p, stiffness_margin(p, omega))
-    return (xm, -xm)
-
-
-def regime_of(H: float, x: float) -> MotionRegime:
-    """Assign the motion regime: below the saddle energy the sign of x picks the well."""
-    if H >= 0.0:
-        return MotionRegime.CROSS_WELL
-    return MotionRegime.RIGHT_WELL if x >= 0.0 else MotionRegime.LEFT_WELL
-
-
 def equilibrium_for_regime(p: SystemParams, regime: MotionRegime) -> float:
     """Bare equilibrium displacement about which each regime's orbit oscillates."""
-    xs, xs_m, xu = bare_equilibria(p)
-    if regime is MotionRegime.RIGHT_WELL:
-        return xs
-    if regime is MotionRegime.LEFT_WELL:
-        return xs_m
-    return xu
+    if regime is MotionRegime.CROSS_WELL:
+        return 0.0
+    xs = well_minimum(p, p.delta1)
+    return xs if regime is MotionRegime.RIGHT_WELL else -xs

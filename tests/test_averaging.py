@@ -19,7 +19,6 @@ from harvest.averaging import (
     joint_spd,
     loop_average,
     mean_power,
-    mean_square_velocity,
     mean_square_voltage,
 )
 from harvest.errors import ParameterError, SeparatrixBandError
@@ -31,8 +30,9 @@ from harvest.model import (
     NoiseParams,
     SystemParams,
     effective_coeffs,
-    effective_minima,
     equilibrium_for_regime,
+    stiffness_margin,
+    well_minimum,
 )
 
 # ODE oracle, right well, H = -0.3, kappa = 0.3, alpha = 0.05, beta = 0.02,
@@ -54,7 +54,9 @@ def uncontrolled(baseline_system):
 
 class TestOrbitAverages:
     def test_rightwell_mean_square_velocity_oracle(self, uncontrolled):
-        msv = mean_square_velocity(-0.3, uncontrolled, MotionRegime.RIGHT_WELL)
+        msv = loop_average(
+            lambda x, v: v * v, -0.3, uncontrolled, MotionRegime.RIGHT_WELL
+        )
         assert msv == pytest.approx(MSV_RIGHTWELL, rel=1e-9)
 
     def test_crosswell_moments_oracle(self, controlled_system):
@@ -207,7 +209,7 @@ class TestJointSpd:
         om = solve_frequency(
             -0.99 * 0.6, controlled_system, MotionRegime.RIGHT_WELL, strict=False
         )
-        xm = effective_minima(controlled_system, om)[0]
+        xm = well_minimum(controlled_system, stiffness_margin(controlled_system, om))
         assert abs(x_peak - xm) <= 1.5 * (fld.x[1] - fld.x[0])
 
     def test_constant_along_each_orbit(self, controlled_system, baseline_noise):
@@ -226,11 +228,12 @@ class TestJointSpd:
             (0.4, MotionRegime.CROSS_WELL),
         ]:
             om = solve_frequency(H0, p, regime)
+            d_eff = effective_coeffs(p, om).delta_eff
             tp = turning_points(H0, p, om, regime)
             vals = []
             for frac in (0.25, 0.5, 0.75):
                 x = tp.x_a + frac * (tp.x_b - tp.x_a)
-                v = math.sqrt(2.0 * (H0 - effective_potential(x, p, om)))
+                v = math.sqrt(2.0 * (H0 - effective_potential(x, p, d_eff)))
                 vals.append(float(interp([[x, v]])[0]))
                 vals.append(float(interp([[x, -v]])[0]))
             assert max(vals) == pytest.approx(min(vals), rel=2e-3)
@@ -254,9 +257,10 @@ class TestJointSpd:
             om = solve_frequency(H0, p, regime)
             tp = turning_points(H0, p, om, regime)
             x = tp.x_a + 0.5 * (tp.x_b - tp.x_a)
-            v = math.sqrt(2.0 * (H0 - effective_potential(x, p, om)))
+            ec = effective_coeffs(p, om)
+            v = math.sqrt(2.0 * (H0 - effective_potential(x, p, ec.delta_eff)))
             chi = 1.0 + baseline_noise.c**2 * om**2
-            be = effective_coeffs(p, om).beta_eff
+            be = ec.beta_eff
             ln_closed = math.log(chi / baseline_noise.D) - (
                 be * chi / baseline_noise.D * H0
             )
@@ -302,7 +306,7 @@ class TestGeneralizedPotential:
     def test_wells_below_saddle(self, controlled_system, baseline_noise):
         p = controlled_system
         om = math.sqrt(2.0 * p.delta1)
-        xm = effective_minima(p, om)[0]
+        xm = well_minimum(p, stiffness_margin(p, om))
         u_well = effective_generalized_potential(xm, 0.0, p, baseline_noise)
         u_saddle = effective_generalized_potential(0.0, 0.0, p, baseline_noise)
         assert u_well < u_saddle

@@ -35,7 +35,9 @@ from harvest.freq import (
 )
 from harvest.model import (
     MotionRegime,
+    NoiseParams,
     SystemParams,
+    effective_coeffs,
     effective_potential,
     stiffness_margin,
     well_bottom,
@@ -87,6 +89,7 @@ class TestTurningPoints:
     def test_roots_lie_on_the_level_set(self, baseline_system):
         p = baseline_system
         om = 2.3
+        d_eff = effective_coeffs(p, om).delta_eff
         for H, regime in [
             (-0.3, MotionRegime.RIGHT_WELL),
             (-0.05, MotionRegime.LEFT_WELL),
@@ -96,7 +99,7 @@ class TestTurningPoints:
             tp = turning_points(H, p, om, regime)
             assert tp.x_a < tp.x_b
             for x in (tp.x_a, tp.x_b):
-                assert effective_potential(x, p, om) == pytest.approx(
+                assert effective_potential(x, p, d_eff) == pytest.approx(
                     H, abs=1e-10
                 )
 
@@ -174,12 +177,13 @@ class TestPeriodIntegral:
         """Same integral via scipy quad on 2*dx/sqrt(2H-2U) with endpoint care."""
         p = bare()
         om = 1.0  # no stiffness correction, omega does not matter
+        d_eff = effective_coeffs(p, om).delta_eff
         for H, regime in [(-0.4, MotionRegime.RIGHT_WELL), (0.8, MotionRegime.CROSS_WELL)]:
             tp = turning_points(H, p, om, regime)
 
             def integrand(x):
                 return 2.0 / math.sqrt(
-                    max(2.0 * H - 2.0 * effective_potential(x, p, om), 1e-300)
+                    max(2.0 * H - 2.0 * effective_potential(x, p, d_eff), 1e-300)
                 )
 
             ref, err = quad(
@@ -298,6 +302,49 @@ class TestOrbitAverage:
         assert orbit_average(f, u_min + 2.0 * gap, p, omega, regime) == (
             pytest.approx(at_min, rel=1e-9)
         )
+
+    def test_collapse_joins_the_open_orbit(self):
+        """At omega = 1, away from the harmonic sqrt(2a), the collapsed orbit
+        half a gap above the bottom averages to omega / sqrt(2a) f(x_min, 0),
+        which the quadrature over the open orbit two gaps above it matches
+        to 1e-9."""
+        p = bare()
+        u_min = well_bottom(p, stiffness_margin(p, 1.0))
+        gap = freq._DEGENERATE_GAP * max(1.0, abs(u_min))
+
+        def f(x, v):
+            return 1.0 + x**3 + v * v
+
+        regime = MotionRegime.RIGHT_WELL
+        collapsed = orbit_average(f, u_min + 0.5 * gap, p, 1.0, regime)
+        opened = orbit_average(f, u_min + 2.0 * gap, p, 1.0, regime)
+        assert collapsed == pytest.approx(opened, rel=1e-9)
+
+
+def test_one_rule_below_the_well_bottom():
+    """Just below the well bottom of bare(), at 1e-14 and 5e-13 of its depth,
+    solve_frequency, orbit_average and drift_diffusion either all accept the
+    energy or all raise EnergyRangeError."""
+    p = bare()
+    regime = MotionRegime.RIGHT_WELL
+    noise = NoiseParams(D=0.005, c=0.3)
+
+    def accepts(call) -> bool:
+        try:
+            call()
+        except EnergyRangeError:
+            return False
+        return True
+
+    for H in (-0.75 * (1.0 + 1e-14), -0.75 * (1.0 + 5e-13)):
+        verdicts = [
+            accepts(lambda: solve_frequency(H, p, regime)),
+            accepts(lambda: orbit_average(
+                lambda x, v: v * v, H, p, math.sqrt(6.0), regime
+            )),
+            accepts(lambda: averaging.drift_diffusion(H, p, noise, regime)),
+        ]
+        assert verdicts in ([True] * 3, [False] * 3), H
 
 
 class TestSolveFrequency:

@@ -106,3 +106,53 @@ def unset_defaults() -> list[str]:
 def test_every_default_is_set():
     """A default that no call overrides is a constant in disguise."""
     assert unset_defaults() == []
+
+
+# Public names that wait for a caller, and why.
+DEFERRED = {
+    "energy_spd": "the 1-D energy lane of ROADMAP item 3",
+    "effective_generalized_potential": "the 1-D energy lane of ROADMAP item 3",
+    "simulate_trajectory": "the one-trajectory entry point that the README documents",
+}
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name that tree reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def _parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def uncalled_public_names() -> list[str]:
+    """'module.name' for each module-level public function or class of the
+    package that no code of the package outside its own definition, no
+    acceptance test and no benchmark script reads."""
+    outside = [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]
+    read = set().union(*(_names_read(_parse(path)) for path in outside))
+    public, read_by = [], {}
+    for path in PACKAGE:
+        for node in _parse(path).body:
+            owner = getattr(node, "name", None)
+            defines = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if defines and not owner.startswith("_"):
+                public.append((path.stem, owner))
+            for name in _names_read(node):
+                read_by.setdefault(name, set()).add(owner)
+    return [
+        f"{module}.{name}" for module, name in public
+        if name not in read and not read_by.get(name, set()) - {name}
+    ]
+
+
+def test_every_public_name_has_a_caller():
+    """A public function or class that only tests call is a wrapper to delete,
+    and a deferred name that has gained a caller leaves DEFERRED."""
+    uncalled = {name.split(".")[1]: name for name in uncalled_public_names()}
+    assert [uncalled[n] for n in uncalled if n not in DEFERRED] == []
+    assert sorted(set(DEFERRED) - set(uncalled)) == []

@@ -13,16 +13,13 @@ from harvest.model import (
     MotionRegime,
     NoiseParams,
     SystemParams,
-    bare_equilibria,
     bare_potential,
     effective_coeffs,
-    effective_minima,
     effective_potential,
     equilibrium_for_regime,
-    regime_of,
     stiffness_margin,
-    total_energy,
     well_depth,
+    well_minimum,
 )
 
 
@@ -78,18 +75,21 @@ class TestBarePotential:
     def test_equilibria_are_critical_points(self, baseline_system):
         """The derivative -delta1*x + delta3*x^3 vanishes at all three equilibria."""
         p = baseline_system
-        for x in bare_equilibria(p):
+        for regime in MotionRegime:
+            x = equilibrium_for_regime(p, regime)
             assert abs(-p.delta1 * x + p.delta3 * x**3) < 1e-12
 
     def test_equilibria_locations(self, baseline_system):
-        xs, xs_m, xu = bare_equilibria(baseline_system)
+        xs, xs_m, xu = (
+            equilibrium_for_regime(baseline_system, regime) for regime in MotionRegime
+        )
         assert xs == pytest.approx(1.0, abs=1e-15)
         assert xs_m == -xs
         assert xu == 0.0
 
     def test_double_well_shape(self, baseline_system):
         p = baseline_system
-        xs = bare_equilibria(p)[0]
+        xs = equilibrium_for_regime(p, MotionRegime.RIGHT_WELL)
         assert bare_potential(xs, p) < bare_potential(0.0, p) == 0.0
         assert bare_potential(xs, p) == pytest.approx(
             -p.delta1**2 / (4.0 * p.delta3)
@@ -177,40 +177,27 @@ class TestDerivedQuantities:
     def test_effective_minima_are_minima(self, baseline_system):
         p = baseline_system
         om = 2.3
-        xm, xm_neg = effective_minima(p, om)
-        assert xm_neg == -xm
+        d_eff = effective_coeffs(p, om).delta_eff
+        xm = well_minimum(p, stiffness_margin(p, om))
+        u0 = effective_potential(xm, p, d_eff)
+        assert effective_potential(-xm, p, d_eff) == u0
         h = 1e-6
-        u0 = effective_potential(xm, p, om)
-        assert effective_potential(xm + h, p, om) > u0
-        assert effective_potential(xm - h, p, om) > u0
+        assert effective_potential(xm + h, p, d_eff) > u0
+        assert effective_potential(xm - h, p, d_eff) > u0
 
     def test_bistability_loss_raises(self):
         p = SystemParams(delta1=0.1, delta3=3.0, kappa=5.0, alpha=0.05)
         with pytest.raises(BistabilityLossError):
             well_depth(p, 2.0)
         with pytest.raises(BistabilityLossError):
-            effective_minima(p, 2.0)
-
-    def test_total_energy_composition(self, baseline_system):
-        p = baseline_system
-        om = 2.0
-        x, v = 0.7, -0.4
-        assert total_energy(x, v, p, om) == pytest.approx(
-            0.5 * v**2 + effective_potential(x, p, om)
-        )
+            well_minimum(p, stiffness_margin(p, 2.0))
 
     def test_forcing_tilts_potential(self, baseline_system):
         p = baseline_system
-        om = 2.0
-        assert effective_potential(1.0, p, om, forcing=0.01) == pytest.approx(
-            effective_potential(1.0, p, om) - 0.01
+        d_eff = effective_coeffs(p, 2.0).delta_eff
+        assert effective_potential(1.0, p, d_eff, forcing=0.01) == pytest.approx(
+            effective_potential(1.0, p, d_eff) - 0.01
         )
-
-    def test_regime_assignment(self):
-        assert regime_of(0.5, 0.3) is MotionRegime.CROSS_WELL
-        assert regime_of(0.0, -0.3) is MotionRegime.CROSS_WELL
-        assert regime_of(-0.2, 0.3) is MotionRegime.RIGHT_WELL
-        assert regime_of(-0.2, -0.3) is MotionRegime.LEFT_WELL
 
     def test_equilibrium_for_regime(self, baseline_system):
         p = baseline_system

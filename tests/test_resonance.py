@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from harvest import model, resonance
 from harvest.errors import BistabilityLossError, ParameterError
-from harvest.model import ExcitationParams, NoiseParams, SystemParams
+from harvest.model import (
+    ExcitationParams, NoiseParams, SystemParams, effective_coeffs,
+)
 from harvest.resonance import (
     analyze,
     linearization_eigenvalues,
@@ -21,7 +23,6 @@ from harvest.resonance import (
     snr,
     snr_equilibria,
     snr_vs_noise,
-    transition_rates,
 )
 
 # mpmath oracle at delta1 = delta3 = 3, kappa = 0.3, alpha = 0.05, beta = 0.02,
@@ -35,8 +36,8 @@ SNR_REF = 3.2733073186453446869e-5
 
 def _failing_excitation(p, noise):
     """Excitation (G, Omega) = (0.1, 0.05) driven hard enough for q = 4 at noise."""
-    R0, R1 = transition_rates(p, noise, ExcitationParams(G=0.1, Omega=0.05))
-    eps = 2.0 * math.sqrt(2.0 * (R0 * R0 + 0.05**2)) / R1
+    r = analyze(p, noise, ExcitationParams(G=0.1, Omega=0.05))
+    eps = 2.0 * math.sqrt(2.0 * (r.R0 * r.R0 + 0.05**2)) / r.R1
     return ExcitationParams(eps=eps, G=0.1, Omega=0.05)
 
 
@@ -72,12 +73,14 @@ class TestEquilibria:
 class TestEigenvalues:
     def test_stable_point_attracts(self, controlled_system):
         xs, _, om = snr_equilibria(controlled_system)
-        lam = linearization_eigenvalues(controlled_system, xs, om)
+        ec = effective_coeffs(controlled_system, om)
+        lam = linearization_eigenvalues(controlled_system, xs, om, ec)
         assert lam[0].real < 0 and lam[1].real < 0
 
     def test_saddle_has_one_unstable_direction(self, controlled_system):
         _, _, om = snr_equilibria(controlled_system)
-        lam = linearization_eigenvalues(controlled_system, 0.0, om)
+        ec = effective_coeffs(controlled_system, om)
+        lam = linearization_eigenvalues(controlled_system, 0.0, om, ec)
         reals = sorted(ell.real for ell in lam)
         assert reals[0] < 0 < reals[1]
 
@@ -85,7 +88,7 @@ class TestEigenvalues:
         """Vieta: the product of the two eigenvalues equals the curvature term."""
         p = controlled_system
         xs, _, om = snr_equilibria(p)
-        lam = linearization_eigenvalues(p, xs, om)
+        lam = linearization_eigenvalues(p, xs, om, effective_coeffs(p, om))
         curv = (
             -p.delta1
             + p.kappa * om**2 / (p.alpha**2 + om**2)
@@ -96,33 +99,25 @@ class TestEigenvalues:
 
 class TestRates:
     def test_reference_values(self, controlled_system, baseline_noise, baseline_excitation):
-        R0, R1 = transition_rates(
-            controlled_system, baseline_noise, baseline_excitation
-        )
-        assert R0 == pytest.approx(R0_REF, rel=1e-12)
-        assert R1 == pytest.approx(R1_REF, rel=1e-12)
+        r = analyze(controlled_system, baseline_noise, baseline_excitation)
+        assert r.R0 == pytest.approx(R0_REF, rel=1e-12)
+        assert r.R1 == pytest.approx(R1_REF, rel=1e-12)
 
     def test_rate_increases_with_noise(self, controlled_system, baseline_excitation):
         rates = [
-            transition_rates(
-                controlled_system, NoiseParams(D=D, c=0.3), baseline_excitation
-            )[0]
+            analyze(controlled_system, NoiseParams(D=D, c=0.3), baseline_excitation).R0
             for D in (0.002, 0.005, 0.02)
         ]
         assert rates[0] < rates[1] < rates[2]
 
     def test_requires_positive_noise(self, controlled_system, baseline_excitation):
         with pytest.raises(ParameterError):
-            transition_rates(
-                controlled_system, NoiseParams(D=0.0, c=0.3), baseline_excitation
-            )
+            analyze(controlled_system, NoiseParams(D=0.0, c=0.3), baseline_excitation)
 
     def test_deep_well_underflows_to_zero(self, baseline_excitation):
         p = SystemParams(delta1=3.0, delta3=3.0, kappa=0.3, alpha=0.05, beta=0.02)
-        R0, R1 = transition_rates(
-            p, NoiseParams(D=1e-7, c=0.3), baseline_excitation
-        )
-        assert R0 == 0.0 and R1 == 0.0
+        r = analyze(p, NoiseParams(D=1e-7, c=0.3), baseline_excitation)
+        assert r.R0 == 0.0 and r.R1 == 0.0
 
 
 class TestSnr:
@@ -217,10 +212,7 @@ class TestSnr:
         self, controlled_system, baseline_noise, baseline_excitation
     ):
         r = analyze(controlled_system, baseline_noise, baseline_excitation)
-        R0, R1 = transition_rates(
-            controlled_system, baseline_noise, baseline_excitation
-        )
-        assert r.R0 == R0 and r.R1 == R1
+        R0, R1 = r.R0, r.R1
         lor = R0 * R0 + baseline_excitation.Omega**2
         q = R1 * R1 * baseline_excitation.eps**2 / (2.0 * lor)
         expected = (
