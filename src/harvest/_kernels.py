@@ -77,10 +77,8 @@ def _chunk_batch(
     hist,
     x_min,
     dx,
-    nx,
     v_min,
     dv,
-    nv,
     acc,
     series,
     store,
@@ -94,7 +92,8 @@ def _chunk_batch(
     (n, m); draws is (n, m) and is overwritten; acc is (m, 3), series
     (m, 3 or 1, n_post).  The model parameters, f1, f2, E_ou and S_ou are
     scalars or (m,) rows.  hist is (cells, nx, nv): the rows are cell-major,
-    m // cells to a cell, and each row counts into its cell's histogram.
+    m // cells to a cell, and each row counts into its cell's histogram, on
+    the nx x nv grid of cells dx x dv wide from (x_min, v_min).
     Steps s0 .. s0+n-1 are taken; samples from step skip on are accumulated.
     A trajectory whose |x| exceeds DIVERGENCE_LIMIT (NaN counts) keeps the
     samples up to that step, is frozen in the state that crossed, and is
@@ -102,6 +101,7 @@ def _chunk_batch(
     """
     L = xh.shape[0] - n - 1
     m = x.shape[0]
+    nx, nv = hist.shape[1:]
     xh[L] = x
     vh[L] = v
     # coefficients as float64 arrays, 0-d for one cell and (m,) for a batch

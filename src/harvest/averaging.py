@@ -16,13 +16,13 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SeparatrixBandError
 from .freq import (
-    FrequencyTable, bottom_frequency, build_table, exclusion_band, orbit_average,
-    solve_frequency,
+    FrequencyTable, _orbit_integral, bottom_frequency, build_table, exclusion_band,
+    solve_frequency, turning_points,
 )
 from .model import (
     EffectiveCoeffs, MotionRegime, NoiseParams, SystemParams, bare_potential,
     colored_noise_factors, delta_eff_and_slope, effective_coeffs, harvested_power,
-    seed_frequency, well_depth, well_minimum,
+    seed_frequency, stiffness_margin, well_depth, well_minimum,
 )
 
 
@@ -76,14 +76,22 @@ class DensityField:
 def loop_average(
     f, H: float, p: SystemParams, regime: MotionRegime, omega: float | None = None
 ) -> float:
-    """Time average of f(x, v) over the closed orbit at energy H.
+    """Time average (omega/2pi) * loop-integral of f(x, v)/|v| dx at energy H.
 
-    When omega is omitted the self-consistent frequency at H is used; passing
-    omega evaluates the orbit in the frozen potential delta_eff(omega).
+    omega defaults to the self-consistent frequency at H; passing omega
+    evaluates the orbit in the frozen potential delta_eff(omega).  f must
+    accept array x and signed array v and return an array.  On an orbit that
+    turning_points collapsed onto the well minimum it is omega / sqrt(2a)
+    times f there, with a the stiffness margin: the limit of the open orbit,
+    whose period tends to the harmonic 2 pi / sqrt(2a).
     """
     if omega is None:
         omega = solve_frequency(H, p, regime)
-    return orbit_average(f, H, p, omega, regime)
+    tp = turning_points(H, p, omega, regime)
+    if tp.x_a == tp.x_b:
+        scale = omega / math.sqrt(2.0 * stiffness_margin(p, omega))
+        return scale * float(f(np.array([tp.x_a]), np.array([0.0]))[0])
+    return omega / (2.0 * math.pi) * _orbit_integral(f, H, p.delta3, tp)
 
 
 def drift_diffusion(
@@ -97,7 +105,7 @@ def drift_diffusion(
     noise.require_positive_intensity()
     omega = solve_frequency(H, p, regime)
     ec = effective_coeffs(p, omega)
-    msv = orbit_average(lambda x, v: v * v, H, p, omega, regime)
+    msv = loop_average(lambda x, v: v * v, H, p, regime, omega)
     chi, _ = colored_noise_factors(ec, noise.c)
     m = -ec.beta_eff * msv + noise.D / chi
     sigma2 = 2.0 * noise.D / chi * msv

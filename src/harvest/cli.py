@@ -43,6 +43,7 @@ def _fmt(value) -> str:
 def emit_csv(path: str, header: list[str], rows: list[list], meta: dict) -> None:
     """Write rows at 12 significant digits plus a sibling .meta.json."""
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(",".join(header) + "\n")
             for row in rows:
@@ -92,7 +93,6 @@ def _base_meta(cfg: RunConfig, subcommand: str, t0: float) -> dict:
 
 def _out_path(cfg: RunConfig, out_dir: str | None, suffix: str) -> str:
     directory = out_dir if out_dir is not None else cfg.output.dir
-    os.makedirs(directory, exist_ok=True)
     return os.path.join(directory, f"{cfg.output.prefix}_{suffix}.csv")
 
 
@@ -438,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
             key, value = override.split("=", 1)
             apply_override(doc, key, value)
         if args.seed is not None:
-            doc.setdefault("sim", {})["seed"] = args.seed
+            apply_override(doc, "sim.seed", str(args.seed))
         cfg = parse_config(doc)
         if args.subcommand == "sweep":
             return _cmd_sweep(cfg, args.out, t0, max(1, args.threads))

@@ -251,23 +251,6 @@ def period_integral(H, p: SystemParams, omega, regime: MotionRegime):
     return float(T) if T.ndim == 0 else T
 
 
-def orbit_average(
-    f, H: float, p: SystemParams, omega: float, regime: MotionRegime
-) -> float:
-    """Time average (omega/2pi) * loop-integral of f(x, v)/|v| dx at energy H.
-
-    f must accept array x and signed array v and return an array.  On an
-    orbit that turning_points collapsed onto the well minimum it is
-    omega / sqrt(2a) times f there, with a the stiffness margin: the limit of
-    the open orbit, whose period tends to the harmonic 2 pi / sqrt(2a).
-    """
-    tp = turning_points(H, p, omega, regime)
-    if tp.x_a == tp.x_b:
-        scale = omega / math.sqrt(2.0 * stiffness_margin(p, omega))
-        return scale * float(f(np.array([tp.x_a]), np.array([0.0]))[0])
-    return omega / (2.0 * math.pi) * _orbit_integral(f, H, p.delta3, tp)
-
-
 # Damped-secant fixed point of solve_frequency: damping of the fallback step,
 # tolerance on the step, and iteration cap.
 _ETA = 0.5
@@ -275,7 +258,7 @@ _TOL = 1e-10
 _MAX_ITER = 200
 
 
-def solve_frequency(H, p: SystemParams, regime: MotionRegime, strict: bool = True):
+def solve_frequency(H, p: SystemParams, regime: MotionRegime):
     """Fixed point of omega -> 2*pi / T(H; delta_eff(omega)) at each energy H.
 
     Every element is seeded at sqrt(2*delta1) and takes secant steps on the
@@ -283,9 +266,9 @@ def solve_frequency(H, p: SystemParams, regime: MotionRegime, strict: bool = Tru
     omega + _ETA * residual whenever the secant step misbehaves; it is frozen
     once a step is below _TOL.  Returns a float for scalar H, else an array of
     H's shape.  Raises inside the separatrix exclusion band, on bi-stability
-    loss at any iterate, when the iteration cap is exhausted, and (with strict)
-    when H lies below the self-consistent well bottom.  Each error names the
-    first offending energy.
+    loss at any iterate, when the iteration cap is exhausted, and when H lies
+    below the self-consistent well bottom.  Each error names the first
+    offending energy.
     """
     H = np.asarray(H, dtype=float)
     band = exclusion_band(p)
@@ -327,7 +310,7 @@ def solve_frequency(H, p: SystemParams, regime: MotionRegime, strict: bool = Tru
         raise ConvergenceError(
             f"H={h[idx][0]}: frequency iteration did not converge for {regime.name}"
         )
-    if strict and well:
+    if well:
         _raise_below_bottom(
             h, well_bottom(p, stiffness_margin(p, out)),
             "below the self-consistent well bottom",
@@ -384,10 +367,11 @@ class FrequencyTable:
     """Tabulated omega(H) per motion regime, read through one piecewise cubic.
 
     The single-well branch covers H in [H_neg[0], -band] (left and right wells are
-    symmetric); the cross-well branch covers [band, H_pos[-1]].  The cubic runs
-    over the knots concat(H_neg, H_pos): each branch is its monotone cubic
-    (_pchip_slopes) and the segment [-band, band] across the excluded band is
-    the straight line between omega_neg[-1] and omega_pos[0].  coeffs[:, k]
+    symmetric); the cross-well branch covers [band, H_pos[-1]], where
+    band = H_pos[0] = -H_neg[-1] is the exclusion band's half-width.  The cubic
+    runs over the knots concat(H_neg, H_pos): each branch is its monotone cubic
+    (_pchip_slopes) and the segment [-band, band] across the band is the
+    straight line between omega_neg[-1] and omega_pos[0].  coeffs[:, k]
     holds segment k's (c0, c1, c2, c3) in s = H - knots[k], so that
     omega = c0 s^3 + c1 s^2 + c2 s + c3; slopes holds each branch's knot
     slopes.
@@ -397,7 +381,6 @@ class FrequencyTable:
     omega_neg: np.ndarray
     H_pos: np.ndarray
     omega_pos: np.ndarray
-    band: float
     knots: np.ndarray = field(init=False, repr=False, compare=False)
     slopes: np.ndarray = field(init=False, repr=False, compare=False)
     coeffs: np.ndarray = field(init=False, repr=False, compare=False)
@@ -502,4 +485,4 @@ def build_table(
     H_pos = np.geomspace(band, H_max, _TABLE_SAMPLES)
     omega_neg = solve_frequency(H_neg, p, MotionRegime.RIGHT_WELL)
     omega_pos = solve_frequency(H_pos, p, MotionRegime.CROSS_WELL)
-    return FrequencyTable(H_neg, omega_neg, H_pos, omega_pos, band)
+    return FrequencyTable(H_neg, omega_neg, H_pos, omega_pos)

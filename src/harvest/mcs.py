@@ -281,10 +281,7 @@ def _step_cells(
         skip,
     )
     g = cfg.grid
-    hspec = (
-        g.x_min, (g.x_max - g.x_min) / g.nx, g.nx,
-        g.v_min, (g.v_max - g.v_min) / g.nv, g.nv,
-    )
+    hspec = (g.x_min, (g.x_max - g.x_min) / g.nx, g.v_min, (g.v_max - g.v_min) / g.nv)
     # one forcing column per distinct excitation, spread over its cells' rows
     drives = list(dict.fromkeys(ex for _, _, ex in cells))
     drive_of_row = np.repeat([drives.index(ex) for _, _, ex in cells], k)
@@ -487,10 +484,10 @@ def _segment_periodograms(
     divergent: np.ndarray,
     n_seg: int,
     step: int,
-    bins=slice(None),
+    bins,
 ) -> np.ndarray:
     """Hann-windowed periodograms of every segment of every clean trajectory,
-    one row per segment, kept on `bins` only (every bin by default)."""
+    one row per segment, kept on `bins` only (slice(None) keeps every bin)."""
     window = np.hanning(n_seg)
     wnorm = np.sum(window**2)
     rows = np.flatnonzero(~divergent)

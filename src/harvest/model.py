@@ -183,11 +183,11 @@ def colored_noise_factors(ec: EffectiveCoeffs, c: float):
     return chi, ec.beta_eff * chi
 
 
-def effective_potential(x, p: SystemParams, d_eff, forcing=0.0):
-    """Potential of the equivalent oscillator with stiffness correction d_eff
-    (effective_coeffs(...).delta_eff); caller supplies the instantaneous forcing."""
+def effective_potential(x, p: SystemParams, d_eff):
+    """Unforced potential of the equivalent oscillator with stiffness
+    correction d_eff (effective_coeffs(...).delta_eff)."""
     x = np.asarray(x, dtype=float)
-    out = bare_potential(x, p) + 0.5 * d_eff * x**2 - x * forcing
+    out = bare_potential(x, p) + 0.5 * d_eff * x**2
     return out if out.ndim else float(out)
 
 

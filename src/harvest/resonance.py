@@ -52,15 +52,15 @@ def snr_equilibria(p: SystemParams) -> tuple[float, float, float]:
 
 
 def linearization_eigenvalues(
-    p: SystemParams, x_m: float, omega_eq: float, ec: EffectiveCoeffs
+    p: SystemParams, x_m: float, ec: EffectiveCoeffs
 ) -> tuple[complex, complex]:
     """Eigenvalues of the linearization about an equilibrium displacement x_m.
 
-    The damping slot is the full effective damping ec.beta_eff at omega_eq
+    The damping slot is the full effective damping ec.beta_eff at ec.omega
     (which already contains the circuit back-action term).
     """
     gamma = ec.beta_eff
-    curv = -p.delta1 + circuit_stiffness(p, omega_eq) + 3.0 * p.delta3 * x_m**2
+    curv = -p.delta1 + circuit_stiffness(p, ec.omega) + 3.0 * p.delta3 * x_m**2
     disc = gamma * gamma - 4.0 * curv
     sq = complex(disc) ** 0.5
     lam_plus = 0.5 * (-gamma + sq)
@@ -90,8 +90,8 @@ def _two_state(p: SystemParams, ex: ExcitationParams, D, c: float) -> ResonanceR
         raise ParameterError(f"D and c must be > 0, got D={D}, c={c}")
     x_s, x_s_m, omega_eq = snr_equilibria(p)
     ec = effective_coeffs(p, omega_eq)
-    lam_s = linearization_eigenvalues(p, x_s, omega_eq, ec)
-    lam_u = linearization_eigenvalues(p, 0.0, omega_eq, ec)
+    lam_s = linearization_eigenvalues(p, x_s, ec)
+    lam_u = linearization_eigenvalues(p, 0.0, ec)
     prod_s = (lam_s[0] * lam_s[1]).real  # product of roots: real and positive
     lam_u_plus = lam_u[0].real
     lam_u_minus = abs(lam_u[1].real)

@@ -206,9 +206,7 @@ class TestJointSpd:
         i, j = np.unravel_index(np.argmax(fld.values), fld.values.shape)
         x_peak = abs(fld.x[i])
         assert abs(fld.v[j]) < 1.5 * (fld.v[1] - fld.v[0])
-        om = solve_frequency(
-            -0.99 * 0.6, controlled_system, MotionRegime.RIGHT_WELL, strict=False
-        )
+        om = solve_frequency(-0.99 * 0.6, controlled_system, MotionRegime.RIGHT_WELL)
         xm = well_minimum(controlled_system, stiffness_margin(controlled_system, om))
         assert abs(x_peak - xm) <= 1.5 * (fld.x[1] - fld.x[0])
 

@@ -395,6 +395,46 @@ class TestCliCommands:
         assert main(["power", "--config", malformed_set,
                      "--set", "nonsense"]) == 2
 
+    def test_seed_override_fills_a_null_sim_block(self, tmp_path):
+        """--seed N and --set sim.seed=N take one path: on a config whose sim
+        block is null both write the same CSV and the same document."""
+        cfg_path = write_cfg(tmp_path, doc(sim=None))
+        for out, flags in (("a", ["--seed", "5"]), ("b", ["--set", "sim.seed=5"])):
+            argv = ["snr", "--config", cfg_path, "--out", str(tmp_path / out)]
+            assert main(argv + flags) == 0
+        csv_a, csv_b = ((tmp_path / d / "harvest_snr.csv").read_bytes() for d in "ab")
+        assert csv_a == csv_b
+        meta_a, meta_b = (
+            json.loads((tmp_path / d / "harvest_snr.meta.json").read_text()) for d in "ab"
+        )
+        assert meta_a["config"] == meta_b["config"]
+        assert meta_a["seed"] == meta_b["seed"] == 5
+
+    @pytest.mark.parametrize("flags", [["--seed", "5"], ["--set", "sim.seed=5"]])
+    def test_seed_override_rejects_a_sim_block_that_is_not_an_object(
+        self, tmp_path, capsys, flags
+    ):
+        cfg_path = write_cfg(tmp_path, doc(sim=[1]))
+        argv = ["snr", "--config", cfg_path, "--out", str(tmp_path)]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'sim' is not an object" in err
+        assert list(tmp_path.glob("harvest_*")) == []
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("flag", ["--out", "output.dir"])
+    def test_output_directory_that_is_a_file(self, tmp_path, capsys, flag, below):
+        """An output directory that names an existing file, or a path under
+        one, exits 2 with the output-file error instead of a traceback."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = str(blocker / "sub" if below else blocker)
+        argv = ["snr", "--config", write_cfg(tmp_path, doc())]
+        argv += ["--out", out] if flag == "--out" else ["--set", f"output.dir={out}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output file ")
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize("key, value", [
         ("prefix", "null"), ("dir", "[1]"), ("prefix", "7"), ("dir", "false"),
     ])

@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 from scipy.special import ellipkm1
 
 from harvest import averaging, freq
+from harvest.averaging import loop_average
 
 from harvest.errors import (
     BistabilityLossError,
@@ -28,7 +29,6 @@ from harvest.freq import (
     _ellipkm1,
     build_table,
     exclusion_band,
-    orbit_average,
     period_integral,
     solve_frequency,
     turning_points,
@@ -248,23 +248,23 @@ class TestOrbitAverage:
         p = bare()
         om = 1.0
         for H, regime in [(-0.3, MotionRegime.RIGHT_WELL), (0.5, MotionRegime.CROSS_WELL)]:
-            msv = orbit_average(lambda x, v: v * v, H, p, om, regime)
-            virial = orbit_average(
+            msv = loop_average(lambda x, v: v * v, H, p, regime, om)
+            virial = loop_average(
                 lambda x, v: x * (-p.delta1 * x + p.delta3 * x**3),
-                H, p, om, regime,
+                H, p, regime, om,
             )
             assert msv == pytest.approx(virial, rel=1e-6)
 
     def test_odd_velocity_moments_vanish(self):
         p = bare()
         for H, regime in [(-0.3, MotionRegime.RIGHT_WELL), (0.5, MotionRegime.CROSS_WELL)]:
-            m1 = orbit_average(lambda x, v: v, H, p, 1.0, regime)
+            m1 = loop_average(lambda x, v: v, H, p, regime, 1.0)
             assert abs(m1) < 1e-12
 
     def test_constant_averages_to_itself(self):
         p = bare()
-        avg = orbit_average(
-            lambda x, v: np.ones_like(x), -0.3, p, 1.0, MotionRegime.RIGHT_WELL
+        avg = loop_average(
+            lambda x, v: np.ones_like(x), -0.3, p, MotionRegime.RIGHT_WELL, 1.0
         )
         # <1> = (omega/2pi) * T(H) evaluated at the passed omega, which here is
         # not the self-consistent one; evaluate the ratio explicitly.
@@ -274,9 +274,9 @@ class TestOrbitAverage:
     def test_constant_near_band_at_the_fixed_point(self):
         """At the self-consistent frequency omega T / (2 pi) = 1, so the time
         average of 1 is 1, also next to the separatrix."""
-        avg = orbit_average(
+        avg = loop_average(
             lambda x, v: np.ones_like(x), NEAR_BAND_H, NEAR_BAND_SYSTEM,
-            float(NEAR_BAND_OMEGA_SC), MotionRegime.CROSS_WELL,
+            MotionRegime.CROSS_WELL, float(NEAR_BAND_OMEGA_SC),
         )
         assert abs(avg - 1.0) <= 1e-12
 
@@ -296,10 +296,10 @@ class TestOrbitAverage:
 
         at_min = float(f(np.array([well_minimum(p, a)]), np.array([0.0]))[0])
         regime = MotionRegime.RIGHT_WELL
-        assert orbit_average(f, u_min + 0.5 * gap, p, omega, regime) == at_min
+        assert loop_average(f, u_min + 0.5 * gap, p, regime, omega) == at_min
         tp = turning_points(u_min + 2.0 * gap, p, omega, regime)
         assert tp.x_a < tp.x_b
-        assert orbit_average(f, u_min + 2.0 * gap, p, omega, regime) == (
+        assert loop_average(f, u_min + 2.0 * gap, p, regime, omega) == (
             pytest.approx(at_min, rel=1e-9)
         )
 
@@ -316,14 +316,14 @@ class TestOrbitAverage:
             return 1.0 + x**3 + v * v
 
         regime = MotionRegime.RIGHT_WELL
-        collapsed = orbit_average(f, u_min + 0.5 * gap, p, 1.0, regime)
-        opened = orbit_average(f, u_min + 2.0 * gap, p, 1.0, regime)
+        collapsed = loop_average(f, u_min + 0.5 * gap, p, regime, 1.0)
+        opened = loop_average(f, u_min + 2.0 * gap, p, regime, 1.0)
         assert collapsed == pytest.approx(opened, rel=1e-9)
 
 
 def test_one_rule_below_the_well_bottom():
     """Just below the well bottom of bare(), at 1e-14 and 5e-13 of its depth,
-    solve_frequency, orbit_average and drift_diffusion either all accept the
+    solve_frequency, loop_average and drift_diffusion either all accept the
     energy or all raise EnergyRangeError."""
     p = bare()
     regime = MotionRegime.RIGHT_WELL
@@ -339,8 +339,8 @@ def test_one_rule_below_the_well_bottom():
     for H in (-0.75 * (1.0 + 1e-14), -0.75 * (1.0 + 5e-13)):
         verdicts = [
             accepts(lambda: solve_frequency(H, p, regime)),
-            accepts(lambda: orbit_average(
-                lambda x, v: v * v, H, p, math.sqrt(6.0), regime
+            accepts(lambda: loop_average(
+                lambda x, v: v * v, H, p, regime, math.sqrt(6.0)
             )),
             accepts(lambda: averaging.drift_diffusion(H, p, noise, regime)),
         ]
@@ -433,8 +433,9 @@ def scipy_lookup(table: FrequencyTable, H: np.ndarray):
     pos_interp = PchipInterpolator(table.H_pos, table.omega_pos)
     om = np.empty_like(H)
     dom = np.zeros_like(H)
-    neg = H <= -table.band
-    pos = H >= table.band
+    band = table.H_pos[0]
+    neg = H <= -band
+    pos = H >= band
     mid = ~(neg | pos)
     Hc = np.clip(H[neg], table.H_neg[0], None)
     om[neg] = neg_interp(Hc)
@@ -442,8 +443,8 @@ def scipy_lookup(table: FrequencyTable, H: np.ndarray):
     om[pos] = pos_interp(H[pos])
     dom[pos] = pos_interp(H[pos], 1)
     w_lo, w_hi = table.omega_neg[-1], table.omega_pos[0]
-    om[mid] = w_lo + (w_hi - w_lo) * (H[mid] + table.band) / (2.0 * table.band)
-    dom[mid] = (w_hi - w_lo) / (2.0 * table.band)
+    om[mid] = w_lo + (w_hi - w_lo) * (H[mid] + band) / (2.0 * band)
+    dom[mid] = (w_hi - w_lo) / (2.0 * band)
     return om, dom
 
 
@@ -464,7 +465,7 @@ class TestFrequencyTable:
             table.lookup_bridged(1e9)
 
     def test_bridged_lookup_is_continuous_across_band(self, table):
-        band = table.band
+        band = table.H_pos[0]
         H = np.array([-band, 0.0, band])
         vals = table.lookup_bridged(H)
         assert vals[0] == pytest.approx(table.omega_neg[-1], rel=1e-12)
@@ -506,7 +507,7 @@ class TestFrequencyTable:
         table = averaging._table_for(p, grid)
         X, V = np.meshgrid(*grid.axes(), indexing="ij")
         H = averaging._self_consistent_fields(p, X, V, table)[0].ravel()
-        H = H[np.abs(H) > table.band]
+        H = H[np.abs(H) > table.H_pos[0]]
         assert H.size > 40000
         om, dom = table.lookup_bridged(H, slope=True)
         ref_om, ref_dom = scipy_lookup(table, H)
@@ -518,18 +519,18 @@ class TestFrequencyTable:
         knot off the band: bit for bit scipy's value and slope."""
         rng = np.random.default_rng(5)
         H = np.concatenate((
-            rng.uniform(table.H_neg[0] - 1.0, -table.band, 20000),
-            rng.uniform(table.band, table.H_pos[-1], 20000),
+            rng.uniform(table.H_neg[0] - 1.0, -table.H_pos[0], 20000),
+            rng.uniform(table.H_pos[0], table.H_pos[-1], 20000),
             table.knots,
         ))
-        H = H[np.abs(H) > table.band]
+        H = H[np.abs(H) > table.H_pos[0]]
         om, dom = table.lookup_bridged(H, slope=True)
         ref_om, ref_dom = scipy_lookup(table, H)
         assert np.array_equal(om, ref_om)
         assert np.array_equal(dom, ref_dom)
 
     def test_slope_matches_finite_difference(self, table):
-        band = table.band
+        band = table.H_pos[0]
         H = np.array([table.H_neg[0] - 1.0, -0.5, -0.05, -10 * band, 0.0,
                       10 * band, 0.3, 7.0])
         om, dom = table.lookup_bridged(H, slope=True)
@@ -543,8 +544,8 @@ class TestFrequencyTable:
         """slope_bound(lo, hi) is at least |omega'| sampled densely on [lo, hi],
         for intervals below, across and above the band."""
         centers = np.concatenate([
-            -np.geomspace(table.band, -table.H_neg[0], 40),
-            np.geomspace(table.band, table.H_pos[-1] / 2, 40),
+            -np.geomspace(table.H_pos[0], -table.H_neg[0], 40),
+            np.geomspace(table.H_pos[0], table.H_pos[-1] / 2, 40),
         ])
         frac = np.random.default_rng(3).uniform(0.0, 0.5, centers.size)
         widths = frac * np.abs(centers)

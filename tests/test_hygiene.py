@@ -39,9 +39,14 @@ def test_no_unused_imports(path):
 
 
 PACKAGE = sorted((ROOT / "src" / "harvest").glob("*.py"))
-CALLERS = sorted(
-    [*PACKAGE, *(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tests").glob("*.py")]
-)
+# The code outside the package whose calls count as uses: the acceptance
+# tests and the benchmark scripts.  A unit test exercises a name; it does not
+# use it.
+OUTSIDE = [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]
+
+
+def _parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _defaulted(fn: ast.FunctionDef):
@@ -85,8 +90,8 @@ def _passed(calls) -> dict[str, tuple[int, set[str]]]:
 
 def unset_defaults() -> list[str]:
     """'function.parameter' for each defaulted parameter of a package function
-    that no call in the package, the benchmark or the tests passes."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
+    that no call in the package or OUTSIDE passes."""
+    trees = {path: _parse(path) for path in [*PACKAGE, *OUTSIDE]}
     passed = _passed(
         node for tree in trees.values() for node in ast.walk(tree)
         if isinstance(node, ast.Call)
@@ -104,7 +109,8 @@ def unset_defaults() -> list[str]:
 
 
 def test_every_default_is_set():
-    """A default that no call overrides is a constant in disguise."""
+    """A default that no call overrides, or that only unit tests override, is
+    a constant in disguise."""
     assert unset_defaults() == []
 
 
@@ -125,16 +131,11 @@ def _names_read(tree: ast.AST) -> set[str]:
     }
 
 
-def _parse(path: pathlib.Path) -> ast.Module:
-    return ast.parse(path.read_text(encoding="utf-8"))
-
-
 def uncalled_public_names() -> list[str]:
     """'module.name' for each module-level public function or class of the
-    package that no code of the package outside its own definition, no
-    acceptance test and no benchmark script reads."""
-    outside = [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]
-    read = set().union(*(_names_read(_parse(path)) for path in outside))
+    package that no code of the package outside its own definition and no
+    file of OUTSIDE reads."""
+    read = set().union(*(_names_read(_parse(path)) for path in OUTSIDE))
     public, read_by = [], {}
     for path in PACKAGE:
         for node in _parse(path).body:

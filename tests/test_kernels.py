@@ -53,13 +53,14 @@ class TestKernelDirect:
 def _reference_chunk_batch(
     x, v, V, xi, alive, xh, vh, s0, n, forcing, draws, dt, beta, delta1,
     delta3, kappa, alpha, mu, nu, k1, f1, k2, f2, E_ou, S_ou, skip, hist,
-    x_min, dx, nx, v_min, dv, nv, acc, series, store,
+    x_min, dx, v_min, dv, acc, series, store,
 ):
     """The one-step-at-a-time kernel that the blocked kernel replaced, kept
     verbatim as the bit-for-bit oracle: every step reads its delayed rows and
     evaluates the whole update in one expression."""
     L = xh.shape[0] - n - 1
     m = x.shape[0]
+    nx, nv = hist.shape[1:]
     xh[L] = x
     vh[L] = v
     xis = np.empty((n + 1, m))

@@ -397,7 +397,7 @@ class TestBootstrap:
             return (float(mean_spec[j]) - background) / background
 
         n_seg = 5000
-        pgs = mcs._segment_periodograms(series, divergent, n_seg, 2500)
+        pgs = mcs._segment_periodograms(series, divergent, n_seg, 2500, slice(None))
         freqs = 2.0 * math.pi * np.fft.rfftfreq(n_seg, d=dt)
         j = int(np.argmin(np.abs(freqs - omega)))
         assert (j >= 7) == (omega == 0.5)

@@ -192,13 +192,6 @@ class TestDerivedQuantities:
         with pytest.raises(BistabilityLossError):
             well_minimum(p, stiffness_margin(p, 2.0))
 
-    def test_forcing_tilts_potential(self, baseline_system):
-        p = baseline_system
-        d_eff = effective_coeffs(p, 2.0).delta_eff
-        assert effective_potential(1.0, p, d_eff, forcing=0.01) == pytest.approx(
-            effective_potential(1.0, p, d_eff) - 0.01
-        )
-
     def test_equilibrium_for_regime(self, baseline_system):
         p = baseline_system
         xs = math.sqrt(p.delta1 / p.delta3)

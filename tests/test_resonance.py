@@ -74,13 +74,13 @@ class TestEigenvalues:
     def test_stable_point_attracts(self, controlled_system):
         xs, _, om = snr_equilibria(controlled_system)
         ec = effective_coeffs(controlled_system, om)
-        lam = linearization_eigenvalues(controlled_system, xs, om, ec)
+        lam = linearization_eigenvalues(controlled_system, xs, ec)
         assert lam[0].real < 0 and lam[1].real < 0
 
     def test_saddle_has_one_unstable_direction(self, controlled_system):
         _, _, om = snr_equilibria(controlled_system)
         ec = effective_coeffs(controlled_system, om)
-        lam = linearization_eigenvalues(controlled_system, 0.0, om, ec)
+        lam = linearization_eigenvalues(controlled_system, 0.0, ec)
         reals = sorted(ell.real for ell in lam)
         assert reals[0] < 0 < reals[1]
 
@@ -88,7 +88,7 @@ class TestEigenvalues:
         """Vieta: the product of the two eigenvalues equals the curvature term."""
         p = controlled_system
         xs, _, om = snr_equilibria(p)
-        lam = linearization_eigenvalues(p, xs, om, effective_coeffs(p, om))
+        lam = linearization_eigenvalues(p, xs, effective_coeffs(p, om))
         curv = (
             -p.delta1
             + p.kappa * om**2 / (p.alpha**2 + om**2)
