@@ -149,13 +149,10 @@ def energy_spd(
     return dens / Z
 
 
-@functools.lru_cache(maxsize=8)
 def _table_for(p: SystemParams, grid: GridSpec) -> FrequencyTable:
     """Frequency table wide enough to cover every energy reachable on the grid.
 
-    The table depends only on the system and the grid, not on the noise, so it
-    is cached: a sweep over noise.* builds it once per process.  Its arrays are
-    read-only, so the shared table cannot be changed by a caller.
+    It is built once per field solve; _fields_for keeps the fields it gives.
     """
     d_eff = effective_coeffs(p, seed_frequency(p)).delta_eff
     xm = max(abs(grid.x_min), abs(grid.x_max))
@@ -296,8 +293,8 @@ def _damped_fields(p, base, x, table, d_span):
 
 @dataclass(frozen=True)
 class _Fields:
-    """Self-consistent energy and frequency over an (x, v) grid; the cached
-    fields of _fields_for also hold the squared voltage map."""
+    """Self-consistent energy and frequency over an (x, v) grid; the
+    memoized fields of _fields_for also hold the squared voltage map."""
 
     x: np.ndarray
     v: np.ndarray
@@ -334,12 +331,12 @@ def _squared_voltage(p: SystemParams, f: _Fields) -> np.ndarray:
     return volt * volt
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _fields_for(p: SystemParams, grid: GridSpec) -> _Fields:
-    """_grid_fields and their squared voltage map, cached like _table_for:
-    neither depends on the noise, so a sweep over noise.* computes them once
-    per process.  Their arrays are read-only, so the shared fields cannot be
-    changed by a caller."""
+    """_grid_fields and their squared voltage map, memoized for the last
+    (system, grid) pair: neither depends on the noise, so cells of one system
+    run one after another (as a sweep groups them) solve them once.  Their
+    arrays are read-only, so the shared fields cannot be changed by a caller."""
     f = _grid_fields(p, grid)
     f = replace(f, volt_sq=_squared_voltage(p, f))
     ec = f.ec
@@ -374,8 +371,8 @@ def joint_spd(
 
     The grid expands, up to five times, until the boundary density falls
     below 1e-12 of the peak, so normalization captures the tails.  The fields
-    of each grid are solved afresh, not cached, so the expansion keeps no
-    earlier grid alive.
+    of each grid are solved afresh, not through _fields_for, so the expansion
+    keeps no earlier grid alive and squares no voltage map.
     """
     if grid is None:
         grid = GridSpec()

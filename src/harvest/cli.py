@@ -148,7 +148,7 @@ def _cmd_snr(cfg: RunConfig, out_dir, t0) -> int:
         int(r.linear_response_ok), int(r.underflow),
     ]]
     emit_csv(_out_path(cfg, out_dir, "snr"), header, rows, _base_meta(cfg, "snr", t0))
-    return 0
+    return 0 if r.linear_response_ok else 1
 
 
 def _cmd_mcs(cfg: RunConfig, out_dir, t0) -> int:
@@ -213,11 +213,9 @@ def _failure(e: Exception) -> tuple[str, str]:
     return type(e).__name__, str(e)
 
 
-def _sweep_cell(args):
-    """Analytic quantities of one cell, as a one-cell list of ({quantity:
-    value}, {quantity: (error type, message)}); a failed quantity reads NaN."""
-    cfg, assignments, quantities = args
-    cfg = _cell_config(cfg, assignments)
+def _sweep_cell(cfg: RunConfig, quantities):
+    """Analytic quantities of one cell, as ({quantity: value}, {quantity:
+    (error type, message)}); a failed quantity reads NaN."""
     values = {}
     failures = {}
     for q in quantities:
@@ -239,7 +237,13 @@ def _sweep_cell(args):
             # any failure is confined to this cell so the other rows survive
             values[q] = math.nan
             failures[q] = _failure(e)
-    return [(values, failures)]
+    return values, failures
+
+
+def _system_cells(args):
+    """_sweep_cell of each cell of one system, sharing one field solve."""
+    configs, quantities = args
+    return [_sweep_cell(c, quantities) for c in configs]
 
 
 def _ensemble_values(est, quantity: str):
@@ -288,15 +292,15 @@ def _run_tasks(tasks, threads: int):
 def run_sweep(cfg: RunConfig, threads: int = 1):
     """Evaluate the configured quantities over the 1-D or 2-D parameter grid.
 
-    The Monte Carlo ensembles of all cells are planned once (mcs.plan) and
-    run first, as the rows of few lockstep batches; then each cell's
-    analytic quantities.  Failures are
-    encoded per cell, never dropped, and results are merged in grid order
-    regardless of scheduling.  Returns the CSV header and rows, one
-    {cell, quantity, message} entry per exception raised in a cell and per
-    quantity rerun after a worker process died, where cell holds the cell's
-    parameter values, and the lockstep batches of cell indices that were
-    stepped.
+    Each cell's config is built once.  The cells' Monte Carlo ensembles are
+    planned once (mcs.plan) and run first, as the rows of few lockstep
+    batches; then the analytic quantities, one task per system, so each
+    system's fields are solved once at any axis order or pool size.  Failures
+    are encoded per cell, never dropped, and results are merged in grid order
+    regardless of scheduling.  Returns the CSV header and rows, one {cell,
+    quantity, message} entry per exception raised in a cell and per quantity
+    rerun after a worker process died, where cell holds the cell's parameter
+    values, and the lockstep batches of cell indices that were stepped.
     """
     if cfg.sweep is None:
         raise ConfigError("config has no sweep block")
@@ -305,7 +309,7 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
     coords = list(itertools.product(
         *(spaces[ax.scale](ax.start, ax.stop, ax.count) for ax in axes)
     ))
-    assignments = [tuple(zip([ax.param for ax in axes], point)) for point in coords]
+    configs = [_cell_config(cfg, zip([ax.param for ax in axes], p)) for p in coords]
     quantities = tuple(dict.fromkeys(cfg.sweep.quantities))
     analytic = tuple(q for q in quantities if q not in _ENSEMBLE_QUANTITIES)
     ensemble = tuple(q for q in quantities if q in _ENSEMBLE_QUANTITIES)
@@ -318,10 +322,7 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
         # a sweep has no spectral SNR column, so it stores no series and runs
         # no periodograms
         sim = dataclasses.replace(cfg.sim, psd=None)
-        cells = [
-            (c.system, c.noise, c.excitation)
-            for c in (_cell_config(cfg, a) for a in assignments)
-        ]
+        cells = [(c.system, c.noise, c.excitation) for c in configs]
         batches, unsteppable = mcs.plan(cells, sim)
         for i, e in unsteppable.items():
             values[i], failures[i] = _ensemble_values(e, ensemble[0])
@@ -330,9 +331,13 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
             for b in batches
         ]
     if analytic:
+        # every analytic power reads GridSpec(): cells of a system share fields
+        systems = {}
+        for i, c in enumerate(configs):
+            systems.setdefault(c.system, []).append(i)
         tasks += [
-            (_sweep_cell, (cfg, a, analytic), [i], analytic)
-            for i, a in enumerate(assignments)
+            (_system_cells, ([configs[i] for i in ids], analytic), ids, analytic)
+            for ids in systems.values()
         ]
     results, rerun = _run_tasks([task[:2] for task in tasks], threads)
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .averaging import GridSpec
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .mcs import PsdSettings, SimConfig
 from .model import ExcitationParams, NoiseParams, SystemParams
 
@@ -207,7 +207,8 @@ def parse_config(document: str | dict) -> RunConfig:
     """Parse and validate one JSON run document into a RunConfig.
 
     Physical-validity violations (negative stiffness and the like) surface as
-    ParameterError from the domain types; schema violations as ConfigError.
+    ParameterError from the domain types; schema violations as ConfigError,
+    and so is a sweep axis with an end out of its parameter's range.
     """
     if isinstance(document, str):
         try:
@@ -239,6 +240,7 @@ def parse_config(document: str | dict) -> RunConfig:
     sim = SimConfig(**sim_raw)
 
     sweep = None
+    blocks = {"system": system, "noise": noise, "excitation": excitation}
     if "sweep" in doc:
         sweep_raw = _block(doc["sweep"], _SWEEP, "sweep", applied)
         axes = []
@@ -247,6 +249,12 @@ def parse_config(document: str | dict) -> RunConfig:
             ax = SweepAxis(**_block(raw, _AXIS, path, applied))
             if ax.scale == "log" and not (ax.start > 0 and ax.stop > 0):
                 raise ConfigError(f"{path}: log scale needs positive bounds")
+            block, key = ax.param.split(".", 1)
+            for end in (ax.start, ax.stop):  # each domain check bounds one side
+                try:
+                    replace(blocks[block], **{key: end})
+                except ParameterError as e:
+                    raise ConfigError(f"{path}: {e}") from e
             if any(other.param == ax.param for other in axes):
                 raise ConfigError(f"{path}.param: '{ax.param}' is swept twice")
             axes.append(ax)

@@ -20,9 +20,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(autouse=True)
 def cold_analytic_caches():
-    """Every test starts with empty frequency-table and field caches, so a test
-    that counts solves or cache hits does not depend on the tests before it."""
-    averaging._table_for.cache_clear()
+    """Every test starts with an empty field memo, so a test that counts
+    solves or memo hits does not depend on the tests before it."""
     averaging._fields_for.cache_clear()
 
 

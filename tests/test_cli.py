@@ -218,6 +218,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"system\.delta1.*swept twice"):
             parse_config(d)
 
+    @pytest.mark.parametrize("param, start, stop", [
+        ("system.kappa", -0.1, 0.3),
+        ("system.tau2", 2.0, -1.0),
+        ("noise.c", 0.3, 0.0),
+        ("excitation.G", -0.5, 0.5),
+    ])
+    def test_axis_end_out_of_range_rejected(self, param, start, stop):
+        """An axis whose start or stop is outside its parameter's range is
+        rejected at parse time, naming the axis, before any cell runs."""
+        d = doc(sweep={"axes": [
+            {"param": "noise.D", "start": 1e-3, "stop": 1e-2, "count": 2},
+            {"param": param, "start": start, "stop": stop, "count": 3},
+        ]})
+        with pytest.raises(ConfigError, match=r"^sweep\.axes\[1\]: "):
+            parse_config(d)
+        d["sweep"]["axes"].reverse()
+        with pytest.raises(ConfigError, match=r"^sweep\.axes\[0\]: "):
+            parse_config(d)
+
     @pytest.mark.parametrize("start, stop", [(0.0, 0.1), (0.1, -1.0)])
     def test_log_scale_needs_positive_bounds(self, start, stop):
         d = doc(sweep={"axes": [{"param": "noise.D", "start": start, "stop": stop,
@@ -315,6 +334,19 @@ class TestCliCommands:
         vals = dict(zip(header, rows[0]))
         assert float(vals["snr"]) > 0
         assert float(vals["x_s_plus"]) == -float(vals["x_s_minus"])
+
+    def test_snr_without_linear_response_exits_1(self, tmp_path):
+        """Where linear response fails the row is written with a NaN SNR and
+        linear_response_ok 0, and the run exits 1, as a sweep over the same
+        cell does."""
+        d = doc(noise={"D": 0.01, "c": 0.3},
+                excitation={"eps": 1.0, "G": 1.0, "Omega": 0.05})
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["snr", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+        header, rows = read_csv(tmp_path / "harvest_snr.csv")
+        vals = dict(zip(header, rows[0]))
+        assert vals["snr"] == "nan"
+        assert vals["linear_response_ok"] == "0"
 
     def test_mcs_and_seed_override(self, tmp_path):
         cfg_path = write_cfg(tmp_path, doc())
@@ -670,6 +702,37 @@ class TestSweep:
         _, rows = read_csv(tmp_path / "harvest_sweep.csv")
         assert len({r[1] for r in rows}) == 3
 
+    def test_each_system_is_solved_once_at_any_axis_order(self, monkeypatch):
+        """A 3 x 3 sweep over noise.D (outer) and system.mu (inner) visits
+        its three systems in turn; the analytic cells are grouped by system,
+        so each system's fields are solved once and its table built once,
+        and each cell still reads the power of its own system and noise."""
+        solves, tables = [], []
+        solve, build_table = averaging._self_consistent_fields, averaging.build_table
+
+        def counting_solve(p, *args):
+            solves.append(p)
+            return solve(p, *args)
+
+        def counting_table(*args, **kwargs):
+            tables.append(args)
+            return build_table(*args, **kwargs)
+
+        monkeypatch.setattr(averaging, "_self_consistent_fields", counting_solve)
+        monkeypatch.setattr(averaging, "build_table", counting_table)
+        d = doc(sweep={"axes": [
+            {"param": "noise.D", "start": 0.004, "stop": 0.008, "count": 3},
+            {"param": "system.mu", "start": -0.01, "stop": 0.0, "count": 3},
+        ], "quantities": ["power"]})
+        cfg = parse_config(d)
+        _, rows, errors, _ = run_sweep(cfg, threads=1)
+        assert errors == []
+        assert len(solves) == 3 and len(set(solves)) == 3
+        assert len(tables) == 3
+        for D, mu, power, _ in rows:
+            cell = cli._cell_config(cfg, [("noise.D", D), ("system.mu", mu)])
+            assert power == averaging.mean_power(cell.system, cell.noise)
+
     def test_one_ensemble_run_per_cell(self, tmp_path, monkeypatch):
         """The cells' ensembles step as the rows of one lockstep pass."""
         calls = []
@@ -850,15 +913,10 @@ class TestSweep:
         assert [r[-1] for r in rows] == ["ParameterError", "", ""]
         assert [e["quantity"] for e in cell_errors] == ["v_rms"]
 
-    @pytest.mark.parametrize("threads, quantities, workers", [
-        (8, ["power"], [3]),  # three analytic cells
-        (2, ["power", "v_rms"], [2]),  # one ensemble batch and three cells
-        (8, ["v_rms"], []),  # one ensemble batch: run inline
-    ])
-    def test_pool_is_capped_at_the_task_count(self, monkeypatch, threads,
-                                              quantities, workers):
-        """The pool starts no more workers than there are tasks, and none
-        for a single task.  The fake pool starts no process."""
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of each pool that run_sweep makes, with a fake
+        pool that starts no process and runs each task as it is submitted."""
         sizes = []
 
         class FakePool:
@@ -876,14 +934,36 @@ class TestSweep:
                 future.set_result(fn(arg))
                 return future
 
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", FakePool)
+        return sizes
+
+    @pytest.mark.parametrize("threads, quantities, workers", [
+        (8, ["power"], []),  # three analytic cells of one system: run inline
+        (2, ["power", "v_rms"], [2]),  # one ensemble batch and one system
+        (8, ["v_rms"], []),  # one ensemble batch: run inline
+    ])
+    def test_pool_is_capped_at_the_task_count(self, pool_sizes, threads,
+                                              quantities, workers):
+        """The pool starts no more workers than there are tasks, and none
+        for a single task."""
         d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
                                  "stop": 1e-1, "count": 3, "scale": "log"}],
                        "quantities": quantities})
         cfg = parse_config(d)
         serial = run_sweep(cfg, threads=1)
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", FakePool)
         assert run_sweep(cfg, threads=threads) == serial
-        assert sizes == workers
+        assert pool_sizes == workers
+
+    def test_one_analytic_task_per_system(self, pool_sizes):
+        """Three cells of three systems are three analytic tasks, one per
+        worker."""
+        d = doc(sweep={"axes": [{"param": "system.tau1", "start": 0.2,
+                                 "stop": 1.0, "count": 3}],
+                       "quantities": ["power"]})
+        cfg = parse_config(d)
+        serial = run_sweep(cfg, threads=1)
+        assert run_sweep(cfg, threads=8) == serial
+        assert pool_sizes == [3]
 
     def test_log_scale_axis(self, tmp_path):
         d = doc(sweep={"axes": [{"param": "noise.D", "start": 1e-3,
