@@ -5,8 +5,8 @@ columns may belong to several sweep cells, each with its own parameters,
 noise and forcing.  State is kept step-major: row i of each per-chunk array
 is the ensemble at step s0 + i, so a delayed read is a plain row read.  The
 step loop does only the dynamics, unmasked; divergence, the accumulators,
-the histogram and the stored series are worked out once per chunk from the
-recorded rows.
+the histogram, the stored series and the rows handed to a sink are worked
+out once per chunk from the recorded rows.
 
 The loop is bound by the cost of a numpy call, not by its arithmetic, so it
 makes few and cheap ones:
@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Store nothing, the displacement only, or displacement/velocity/voltage.
+# Store nothing, or displacement/velocity/voltage.
 STORE_NONE = 0
-STORE_X = 1
 STORE_XVV = 2
 
 DIVERGENCE_LIMIT = 1.0e3
@@ -82,6 +81,7 @@ def _chunk_batch(
     acc,
     series,
     store,
+    sink,
 ):
     """Advance every trajectory of the ensemble by n Euler steps.
 
@@ -90,11 +90,15 @@ def _chunk_batch(
     entry rows 0 .. L-1 hold steps s0-L .. s0-1 (L > max(k1, k2)), and on
     exit they hold the last L steps of this chunk.  forcing is (n, 1) or
     (n, m); draws is (n, m) and is overwritten; acc is (m, 3), series
-    (m, 3 or 1, n_post).  The model parameters, f1, f2, E_ou and S_ou are
+    (m, 3, n_post).  The model parameters, f1, f2, E_ou and S_ou are
     scalars or (m,) rows.  hist is (cells, nx, nv): the rows are cell-major,
     m // cells to a cell, and each row counts into its cell's histogram, on
     the nx x nv grid of cells dx x dv wide from (x_min, v_min).
     Steps s0 .. s0+n-1 are taken; samples from step skip on are accumulated.
+    sink, when not None, is called once per chunk that has post-transient
+    steps as sink(rows, first): rows (steps, m) are their displacements, with
+    0.0 where a trajectory had stopped, and first is the post-transient index
+    of rows[0].
     A trajectory whose |x| exceeds DIVERGENCE_LIMIT (NaN counts) keeps the
     samples up to that step, is frozen in the state that crossed, and is
     cleared from alive.  Mutates everything in place.
@@ -209,9 +213,10 @@ def _chunk_batch(
 
             if store != STORE_NONE:
                 out = slice(s0 + i0 - skip, s0 + n - skip)
-                stored = (xp, vp, Vp) if store == STORE_XVV else (xp,)
-                for col, rows in enumerate(stored):
+                for col, rows in enumerate((xp, vp, Vp)):
                     series[:, col, out] = kept(rows).T
+            if sink is not None:
+                sink(kept(xp), s0 + i0 - skip)
 
     # a frozen trajectory keeps the state of the step that crossed the limit
     cols = np.arange(m)

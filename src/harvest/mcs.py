@@ -12,6 +12,10 @@ chunk's last steps on top, and accumulates the estimators once from them.
 plan groups the cells of a sweep into lockstep batches and run_batch steps
 each batch as the rows of one run (_step_cells); run_ensemble is a one-cell
 batch and simulate_trajectory a one-row _step_cells run.
+
+A psd run stores no series: each chunk hands its post-transient
+displacements to one _SpectralSums per cell, which keeps only the running
+windowed-DFT sums of every segment at the 11 bins the SNR reads.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# numpy loads these lazily; load them at import, so a run's time is its work:
-# every run draws from numpy.random, every psd run transforms with numpy.fft
-import numpy.fft  # noqa: F401
+# numpy loads this lazily; load it at import, so a run's time is its work:
+# every run draws from numpy.random
 import numpy.random  # noqa: F401
 
 from . import _kernels
@@ -36,6 +39,9 @@ from .model import (
 # drive, V, the x and v histories) and the temporaries of its estimators come
 # to about a dozen (1024, m) float arrays, less than (m, 16384) draws.
 _CHUNK = 1024
+
+# Post-transient samples per block of the spectral sums (_SpectralSums).
+_BLOCK = 1024
 
 # Rows of one lockstep batch of sweep cells.  A step costs far less than
 # proportionally more as the ensemble widens up to here (run_batch on the
@@ -240,6 +246,7 @@ def _step_cells(
     gens: list[np.random.Generator],
     x0: np.ndarray,
     store: int,
+    sink=None,
 ):
     """Step len(gens) trajectories of every cell in one lockstep ensemble.
 
@@ -248,11 +255,12 @@ def _step_cells(
     noise scales and forcing.  Row i of every cell reads gens[i]: each
     chunk's normals are drawn once and tiled across the cells, which scale
     them by their own noise, so a cell's rows are the ones its own run would
-    step.  x0 holds every row's start position.
+    step.  x0 holds every row's start position; sink is passed on to every
+    _chunk_batch call.
 
     Returns acc (rows, 3), the histogram counts of each cell (cells, nx, nv),
-    the divergent mask, the stored series (rows, columns, n_post) or None,
-    and the final (x, v, V, xi) arrays.
+    the divergent mask, the stored series (rows, 3, n_post) or None, and the
+    final (x, v, V, xi) arrays.
     """
     n_steps, skip, k1, k2 = _batch_key(*cells[0], cfg)
     # rows of history kept before each chunk: an interpolated delayed read
@@ -302,9 +310,8 @@ def _step_cells(
     vh[:n_back] = v
     acc = np.zeros((m, 3))
     alive = np.ones(m, dtype=bool)
-    n_cols = 1 if store == _kernels.STORE_X else 3
     series = (
-        np.zeros((m, n_cols, n_steps - skip)) if store != _kernels.STORE_NONE
+        np.zeros((m, 3, n_steps - skip)) if store != _kernels.STORE_NONE
         else np.zeros((m, 1, 1))
     )
     s0 = 0
@@ -323,7 +330,7 @@ def _step_cells(
         end = n_back + n + 1
         _kernels._chunk_batch(
             x, v, V, xi, alive, xh[:end], vh[:end], s0, n, forcing, draws,
-            *coeffs, hist, *hspec, acc, series, store,
+            *coeffs, hist, *hspec, acc, series, store, sink,
         )
         s0 += n
     out_series = series if store != _kernels.STORE_NONE else None
@@ -365,6 +372,17 @@ def simulate_trajectory(
     )
 
 
+@dataclass(frozen=True)
+class _PsdGeometry:
+    """Where the segments of a psd run lie and which bins its SNR reads."""
+
+    n_seg: int  # samples per segment
+    starts: range  # post-transient index of each segment's first sample
+    bins: np.ndarray  # the _snr_window of the drive bin, drive bin first
+    bin_freq: float  # angular frequency of the drive bin
+    freq_resolution: float
+
+
 def _check_segment(ex: ExcitationParams, cfg: SimConfig) -> None:
     drive_period = 2.0 * math.pi / ex.Omega
     if cfg.psd.segment_time < 10.0 * drive_period:
@@ -372,6 +390,109 @@ def _check_segment(ex: ExcitationParams, cfg: SimConfig) -> None:
             f"segment_time={cfg.psd.segment_time} must cover >= 10 drive "
             f"periods ({10.0 * drive_period:.6g})"
         )
+
+
+def _psd_geometry(ex: ExcitationParams, cfg: SimConfig) -> _PsdGeometry:
+    """The segments and SNR bins of a psd run, checked before it is stepped:
+    the run holds at least one segment, and the drive bin has background
+    bins on both sides."""
+    n_steps, skip = _step_counts(ex, cfg)
+    n_seg = int(round(cfg.psd.segment_time / cfg.dt))
+    step = max(1, int(round(n_seg * (1.0 - cfg.psd.overlap))))
+    starts = range(0, n_steps - skip - n_seg + 1, step)
+    if not starts:
+        raise ParameterError("no complete segments; increase t_total")
+    n_bins = n_seg // 2 + 1
+    # 2 pi * np.fft.rfftfreq(n_seg, cfg.dt), bit for bit
+    freqs = 2.0 * math.pi * (np.arange(n_bins) * (1.0 / (n_seg * cfg.dt)))
+    j = int(np.argmin(np.abs(freqs - ex.Omega)))
+    if j < 3 or j > n_bins - 8:
+        raise ParameterError("drive frequency too close to the spectral edge")
+    return _PsdGeometry(
+        n_seg, starts, _snr_window(j, n_bins), float(freqs[j]), float(freqs[1])
+    )
+
+
+class _SpectralSums:
+    """Running windowed-DFT sums of every psd segment of one cell's rows.
+
+    At an SNR bin k, DFT((x - mean) w)[k] = DFT(x w)[k] - mean DFT(w)[k]
+    (Welch 1967), so a segment needs only its sums of x w cos and -x w sin at
+    the bins and its sum of x, never its samples.  add copies post-transient
+    rows into a block of _BLOCK samples at fixed post-transient indices; each
+    full block, and the last partial one, adds its part of every segment it
+    overlaps with one matrix product.  The block edges do not depend on how
+    the run is chunked, so neither do the sums.
+    """
+
+    def __init__(self, geometry: _PsdGeometry, rows: int):
+        self.geometry = geometry
+        self.window = np.hanning(geometry.n_seg)
+        self.block = np.empty((_BLOCK, rows))
+        self.start = 0  # post-transient index of the block's first row
+        self.end = 0  # one past the last post-transient index added
+        # per row and segment: the cos sums, the sin sums, the sum of x
+        self.sums = np.zeros((rows, len(geometry.starts), 2 * geometry.bins.size + 1))
+
+    def _columns(self, offsets: np.ndarray) -> np.ndarray:
+        """w cos and -w sin at each bin, then ones, at the segment offsets:
+        shape (offsets, 2 bins + 1)."""
+        n_seg = self.geometry.n_seg
+        # the phase is reduced in integers, so it is exact at every offset
+        phase = offsets[:, None] * self.geometry.bins % n_seg
+        angle = phase * (2.0 * math.pi / n_seg)
+        w = self.window[offsets, None]
+        return np.hstack(
+            [w * np.cos(angle), -w * np.sin(angle), np.ones((offsets.size, 1))]
+        )
+
+    def add(self, rows: np.ndarray, first: int) -> None:
+        """Take the samples rows (steps, rows), from post-transient index
+        first on; a call starts where the one before it ended."""
+        i = 0
+        while i < len(rows):
+            at = first + i - self.start
+            take = min(len(rows) - i, _BLOCK - at)
+            self.block[at : at + take] = rows[i : i + take]
+            i += take
+            self.end = first + i
+            if at + take == _BLOCK:
+                self._flush()
+
+    def _flush(self) -> None:
+        """Add the block's rows to every segment they overlap."""
+        g = self.geometry
+        lo, hi = self.start, self.end
+        self.start = hi
+        if lo == hi:
+            return
+        step = g.starts.step
+        overlapping = range(
+            max(0, (lo - g.n_seg) // step + 1),
+            min(len(g.starts), (hi - 1) // step + 1),
+        )
+        # a row that diverged may hold inf or nan; it is dropped at the end
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in overlapping:
+                st = g.starts[s]
+                a, b = max(lo, st), min(hi, st + g.n_seg)
+                columns = self._columns(np.arange(a - st, b - st))
+                self.sums[:, s] += self.block[a - lo : b - lo].T @ columns
+
+    def periodograms(self, divergent: np.ndarray) -> np.ndarray:
+        """Hann periodograms at the SNR bins, one row per segment of each
+        row not in divergent, in row then segment order."""
+        self._flush()  # the last, partial block
+        n_seg, nb = self.geometry.n_seg, self.geometry.bins.size
+        dft_w = sum(
+            self._columns(np.arange(a, min(a + _BLOCK, n_seg))).sum(axis=0)
+            for a in range(0, n_seg, _BLOCK)
+        )
+        sums = self.sums[~divergent].reshape(-1, 2 * nb + 1)
+        mean = sums[:, -1:] / n_seg
+        re = sums[:, :nb] - mean * dft_w[:nb]
+        im = sums[:, nb:-1] - mean * dft_w[nb:-1]
+        return (re * re + im * im) / np.sum(self.window**2)
 
 
 def plan(cells: list[Cell], cfg: SimConfig):
@@ -385,6 +506,7 @@ def plan(cells: list[Cell], cfg: SimConfig):
         try:
             if cfg.psd is not None:
                 _check_segment(ex, cfg)
+                _psd_geometry(ex, cfg)
             key = _batch_key(p, noise, ex, cfg)
         except Exception as e:  # confined to this cell
             failures[i] = e
@@ -398,7 +520,7 @@ def plan(cells: list[Cell], cfg: SimConfig):
     return batches, failures
 
 
-def _estimates(p, ex, cfg, acc, hist, divergent, series) -> EnsembleEstimates:
+def _estimates(p, ex, cfg, acc, hist, divergent, spectra) -> EnsembleEstimates:
     """Pooled estimates of one cell from its rows of a lockstep run."""
     pm_sum = float(np.sum(acc[:, 0]))
     vsq_sum = float(np.sum(acc[:, 1]))
@@ -420,8 +542,8 @@ def _estimates(p, ex, cfg, acc, hist, divergent, series) -> EnsembleEstimates:
         n_divergent=int(np.sum(divergent)),
         n_samples=int(n),
         psd_snr=(
-            None if cfg.psd is None
-            else estimate_snr_psd(series, divergent, ex, cfg)
+            None if spectra is None
+            else estimate_snr_psd(spectra, divergent, ex, cfg)
         ),
     )
 
@@ -430,25 +552,33 @@ def run_batch(cells: list[Cell], cfg: SimConfig) -> list:
     """Per cell of one lockstep batch of plan, its EnsembleEstimates (its own
     run_ensemble, bit for bit) or the exception it raised; an exception of
     the lockstep pass is every cell's."""
+    k = cfg.n_traj
     gens = [
         np.random.default_rng(c)
-        for c in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
+        for c in np.random.SeedSequence(cfg.seed).spawn(k)
     ]
-    x0 = np.concatenate(
-        [_initial_positions(p, cfg, cfg.n_traj) for p, _, _ in cells]
-    )
-    store = _kernels.STORE_NONE if cfg.psd is None else _kernels.STORE_X
+    x0 = np.concatenate([_initial_positions(p, cfg, k) for p, _, _ in cells])
+    spectra = [None] * len(cells)
+
+    def sink(rows, first):  # each cell's sums take its own rows
+        for c, sums in enumerate(spectra):
+            sums.add(rows[:, c * k : (c + 1) * k], first)
+
     try:
-        acc, hist, divergent, series, _ = _step_cells(cells, cfg, gens, x0, store)
+        if cfg.psd is not None:
+            spectra = [_SpectralSums(_psd_geometry(ex, cfg), k) for _, _, ex in cells]
+        acc, hist, divergent, _, _ = _step_cells(
+            cells, cfg, gens, x0, _kernels.STORE_NONE,
+            None if cfg.psd is None else sink,
+        )
     except Exception as e:  # a failed pass fails each of its cells
         return [e] * len(cells)
     out = []
     for c, (p, _, ex) in enumerate(cells):
-        rows = slice(c * cfg.n_traj, (c + 1) * cfg.n_traj)
+        rows = slice(c * k, (c + 1) * k)
         try:
             out.append(_estimates(
-                p, ex, cfg, acc[rows].copy(), hist[c], divergent[rows],
-                None if series is None else series[rows],
+                p, ex, cfg, acc[rows].copy(), hist[c], divergent[rows], spectra[c],
             ))
         except Exception as e:  # confined to this cell
             out.append(e)
@@ -467,9 +597,9 @@ def run_ensemble(
     Merging is a fixed-order sum over trajectory index, so the result does not
     depend on scheduling.  Divergent trajectories contribute the samples they
     collected before diverging and are counted in n_divergent.  With a psd
-    block the displacement series is stored in the same pass and psd_snr is
-    estimated from it; storing it does not change the other estimates.  This
-    is a one-cell batch: plan, then run_batch.
+    block the same pass sums the spectral segments for psd_snr; that does
+    not change the other estimates.  This is a one-cell batch: plan, then
+    run_batch.
     """
     cells = [(p, noise, ex)]
     _, failures = plan(cells, cfg)
@@ -477,35 +607,6 @@ def run_ensemble(
     if isinstance(result, Exception):
         raise result
     return result
-
-
-def _segment_periodograms(
-    series: np.ndarray,
-    divergent: np.ndarray,
-    n_seg: int,
-    step: int,
-    bins,
-) -> np.ndarray:
-    """Hann-windowed periodograms of every segment of every clean trajectory,
-    one row per segment, kept on `bins` only (slice(None) keeps every bin)."""
-    window = np.hanning(n_seg)
-    wnorm = np.sum(window**2)
-    rows = np.flatnonzero(~divergent)
-    starts = range(0, series.shape[2] - n_seg + 1, step)
-    n_bins = np.arange(n_seg // 2 + 1)[bins].size
-    # column-major, like the fancy-indexed copy `pgs[:, bins]` it replaces, so
-    # the mean over segments adds each bin's column in the same (pairwise)
-    # order and the SNR and its bootstrap stay the same to the bit
-    out = np.empty((rows.size * len(starts), n_bins), order="F")
-    k = 0
-    for i in rows:
-        xs = series[i, 0]
-        for start in starts:
-            seg = xs[start : start + n_seg]
-            seg = (seg - seg.mean()) * window
-            out[k] = np.abs(np.fft.rfft(seg)[bins]) ** 2 / wnorm
-            k += 1
-    return out
 
 
 def _snr_window(j: int, n_bins: int) -> np.ndarray:
@@ -525,47 +626,33 @@ def _snr_from_mean(mean_window: np.ndarray) -> float:
 
 
 def estimate_snr_psd(
-    series: np.ndarray | SystemParams,
+    spectra: _SpectralSums | SystemParams,
     divergent: np.ndarray | NoiseParams,
     ex: ExcitationParams,
     cfg: SimConfig,
 ) -> PsdSnr:
     """Periodogram SNR of the displacement at the drive frequency.
 
-    series[i, 0] is trajectory i's post-transient displacement and divergent
-    marks the trajectories to leave out; cfg.psd sets the segments.  Averages
-    Hann periodograms over overlapping segments of every clean trajectory,
-    subtracts the noise floor interpolated from neighboring bins, and attaches
-    a bootstrap standard error over segments.
+    spectra holds the segment sums of a cell's trajectories and divergent
+    marks the trajectories to leave out.  Averages the Hann periodograms of
+    every segment of every clean trajectory on the SNR bins, subtracts the
+    noise floor interpolated from neighboring bins, and attaches a bootstrap
+    standard error over segments.
 
     Called as estimate_snr_psd(p, noise, ex, cfg), with the system and noise
     parameters in the first two places, it returns
     run_ensemble(p, noise, ex, cfg).psd_snr; perfbench/make_reference.py
     calls it that way.
     """
-    if isinstance(series, SystemParams):
+    if isinstance(spectra, SystemParams):
         if cfg.psd is None:
             raise ParameterError("psd settings are required for spectral estimation")
-        return run_ensemble(series, divergent, ex, cfg).psd_snr
+        return run_ensemble(spectra, divergent, ex, cfg).psd_snr
     if np.all(divergent):
         raise ParameterError("all trajectories diverged; no spectra available")
 
-    n_seg = int(round(cfg.psd.segment_time / cfg.dt))
-    step = max(1, int(round(n_seg * (1.0 - cfg.psd.overlap))))
-    n_starts = len(range(0, series.shape[2] - n_seg + 1, step))
-    n_pg = int(np.count_nonzero(~divergent)) * n_starts
-    if n_pg == 0:
-        raise ParameterError("no complete segments; increase t_total")
-    n_bins = n_seg // 2 + 1
-    freqs = 2.0 * math.pi * np.fft.rfftfreq(n_seg, d=cfg.dt)
-    j = int(np.argmin(np.abs(freqs - ex.Omega)))
-    if j < 3 or j > n_bins - 8:
-        raise ParameterError("drive frequency too close to the spectral edge")
-
-    # the SNR reads 13 bins at most; keep and resample only those
-    window = _segment_periodograms(
-        series, divergent, n_seg, step, _snr_window(j, n_bins)
-    )
+    window = spectra.periodograms(divergent)
+    n_pg = window.shape[0]
     estimate = _snr_from_mean(window.mean(axis=0))
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2**20,)))
     boot = np.empty(cfg.psd.n_bootstrap)
@@ -576,6 +663,6 @@ def estimate_snr_psd(
         estimate=estimate,
         stderr=float(np.std(boot, ddof=1)),
         n_segments=n_pg,
-        bin_freq=float(freqs[j]),
-        freq_resolution=float(freqs[1]),
+        bin_freq=spectra.geometry.bin_freq,
+        freq_resolution=spectra.geometry.freq_resolution,
     )

@@ -1,7 +1,10 @@
 """Source hygiene: no module of the package or of the tests imports a name it
-never uses.  A re-export marked `# noqa: F401` on its import line is exempt."""
+never uses (a re-export marked `# noqa: F401` on its import line is exempt),
+every default is set somewhere, every public name has a caller, and every
+committed benchmark record names what the benchmark measures."""
 
 import ast
+import json
 import pathlib
 
 import pytest
@@ -157,3 +160,25 @@ def test_every_public_name_has_a_caller():
     uncalled = {name.split(".")[1]: name for name in uncalled_public_names()}
     assert [uncalled[n] for n in uncalled if n not in DEFERRED] == []
     assert sorted(set(DEFERRED) - set(uncalled)) == []
+
+
+def test_bench_records_name_benchmark_metrics():
+    """Every committed BENCH_*.json parses, and names only workloads of
+    BENCHMARK.json: its runs (the last line that perfbench/run.py prints)
+    only end-to-end metrics, and its traced figures only per-layer ones."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in spec["workloads"]}
+    end_to_end = {m["name"] for m in spec["end_to_end"]}
+    per_layer = {m["name"] for m in spec["per_layer"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert set(record["runs"]) <= workloads, path.name
+        for runs in record["runs"].values():
+            for run in runs.values():
+                assert set(run["metrics"]) <= end_to_end, path.name
+        assert set(record.get("traced", {})) <= workloads, path.name
+        for figures in record.get("traced", {}).values():
+            for metrics in figures.values():
+                assert set(metrics) <= per_layer, path.name

@@ -53,11 +53,12 @@ class TestKernelDirect:
 def _reference_chunk_batch(
     x, v, V, xi, alive, xh, vh, s0, n, forcing, draws, dt, beta, delta1,
     delta3, kappa, alpha, mu, nu, k1, f1, k2, f2, E_ou, S_ou, skip, hist,
-    x_min, dx, v_min, dv, acc, series, store,
+    x_min, dx, v_min, dv, acc, series, store, sink,
 ):
     """The one-step-at-a-time kernel that the blocked kernel replaced, kept
     verbatim as the bit-for-bit oracle: every step reads its delayed rows and
-    evaluates the whole update in one expression."""
+    evaluates the whole update in one expression.  It stores every column and
+    takes no sink, which the runs compared here do not use."""
     L = xh.shape[0] - n - 1
     m = x.shape[0]
     nx, nv = hist.shape[1:]
@@ -122,8 +123,7 @@ def _reference_chunk_batch(
 
             if store != STORE_NONE:
                 out = slice(s0 + i0 - skip, s0 + n - skip)
-                stored = (xp, vp, Vp) if store == STORE_XVV else (xp,)
-                for col, rows in enumerate(stored):
+                for col, rows in enumerate((xp, vp, Vp)):
                     series[:, col, out] = np.where(valid, rows, 0.0).T
 
     cols = np.arange(m)

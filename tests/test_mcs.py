@@ -3,6 +3,7 @@ determinism, delay handling, and the spectral SNR estimator."""
 
 import inspect
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -374,42 +375,116 @@ class TestBootstrap:
     @pytest.mark.parametrize("omega", [0.5, 0.12])
     def test_matches_full_spectrum_bootstrap(self, omega):
         """The bootstrap standard error equals resampling the whole
-        periodogram matrix and reading the SNR off each resampled mean.
-        omega = 0.12 puts the drive in bin 5, where the lower background
-        bins stop at bin 1."""
+        periodogram matrix of the spectral sums and reading the SNR off each
+        resampled mean.  omega = 0.12 puts the drive in bin 5, where the lower
+        background bins stop at bin 1."""
         rng = np.random.default_rng(11)
         dt = 0.05
         n_post = 6000
         t = dt * np.arange(n_post)
-        series = (0.3 * np.sin(omega * t) + rng.standard_normal((5, n_post)))[:, None, :]
+        series = 0.3 * np.sin(omega * t) + rng.standard_normal((5, n_post))
         divergent = np.array([False, False, True, False, False])
         ex = ExcitationParams(eps=1.0, G=0.3, Omega=omega)
-        cfg = SimConfig(dt=dt, t_total=400.0, n_traj=5, seed=9,
+        cfg = SimConfig(dt=dt, t_total=400.0, t_transient=100.0, n_traj=5, seed=9,
                         psd=PsdSettings(segment_time=250.0, n_bootstrap=40))
-        out = estimate_snr_psd(series, divergent, ex, cfg)
-
-        def snr(mean_spec, j):
-            lo = np.arange(max(j - 6, 1), max(j - 1, 1))
-            hi = np.arange(j + 2, min(j + 7, mean_spec.shape[0]))
-            background = float(np.mean(np.concatenate([mean_spec[lo], mean_spec[hi]])))
-            if background <= 0:
-                return 0.0
-            return (float(mean_spec[j]) - background) / background
+        spectra = mcs._SpectralSums(mcs._psd_geometry(ex, cfg), 5)
+        for a in range(0, n_post, 1500):
+            spectra.add(series[:, a : a + 1500].T, a)
+        out = estimate_snr_psd(spectra, divergent, ex, cfg)
 
         n_seg = 5000
-        pgs = mcs._segment_periodograms(series, divergent, n_seg, 2500, slice(None))
         freqs = 2.0 * math.pi * np.fft.rfftfreq(n_seg, d=dt)
         j = int(np.argmin(np.abs(freqs - omega)))
         assert (j >= 7) == (omega == 0.5)
+        lo = np.arange(max(j - 6, 1), max(j - 1, 1))
+        hi = np.arange(j + 2, min(j + 7, freqs.size))
+        np.testing.assert_array_equal(
+            spectra.geometry.bins, np.concatenate([[j], lo, hi])
+        )
+        assert out.bin_freq == freqs[j] and out.freq_resolution == freqs[1]
+
+        def snr(mean_window):
+            background = float(np.mean(mean_window[1:]))
+            if background <= 0:
+                return 0.0
+            return (float(mean_window[0]) - background) / background
+
+        pgs = spectra.periodograms(divergent)
         boot_rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed, spawn_key=(2**20,)))
         boot = np.empty(40)
         for b in range(40):
             pick = boot_rng.integers(0, pgs.shape[0], pgs.shape[0])
-            boot[b] = snr(pgs[pick].mean(axis=0), j)
+            boot[b] = snr(pgs[pick].mean(axis=0))
         assert out.n_segments == pgs.shape[0] == 4
-        assert out.estimate == snr(pgs.mean(axis=0), j)
+        assert out.estimate == snr(pgs.mean(axis=0))
         assert out.stderr == float(np.std(boot, ddof=1))
+
+
+class TestSpectralSums:
+    @pytest.mark.parametrize("overlap, n_segments", [(0.5, 6), (0.75, 12)])
+    def test_matches_rfft_periodograms(self, overlap, n_segments):
+        """The streamed periodograms are those of np.fft.rfft on each stored
+        segment, to 1e-10.  A segment is 1537 samples, not a multiple of the
+        block; the last segment ends before the run does; the rows come in
+        700-sample chunks; and a divergent row holding inf and nan is dropped
+        without a warning."""
+        rng = np.random.default_rng(5)
+        dt = 0.01
+        n_post = 6000
+        t = dt * np.arange(n_post)
+        series = 1.0 + 0.3 * np.sin(5.0 * t) + rng.standard_normal((4, n_post))
+        series[2, 2000] = np.inf
+        series[2, 2001] = np.nan
+        divergent = np.array([False, False, True, False])
+        ex = ExcitationParams(eps=1.0, G=0.3, Omega=5.0)
+        cfg = SimConfig(dt=dt, t_total=60.0, t_transient=0.0, n_traj=4,
+                        psd=PsdSettings(segment_time=15.37, overlap=overlap))
+        geometry = mcs._psd_geometry(ex, cfg)
+        n_seg = geometry.n_seg
+        assert n_seg == 1537 and n_seg % mcs._BLOCK != 0
+        assert len(geometry.starts) == n_segments
+        assert geometry.starts[-1] + n_seg < n_post
+        spectra = mcs._SpectralSums(geometry, 4)
+        for a in range(0, n_post, 700):
+            spectra.add(series[:, a : a + 700].T, a)
+        got = spectra.periodograms(divergent)
+
+        window = np.hanning(n_seg)
+        want = np.array([
+            np.abs(np.fft.rfft((seg - seg.mean()) * window)[geometry.bins]) ** 2
+            / np.sum(window**2)
+            for row in series[~divergent]
+            for seg in (row[s : s + n_seg] for s in geometry.starts)
+        ])
+        assert got.shape == (3 * n_segments, geometry.bins.size)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_psd_run_stores_no_series(self, baseline_system, baseline_noise,
+                                      monkeypatch):
+        """A psd run's traced memory peak does not grow with the run: doubling
+        t_total at a fixed segment_time leaves it flat, and below half of the
+        displacement series that the run would take to store.  128-step
+        chunks keep the per-chunk arrays small beside that series, so short
+        runs show it."""
+        monkeypatch.setattr(mcs, "_CHUNK", 128)
+        ex = ExcitationParams(eps=1.0, G=0.3, Omega=2.0)
+
+        def peak(t_total):
+            cfg = SimConfig(
+                dt=0.01, t_total=t_total, t_transient=10.0, n_traj=32, seed=5,
+                psd=PsdSettings(segment_time=40.0, n_bootstrap=20),
+            )
+            tracemalloc.start()
+            try:
+                run_ensemble(baseline_system, baseline_noise, ex, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(70.0), peak(130.0)  # 6000 and 12000 samples
+        assert long < 1.25 * short
+        assert long < 0.5 * 32 * 12_000 * 8
 
 
 class TestSpectralSnr:
@@ -426,6 +501,25 @@ class TestSpectralSnr:
         with pytest.raises(ParameterError):
             # 10 periods at Omega=0.5 need 125.7 time units
             run_ensemble(baseline_system, baseline_noise, ex, cfg)
+
+    @pytest.mark.parametrize("t_total, omega, segment_time, message", [
+        # 140 post-transient time units hold no 150-unit segment
+        (150.0, 0.5, 150.0, "no complete segments"),
+        # the drive sits in bin 49 of 51
+        (40.0, 310.0, 1.0, "drive frequency too close to the spectral edge"),
+    ], ids=["no-segments", "spectral-edge"])
+    def test_psd_geometry_checked_before_stepping(
+        self, baseline_system, baseline_noise, monkeypatch, t_total, omega,
+        segment_time, message,
+    ):
+        calls = []
+        monkeypatch.setattr(_kernels, "_chunk_batch", lambda *a: calls.append(a))
+        ex = ExcitationParams(eps=1.0, G=0.3, Omega=omega)
+        cfg = small_cfg(t_total=t_total, t_transient=10.0,
+                        psd=PsdSettings(segment_time=segment_time))
+        with pytest.raises(ParameterError, match=message):
+            run_ensemble(baseline_system, baseline_noise, ex, cfg)
+        assert calls == []
 
     def test_drive_line_detected(self, baseline_system, baseline_noise):
         """A strong drive leaves a clear spectral line at its frequency."""
