@@ -2,24 +2,29 @@
 
 The whole ensemble advances in lockstep, one column per trajectory; the
 columns may belong to several sweep cells, each with its own parameters,
-noise and forcing.  State is kept step-major: row i of each per-chunk array
-is the ensemble at step s0 + i, so a delayed read is a plain row read.  The
-step loop does only the dynamics, unmasked; divergence, the accumulators,
-the histogram, the stored series and the rows handed to a sink are worked
-out once per chunk from the recorded rows.
+noise and forcing.  State is kept step-major in one history of shape
+(rows, 3, m): row r is the contiguous [x, v, V] of the ensemble at one step,
+so a delayed read is a plain row read.  The step loop does only the
+dynamics, unmasked; divergence, the accumulators, the histogram, the stored
+series and the rows handed to a sink are worked out once per chunk from the
+recorded rows.
 
 The loop is bound by the cost of a numpy call, not by its arithmetic, so it
-makes few and cheap ones:
+makes 15 calls a step, each on contiguous operands:
 
 - Block-precomputed feedback.  A step reads the delayed rows k1 and k2 steps
   back, so a block of min(k1, k2) + 1 steps reads only rows written before
   the block starts; the interpolated feedback mu*x(t - tau1) and
   nu*v(t - tau2) of the whole block is one vectorized pass.  Without delay a
   block is one step.
+- Stacked rows.  Two multiplies of the state row by full (3, m) coefficient
+  rows give delta1*x, -beta*v and kappa*V, and delta3*x and alpha*V; the
+  velocity and voltage increments are one contiguous pair, scaled by dt in
+  one call and added to [v, V] in another.
 - Array operands.  Every coefficient is a float64 array, 0-d for one cell and
   (m,) for a batch: a ufunc converts a Python float operand anew on every
-  call.  A step writes its temporaries into two preallocated rows and walks
-  the state rows with iterators instead of indexing them.
+  call.  A step writes its temporaries into preallocated rows and walks the
+  state rows with iterators instead of indexing them.
 
 Each element still sees the operations of the update equations in their
 order, so every result is bit-identical to a step-at-a-time evaluation.
@@ -39,11 +44,14 @@ DIVERGENCE_LIMIT = 1.0e3
 def _running_sum(start, terms):
     """start plus the rows of terms (n, m), added one row at a time in order.
 
-    Step order keeps the sums bit-identical for any chunking: np.sum would
-    switch to pairwise summation on a single column.
+    a + t equals a - (-t) bit for bit, and np.subtract.reduce runs in row
+    order for any m, where np.add.reduce sums a single column pairwise; it
+    walks whole C-ordered rows, where np.cumsum along axis 0 strides down
+    each column.  terms is overwritten.
     """
-    terms[0] += start
-    return np.cumsum(terms, axis=0, out=terms)[-1]
+    np.negative(terms, out=terms)
+    np.subtract(start, terms[0], out=terms[0])
+    return np.subtract.reduce(terms, axis=0)
 
 
 def _chunk_batch(
@@ -52,8 +60,7 @@ def _chunk_batch(
     V,
     xi,
     alive,
-    xh,
-    vh,
+    h,
     s0,
     n,
     forcing,
@@ -85,15 +92,15 @@ def _chunk_batch(
 ):
     """Advance every trajectory of the ensemble by n Euler steps.
 
-    State arrays x, v, V, xi and alive have shape (m,).  xh and vh are the
-    step-major displacement and velocity histories, shape (L + n + 1, m): on
-    entry rows 0 .. L-1 hold steps s0-L .. s0-1 (L > max(k1, k2)), and on
-    exit they hold the last L steps of this chunk.  forcing is (n, 1) or
-    (n, m); draws is (n, m) and is overwritten; acc is (m, 3), series
-    (m, 3, n_post).  The model parameters, f1, f2, E_ou and S_ou are
-    scalars or (m,) rows.  hist is (cells, nx, nv): the rows are cell-major,
-    m // cells to a cell, and each row counts into its cell's histogram, on
-    the nx x nv grid of cells dx x dv wide from (x_min, v_min).
+    State arrays x, v, V, xi and alive have shape (m,).  h is the step-major
+    history, shape (L + n + 1, 3, m), whose row h[r] is the ensemble's
+    [x, v, V] at one step: on entry rows 0 .. L-1 hold steps s0-L .. s0-1
+    (L > max(k1, k2)), and on exit they hold the last L steps of this chunk.
+    forcing is (n, 1) or (n, m); draws is (n, m) and is overwritten; acc is
+    (m, 3), series (m, 3, n_post).  The model parameters, f1, f2, E_ou and
+    S_ou are scalars or (m,) rows.  hist is (cells, nx, nv): the rows are
+    cell-major, m // cells to a cell, and each row counts into its cell's
+    histogram, on the nx x nv grid of cells dx x dv wide from (x_min, v_min).
     Steps s0 .. s0+n-1 are taken; samples from step skip on are accumulated.
     sink, when not None, is called once per chunk that has post-transient
     steps as sink(rows, first): rows (steps, m) are their displacements, with
@@ -103,18 +110,27 @@ def _chunk_batch(
     samples up to that step, is frozen in the state that crossed, and is
     cleared from alive.  Mutates everything in place.
     """
-    L = xh.shape[0] - n - 1
+    L = h.shape[0] - n - 1
     m = x.shape[0]
     nx, nv = hist.shape[1:]
-    xh[L] = x
-    vh[L] = v
+    h[L] = x, v, V
     # coefficients as float64 arrays, 0-d for one cell and (m,) for a batch
-    dt, nbeta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, E_ou = (
-        np.asarray(c, dtype=float)
-        for c in (dt, -beta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, E_ou)
+    dt, mu, nu, f1, f2, E_ou = (
+        np.asarray(c, dtype=float) for c in (dt, mu, nu, f1, f2, E_ou)
     )
     c1 = np.asarray(1.0 - f1)
     c2 = np.asarray(1.0 - f2)
+    # full coefficient rows against a state row [x, v, V]: p gives
+    # [delta1 x, -beta v, kappa V] and q gives [delta3 x, 0, alpha V]
+    p = np.empty((3, m))
+    q = np.empty((3, m))
+    p[0], p[1], p[2] = delta1, -beta, kappa
+    q[0], q[1], q[2] = delta3, 0.0, alpha
+    dt2 = np.full((2, m), dt)
+
+    # the ufuncs of the loops, bound once and given out by position: a
+    # module lookup and a keyword argument cost about 70 ns a call
+    mul, add, sub = np.multiply, np.add, np.subtract
 
     # colored-noise path and drive: they do not depend on the state
     xis = np.empty((n + 1, m))
@@ -122,22 +138,30 @@ def _chunk_batch(
     np.multiply(draws, S_ou, out=draws)
     prev = xis[0]
     for new, d in zip(xis[1:], draws):
-        np.multiply(prev, E_ou, out=new)
+        mul(prev, E_ou, new)
         new += d
         prev = new
     drive = xis[:n] + forcing
-    Vs = np.empty((n + 1, m))
-    Vs[0] = V
 
     # Step i reads the delayed rows r - k - 1 and r - k (r = L + i), so the
     # min(k1, k2) + 1 steps of a block read only rows written before it
     # starts: the delayed feedback of a whole block is one vectorized pass.
     block = min(k1, k2) + 1
-    # row iterators over the state: each step reads one row and writes the next
-    xs, vs, Vi, drives = iter(xh[L:]), iter(vh[L:]), iter(Vs), iter(drive)
-    xc, vc, Vc = next(xs), next(vs), next(Vi)
-    a = np.empty(m)
-    b = np.empty(m)
+    xh = h[:, 0]
+    vh = h[:, 1]
+    # row iterators over the state: each step reads one row [x, v, V] and
+    # writes the next, as its x and its contiguous pair [v, V]
+    hs, xs, vs, vVs = iter(h[L:]), iter(xh[L:]), iter(vh[L:]), iter(h[L:, 1:])
+    hc, xc, vc, vVc = next(hs), next(xs), next(vs), next(vVs)
+    drives = iter(drive)
+    # temporaries: t and u take the state row times p and q, and ab is the
+    # contiguous pair [a, b] that advances [v, V]
+    t = np.empty((3, m))
+    u = np.empty((3, m))
+    ab = np.empty((2, m))
+    t0, t1, t2 = t
+    u0, _, u2 = u
+    a, b = ab
     # Only rows past the divergence limit (dead at entry or crossing inside
     # the chunk) can overflow; their samples and state are discarded below.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -149,33 +173,29 @@ def _chunk_batch(
             fv = vh[r0 - k2 : r1 - k2] * c2 + vh[r0 - k2 - 1 : r1 - k2 - 1] * f2
             fv *= nu
             # fx leads the zip, so the shared iterators advance by one block
-            for fxi, fvi, d, xn, vn, Vn in zip(fx, fv, drives, xs, vs, Vi):
-                # a = nbeta*vc + delta1*xc - delta3*xc*xc*xc - kappa*Vc
+            for fxi, fvi, d, hn, xn, vn, vVn in zip(fx, fv, drives, hs, xs, vs, vVs):
+                # a = -beta*v + delta1*x - delta3*x*x*x - kappa*V
                 #     + mu*x(t - tau1) + nu*v(t - tau2) + drive, left to right
-                np.multiply(nbeta, vc, out=a)
-                np.multiply(delta1, xc, out=b)
-                a += b
-                np.multiply(delta3, xc, out=b)
-                b *= xc
-                b *= xc
-                a -= b
-                np.multiply(kappa, Vc, out=b)
-                a -= b
+                mul(p, hc, t)
+                mul(q, hc, u)
+                add(t1, t0, a)
+                u0 *= xc
+                u0 *= xc
+                a -= u0
+                a -= t2
                 a += fxi
                 a += fvi
                 a += d
+                # b = v - alpha*V, and [v, V] advance by dt*[a, b]; then the
                 # semi-implicit step: position advances with the updated
                 # velocity, which avoids the secular energy injection of the
                 # fully explicit form
-                np.multiply(alpha, Vc, out=b)
-                np.subtract(vc, b, out=b)
-                b *= dt
-                np.add(Vc, b, out=Vn)
-                a *= dt
-                np.add(vc, a, out=vn)
-                np.multiply(dt, vn, out=a)
-                np.add(xc, a, out=xn)
-                xc, vc, Vc = xn, vn, Vn
+                sub(vc, u2, b)
+                ab *= dt2
+                add(vVc, ab, vVn)
+                mul(dt, vn, a)
+                add(xc, a, xn)
+                hc, xc, vc, vVc = hn, xn, vn, vVn
 
         # live[j]: the steps of this chunk trajectory j took while alive; one
         # that crosses the limit at step i took steps 0 .. i
@@ -193,22 +213,29 @@ def _chunk_batch(
             def kept(rows):
                 return rows if valid is None else np.where(valid, rows, 0.0)
 
-            xp = xh[L + i0 : L + n]
-            vp = vh[L + i0 : L + n]
-            Vp = Vs[i0:n]
+            xp, vp, Vp = h[L + i0 : L + n].transpose(1, 0, 2)
             acc[:, 0] = _running_sum(acc[:, 0], kept(vp * drive[i0:]))
             acc[:, 1] = _running_sum(acc[:, 1], kept(Vp * Vp))
             # the post-transient steps each trajectory took, the count of valid
             acc[:, 2] += np.maximum(live - i0, 0)
 
-            ix = np.floor((xp - x_min) / dx).astype(np.int64)
-            iv = np.floor((vp - v_min) / dv).astype(np.int64)
-            ok = (ix >= 0) & (ix < nx) & (iv >= 0) & (iv < nv)
+            # floor indices as floats, bounds-tested (NaN fails every test)
+            # and folded into one flat index per sample; only the kept ones
+            # are cast
+            fx = np.subtract(xp, x_min)
+            fx /= dx
+            np.floor(fx, out=fx)
+            fv = np.subtract(vp, v_min)
+            fv /= dv
+            np.floor(fv, out=fv)
+            ok = (fx >= 0) & (fx < nx) & (fv >= 0) & (fv < nv)
             if valid is not None:
                 ok &= valid
-            cell = np.arange(m) // (m // hist.shape[0])
+            fx *= nv
+            fx += fv
+            fx += np.arange(m) // (m // hist.shape[0]) * float(nx * nv)
             hist += np.bincount(
-                (cell * (nx * nv) + ix * nv + iv)[ok], minlength=hist.size
+                fx[ok].astype(np.int64), minlength=hist.size
             ).reshape(hist.shape)
 
             if store != STORE_NONE:
@@ -220,9 +247,6 @@ def _chunk_batch(
 
     # a frozen trajectory keeps the state of the step that crossed the limit
     cols = np.arange(m)
-    x[:] = xh[L + live, cols]
-    v[:] = vh[L + live, cols]
-    V[:] = Vs[live, cols]
+    x[:], v[:], V[:] = h[L + live, :, cols].T
     xi[:] = xis[live, cols]
-    xh[:L] = xh[n : n + L]
-    vh[:L] = vh[n : n + L]
+    h[:L] = h[n : n + L]

@@ -27,6 +27,9 @@ from .freq import build_table, exclusion_band
 from .model import harvested_power, seed_frequency, well_depth
 
 _FMT = "%.11e"
+# _FMT for each value of an (x, v, density) row: "%.11e" prints nan and
+# +-inf as _fmt does, so a row reads as the _fmt join of its values
+_DENSITY_ROW = "%.11e,%.11e,%.11e\n"
 
 
 def _fmt(value) -> str:
@@ -40,14 +43,16 @@ def _fmt(value) -> str:
     return _FMT % v
 
 
-def emit_csv(path: str, header: list[str], rows: list[list], meta: dict) -> None:
-    """Write rows at 12 significant digits plus a sibling .meta.json."""
+def emit_csv(path: str, header: list[str], rows: list[list] | str, meta: dict) -> None:
+    """Write rows at 12 significant digits plus a sibling .meta.json; rows
+    is a list of value rows, or the rows already formatted as one string."""
+    if not isinstance(rows, str):
+        rows = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.write(rows)
         with open(_meta_path(path), "w", encoding="utf-8") as f:
             json.dump(meta, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -106,13 +111,11 @@ def _cmd_freq(cfg: RunConfig, out_dir, t0) -> int:
     return 0
 
 
-def _density_csv(fld) -> tuple[list[str], list[list]]:
-    """Header and (x, v, density) rows of a density field, x-major."""
-    rows = [
-        [x, v, fld.values[i, j]]
-        for i, x in enumerate(fld.x) for j, v in enumerate(fld.v)
-    ]
-    return ["x", "v", "density"], rows
+def _density_csv(fld) -> tuple[list[str], str]:
+    """Header and formatted (x, v, density) rows of a density field, x-major."""
+    x, v = np.meshgrid(fld.x, fld.v, indexing="ij")
+    rows = np.stack([x, v, fld.values], axis=-1).reshape(-1, 3).tolist()
+    return ["x", "v", "density"], "".join([_DENSITY_ROW % tuple(r) for r in rows])
 
 
 def _cmd_spd(cfg: RunConfig, out_dir, t0) -> int:

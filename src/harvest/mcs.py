@@ -7,8 +7,9 @@ estimators for the mean output power, RMS voltage, conversion efficiency,
 stationary histogram and a periodogram-based SNR.
 
 The ensemble is stepped in chunks of _CHUNK steps.  Each chunk keeps its
-(history + chunk, m) displacement and velocity rows, with the previous
-chunk's last steps on top, and accumulates the estimators once from them.
+(history + chunk, 3, m) rows of displacement, velocity and voltage, with the
+previous chunk's last steps on top, and accumulates the estimators once from
+them.
 plan groups the cells of a sweep into lockstep batches and run_batch steps
 each batch as the rows of one run (_step_cells); run_ensemble is a one-cell
 batch and simulate_trajectory a one-row _step_cells run.
@@ -36,7 +37,7 @@ from .model import (
 )
 
 # Steps per lockstep chunk.  A chunk's step-major records (draws, noise path,
-# drive, V, the x and v histories) and the temporaries of its estimators come
+# drive, the x, v and V history) and the temporaries of its estimators come
 # to about a dozen (1024, m) float arrays, less than (m, 16384) draws.
 _CHUNK = 1024
 
@@ -302,18 +303,18 @@ def _step_cells(
     xi = np.array(
         [ou_initial_draw(noise, z) for _, noise, _ in cells for z in first]
     )
-    # step-major histories; the delay history before t=0 is the start state
-    rows = n_back + min(_CHUNK, n_steps) + 1
-    xh = np.empty((rows, m))
-    vh = np.empty((rows, m))
-    xh[:n_back] = x
-    vh[:n_back] = v
+    # step-major history of [x, v, V] rows; the delay history before t=0 is
+    # the start state
+    h = np.empty((n_back + min(_CHUNK, n_steps) + 1, 3, m))
+    h[:n_back] = x, v, V
     acc = np.zeros((m, 3))
     alive = np.ones(m, dtype=bool)
     series = (
         np.zeros((m, 3, n_steps - skip)) if store != _kernels.STORE_NONE
         else np.zeros((m, 1, 1))
     )
+    # one row of normals per stream, reused by every chunk
+    normals = np.empty((k, min(_CHUNK, n_steps)))
     s0 = 0
     while s0 < n_steps:
         n = min(_CHUNK, n_steps - s0)
@@ -322,14 +323,13 @@ def _step_cells(
         )
         if len(drives) > 1:
             forcing = forcing[:, drive_of_row]
-        draws = np.empty((n, k))
-        for i, gen in enumerate(gens):
-            draws[:, i] = gen.standard_normal(n)
+        for row, gen in zip(normals, gens):
+            gen.standard_normal(out=row[:n])
+        draws = normals[:, :n].T
         if len(cells) > 1:
             draws = np.tile(draws, len(cells))
-        end = n_back + n + 1
         _kernels._chunk_batch(
-            x, v, V, xi, alive, xh[:end], vh[:end], s0, n, forcing, draws,
+            x, v, V, xi, alive, h[: n_back + n + 1], s0, n, forcing, draws,
             *coeffs, hist, *hspec, acc, series, store, sink,
         )
         s0 += n

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from harvest import averaging, cli, config, freq, mcs, resonance
@@ -326,6 +327,25 @@ class TestCliCommands:
         H_cross = [float(r[0]) for r in cross]
         assert H_cross == sorted(H_cross)
         assert all(float(r[1]) > 0 for r in rows)
+
+    def test_density_rows_match_the_value_formatter(self):
+        """A density CSV's rows are what _fmt writes for each value, nan,
+        both infinities and a negative zero included."""
+        values = np.linspace(-2e-3, 5.0, 12).reshape(3, 4)
+        values[0, 1], values[1, 2], values[2, 0], values[2, 3] = (
+            math.nan, math.inf, -math.inf, -0.0
+        )
+        fld = averaging.DensityField(
+            x=np.array([-1.5, -0.0, 2.25e-7]), v=np.linspace(-1.0, 1.0, 4),
+            values=values, norm_const=1.0,
+        )
+        header, body = cli._density_csv(fld)
+        assert header == ["x", "v", "density"]
+        assert body == "".join(
+            ",".join(cli._fmt(c) for c in (x, v, values[i, j])) + "\n"
+            for i, x in enumerate(fld.x) for j, v in enumerate(fld.v)
+        )
+        assert "nan" in body and "-inf" in body and "-0.00000000000e+00" in body
 
     def test_snr_output(self, tmp_path):
         cfg_path = write_cfg(tmp_path, doc())

@@ -135,6 +135,12 @@ def _reference_chunk_batch(
     vh[:L] = vh[n : n + L]
 
 
+def _reference_on_stacked(x, v, V, xi, alive, h, *rest):
+    """_reference_chunk_batch on the displacement and velocity views of the
+    stacked history h."""
+    _reference_chunk_batch(x, v, V, xi, alive, h[:, 0], h[:, 1], *rest)
+
+
 # Two cells with their own coefficients, noise and drive that share the
 # offsets k1 = 53 and k2 = 121 (blocks of 54 steps) at fractions f1 = 0.7 and
 # 0.2, f2 = 0.3 and 0.8.  The second cell's stiff linear and weak cubic force
@@ -172,36 +178,72 @@ _UNDELAYED = (
 
 class TestBlockedKernel:
     @pytest.mark.parametrize(
-        "cells, x0, n_divergent",
-        [(*_DELAYED, 2), (*_UNDELAYED, 0)],
-        ids=["delayed-batch", "undelayed"],
+        "cells, x0, n_traj, n_divergent",
+        [
+            (*_DELAYED, 3, 2),
+            (*_UNDELAYED, 3, 0),
+            (*_DELAYED, 1, 1),
+            (*_UNDELAYED, 1, 0),
+        ],
+        ids=["delayed-batch", "undelayed", "delayed-batch-1-traj", "undelayed-1-traj"],
     )
     def test_bit_identical_to_the_stepwise_kernel(
-        self, monkeypatch, cells, x0, n_divergent
+        self, monkeypatch, cells, x0, n_traj, n_divergent
     ):
         """The blocked kernel reproduces the stepwise one bit for bit, with
         37-step chunks that cut the transient and the delay blocks anywhere,
-        and rows that cross the divergence limit mid-chunk."""
+        and rows that cross the divergence limit mid-chunk.  One trajectory
+        of the undelayed cell is a single column, where numpy's reductions
+        and loops take other paths than on a wider batch."""
         monkeypatch.setattr(mcs, "_CHUNK", 37)
-        cfg = SimConfig(dt=0.001, t_total=0.5, t_transient=0.05, n_traj=3, seed=11)
+        cfg = SimConfig(
+            dt=0.001, t_total=0.5, t_transient=0.05, n_traj=n_traj, seed=11
+        )
+        # each cell's first n_traj starts
+        starts = np.array(x0).reshape(len(cells), 3)[:, :n_traj].ravel()
 
         def run():
             gens = [
                 np.random.default_rng(c)
                 for c in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
             ]
-            return mcs._step_cells(cells, cfg, gens, np.array(x0), STORE_XVV)
+            return mcs._step_cells(cells, cfg, gens, starts, STORE_XVV)
 
         acc, hist, divergent, series, final = run()
         with monkeypatch.context() as patch:
-            patch.setattr(_kernels, "_chunk_batch", _reference_chunk_batch)
+            patch.setattr(_kernels, "_chunk_batch", _reference_on_stacked)
             ref = run()
-        # two rows of the second delayed cell cross the limit, at steps 346
-        # and 380, inside their chunks
+        # rows of the second delayed cell cross the limit inside their
+        # chunks: its first at step 380, its second at step 346
         assert int(divergent.sum()) == n_divergent
         assert not divergent[: cfg.n_traj].any()
         for got, want in zip((acc, hist, divergent, series, *final), (*ref[:4], *ref[4])):
             np.testing.assert_array_equal(got, want)
+
+
+def _cumsum_running_sum(start, terms):
+    """The in-order running sum that _running_sum replaced."""
+    terms[0] += start
+    return np.cumsum(terms, axis=0, out=terms)[-1]
+
+
+@pytest.mark.parametrize("m", [1, 2, 64, 100])
+def test_running_sum_adds_rows_in_order(m):
+    """_running_sum equals the np.cumsum form bit for bit, for one column and
+    for many, and a block summed whole equals it summed in two chunks.  The
+    kernel oracle calls _running_sum itself, so only this test sees it."""
+    rng = np.random.default_rng(m)
+    # terms over 16 orders of magnitude, so any other order of the additions
+    # rounds differently
+    terms = rng.standard_normal((1000, m)) * 10.0 ** rng.uniform(-8, 8, (1000, m))
+    start = rng.standard_normal(m)
+    want = _cumsum_running_sum(start.copy(), terms.copy())
+    assert _running_sum(start, terms.copy()).tobytes() == want.tobytes()
+    split = _running_sum(_running_sum(start, terms[:389].copy()), terms[389:].copy())
+    assert split.tobytes() == want.tobytes()
+    # numpy's pairwise sum of a single column is another order
+    column = np.concatenate([start[:1], terms[:, 0]])
+    assert np.add.reduce(column) != want[0]
 
 
 def test_kernel_signature_holds_the_names_the_tracer_binds():
