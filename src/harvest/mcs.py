@@ -372,30 +372,34 @@ def simulate_trajectory(
     )
 
 
+# Offsets from the drive bin of the bins the SNR reads: the drive bin, then
+# five background bins on each side, skipping the bins next to it
+_SNR_OFFSETS = np.array([0, -6, -5, -4, -3, -2, 2, 3, 4, 5, 6])
+
+
 @dataclass(frozen=True)
 class _PsdGeometry:
     """Where the segments of a psd run lie and which bins its SNR reads."""
 
     n_seg: int  # samples per segment
     starts: range  # post-transient index of each segment's first sample
-    bins: np.ndarray  # the _snr_window of the drive bin, drive bin first
+    bins: np.ndarray  # drive bin + _SNR_OFFSETS
     bin_freq: float  # angular frequency of the drive bin
     freq_resolution: float
 
 
-def _check_segment(ex: ExcitationParams, cfg: SimConfig) -> None:
+def _psd_geometry(ex: ExcitationParams, cfg: SimConfig) -> _PsdGeometry:
+    """The segments and SNR bins of a psd run, checked before it is stepped,
+    in this order: a segment covers at least ten drive periods, the run holds
+    at least one segment, and the window stops below the Nyquist bin.  Ten
+    periods put the drive bin j at 10 or above, so the window j - 6 .. j + 6
+    always has its five background bins on each side, above DC."""
     drive_period = 2.0 * math.pi / ex.Omega
     if cfg.psd.segment_time < 10.0 * drive_period:
         raise ParameterError(
             f"segment_time={cfg.psd.segment_time} must cover >= 10 drive "
             f"periods ({10.0 * drive_period:.6g})"
         )
-
-
-def _psd_geometry(ex: ExcitationParams, cfg: SimConfig) -> _PsdGeometry:
-    """The segments and SNR bins of a psd run, checked before it is stepped:
-    the run holds at least one segment, and the drive bin has background
-    bins on both sides."""
     n_steps, skip = _step_counts(ex, cfg)
     n_seg = int(round(cfg.psd.segment_time / cfg.dt))
     step = max(1, int(round(n_seg * (1.0 - cfg.psd.overlap))))
@@ -406,10 +410,10 @@ def _psd_geometry(ex: ExcitationParams, cfg: SimConfig) -> _PsdGeometry:
     # 2 pi * np.fft.rfftfreq(n_seg, cfg.dt), bit for bit
     freqs = 2.0 * math.pi * (np.arange(n_bins) * (1.0 / (n_seg * cfg.dt)))
     j = int(np.argmin(np.abs(freqs - ex.Omega)))
-    if j < 3 or j > n_bins - 8:
+    if j > n_bins - 8:
         raise ParameterError("drive frequency too close to the spectral edge")
     return _PsdGeometry(
-        n_seg, starts, _snr_window(j, n_bins), float(freqs[j]), float(freqs[1])
+        n_seg, starts, j + _SNR_OFFSETS, float(freqs[j]), float(freqs[1])
     )
 
 
@@ -422,7 +426,9 @@ class _SpectralSums:
     rows into a block of _BLOCK samples at fixed post-transient indices; each
     full block, and the last partial one, adds its part of every segment it
     overlaps with one matrix product.  The block edges do not depend on how
-    the run is chunked, so neither do the sums.
+    the run is chunked, so neither do the sums.  Segment 0 starts at index 0,
+    so the column sums of its parts add up to DFT(w) at the bins (dft_w) as
+    the blocks pass.
     """
 
     def __init__(self, geometry: _PsdGeometry, rows: int):
@@ -433,6 +439,7 @@ class _SpectralSums:
         self.end = 0  # one past the last post-transient index added
         # per row and segment: the cos sums, the sin sums, the sum of x
         self.sums = np.zeros((rows, len(geometry.starts), 2 * geometry.bins.size + 1))
+        self.dft_w = np.zeros(2 * geometry.bins.size + 1)
 
     def _columns(self, offsets: np.ndarray) -> np.ndarray:
         """w cos and -w sin at each bin, then ones, at the segment offsets:
@@ -478,20 +485,18 @@ class _SpectralSums:
                 a, b = max(lo, st), min(hi, st + g.n_seg)
                 columns = self._columns(np.arange(a - st, b - st))
                 self.sums[:, s] += self.block[a - lo : b - lo].T @ columns
+                if s == 0:
+                    self.dft_w += columns.sum(axis=0)
 
     def periodograms(self, divergent: np.ndarray) -> np.ndarray:
         """Hann periodograms at the SNR bins, one row per segment of each
         row not in divergent, in row then segment order."""
         self._flush()  # the last, partial block
         n_seg, nb = self.geometry.n_seg, self.geometry.bins.size
-        dft_w = sum(
-            self._columns(np.arange(a, min(a + _BLOCK, n_seg))).sum(axis=0)
-            for a in range(0, n_seg, _BLOCK)
-        )
         sums = self.sums[~divergent].reshape(-1, 2 * nb + 1)
         mean = sums[:, -1:] / n_seg
-        re = sums[:, :nb] - mean * dft_w[:nb]
-        im = sums[:, nb:-1] - mean * dft_w[nb:-1]
+        re = sums[:, :nb] - mean * self.dft_w[:nb]
+        im = sums[:, nb:-1] - mean * self.dft_w[nb:-1]
         return (re * re + im * im) / np.sum(self.window**2)
 
 
@@ -505,7 +510,6 @@ def plan(cells: list[Cell], cfg: SimConfig):
     for i, (p, noise, ex) in enumerate(cells):
         try:
             if cfg.psd is not None:
-                _check_segment(ex, cfg)
                 _psd_geometry(ex, cfg)
             key = _batch_key(p, noise, ex, cfg)
         except Exception as e:  # confined to this cell
@@ -609,16 +613,8 @@ def run_ensemble(
     return result
 
 
-def _snr_window(j: int, n_bins: int) -> np.ndarray:
-    """Bins the SNR at drive bin j reads: j itself, then its background
-    neighbors, up to five on each side, skipping DC and the bins next to j."""
-    lo = np.arange(max(j - 6, 1), max(j - 1, 1))
-    hi = np.arange(j + 2, min(j + 7, n_bins))
-    return np.concatenate([[j], lo, hi])
-
-
 def _snr_from_mean(mean_window: np.ndarray) -> float:
-    """Background-subtracted SNR from the mean spectrum on _snr_window bins."""
+    """Background-subtracted SNR from the mean spectrum on the SNR bins."""
     background = float(np.mean(mean_window[1:]))
     if background <= 0:
         return 0.0

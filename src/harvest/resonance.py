@@ -126,14 +126,6 @@ def _two_state(p: SystemParams, ex: ExcitationParams, D, c: float) -> ResonanceR
     )
 
 
-def output_spectrum(
-    p: SystemParams, noise: NoiseParams, ex: ExcitationParams
-) -> tuple[float, float]:
-    """Integrated signal spectrum and the noise spectrum at the drive frequency."""
-    r = _two_state(p, ex, noise.D, noise.c)
-    return (r.S1_integral, r.S2_at_Omega)
-
-
 def analyze(
     p: SystemParams, noise: NoiseParams, ex: ExcitationParams
 ) -> ResonanceResult:

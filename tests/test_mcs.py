@@ -372,12 +372,11 @@ class TestChunking:
 
 
 class TestBootstrap:
-    @pytest.mark.parametrize("omega", [0.5, 0.12])
+    @pytest.mark.parametrize("omega", [0.5])
     def test_matches_full_spectrum_bootstrap(self, omega):
         """The bootstrap standard error equals resampling the whole
         periodogram matrix of the spectral sums and reading the SNR off each
-        resampled mean.  omega = 0.12 puts the drive in bin 5, where the lower
-        background bins stop at bin 1."""
+        resampled mean."""
         rng = np.random.default_rng(11)
         dt = 0.05
         n_post = 6000
@@ -395,11 +394,9 @@ class TestBootstrap:
         n_seg = 5000
         freqs = 2.0 * math.pi * np.fft.rfftfreq(n_seg, d=dt)
         j = int(np.argmin(np.abs(freqs - omega)))
-        assert (j >= 7) == (omega == 0.5)
-        lo = np.arange(max(j - 6, 1), max(j - 1, 1))
-        hi = np.arange(j + 2, min(j + 7, freqs.size))
         np.testing.assert_array_equal(
-            spectra.geometry.bins, np.concatenate([[j], lo, hi])
+            spectra.geometry.bins,
+            np.concatenate([[j], np.arange(j - 6, j - 1), np.arange(j + 2, j + 7)]),
         )
         assert out.bin_freq == freqs[j] and out.freq_resolution == freqs[1]
 
@@ -460,6 +457,28 @@ class TestSpectralSums:
         assert got.shape == (3 * n_segments, geometry.bins.size)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("overlap", [0.5, 0.75])
+    def test_flushed_dft_w_is_the_whole_segment_sum(self, overlap):
+        """The DFT(w) sums that the flushes of segment 0 collect equal, bit
+        for bit, the whole segment's columns summed block by block.  A
+        segment is 1537 samples and the rows come in 700-sample chunks."""
+        ex = ExcitationParams(eps=1.0, G=0.3, Omega=5.0)
+        cfg = SimConfig(dt=0.01, t_total=60.0, t_transient=0.0, n_traj=2,
+                        psd=PsdSettings(segment_time=15.37, overlap=overlap))
+        spectra = mcs._SpectralSums(mcs._psd_geometry(ex, cfg), 2)
+        series = np.random.default_rng(5).standard_normal((6000, 2))
+        for a in range(0, 6000, 700):
+            spectra.add(series[a : a + 700], a)
+        spectra.periodograms(np.zeros(2, dtype=bool))
+
+        n_seg = spectra.geometry.n_seg
+        assert n_seg == 1537
+        want = sum(
+            spectra._columns(np.arange(a, min(a + mcs._BLOCK, n_seg))).sum(axis=0)
+            for a in range(0, n_seg, mcs._BLOCK)
+        )
+        assert spectra.dft_w.tobytes() == want.tobytes()
+
     def test_psd_run_stores_no_series(self, baseline_system, baseline_noise,
                                       monkeypatch):
         """A psd run's traced memory peak does not grow with the run: doubling
@@ -507,7 +526,10 @@ class TestSpectralSnr:
         (150.0, 0.5, 150.0, "no complete segments"),
         # the drive sits in bin 49 of 51
         (40.0, 310.0, 1.0, "drive frequency too close to the spectral edge"),
-    ], ids=["no-segments", "spectral-edge"])
+        # 10 periods at Omega=0.5 need 125.7 time units; nor does a 50-unit
+        # segment fit in 30, and the ten-period rule is reported first
+        (40.0, 0.5, 50.0, "must cover >= 10 drive periods"),
+    ], ids=["no-segments", "spectral-edge", "short-segment"])
     def test_psd_geometry_checked_before_stepping(
         self, baseline_system, baseline_noise, monkeypatch, t_total, omega,
         segment_time, message,
@@ -520,6 +542,45 @@ class TestSpectralSnr:
         with pytest.raises(ParameterError, match=message):
             run_ensemble(baseline_system, baseline_noise, ex, cfg)
         assert calls == []
+
+    def test_accepted_geometry_reads_a_fixed_window(self):
+        """On every psd setting that _psd_geometry accepts, the SNR bins are
+        the drive bin j, then j - 6 .. j - 2 and j + 2 .. j + 6, all in
+        [1, n_bins).  The seeded scan puts the drive at the ten-period
+        boundary, at the spectral edge and in between."""
+        rng = np.random.default_rng(21)
+        offsets = [0, -6, -5, -4, -3, -2, 2, 3, 4, 5, 6]
+        accepted = {"boundary": 0, "edge": 0, "between": 0}
+        for _ in range(300):
+            for where in accepted:
+                dt = float(rng.uniform(1e-3, 0.1))
+                n_seg = int(rng.integers(40, 4000))
+                n_bins = n_seg // 2 + 1
+                segment_time = n_seg * dt
+                if where == "boundary":
+                    omega = 20.0 * math.pi / segment_time
+                elif where == "edge":
+                    omega = 2.0 * math.pi * (n_bins - 8 + rng.uniform(-2, 2)) / segment_time
+                else:
+                    omega = 2.0 * math.pi * rng.uniform(10, n_bins - 8) / segment_time
+                cfg = SimConfig(
+                    dt=dt, t_total=segment_time * float(rng.uniform(1.0, 3.0)),
+                    t_transient=0.0,
+                    psd=PsdSettings(segment_time=segment_time,
+                                    overlap=float(rng.uniform(0.0, 0.9))),
+                )
+                ex = ExcitationParams(eps=1.0, G=0.3, Omega=omega)
+                try:
+                    geometry = mcs._psd_geometry(ex, cfg)
+                except ParameterError:
+                    continue
+                accepted[where] += 1
+                n = geometry.n_seg
+                freqs = 2.0 * math.pi * np.fft.rfftfreq(n, d=dt)
+                j = int(np.argmin(np.abs(freqs - omega)))
+                assert geometry.bins.tolist() == [j + o for o in offsets]
+                assert 1 <= geometry.bins.min() and geometry.bins.max() < freqs.size
+        assert min(accepted.values()) >= 100, accepted
 
     def test_drive_line_detected(self, baseline_system, baseline_noise):
         """A strong drive leaves a clear spectral line at its frequency."""

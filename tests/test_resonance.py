@@ -19,7 +19,6 @@ from harvest.model import (
 from harvest.resonance import (
     analyze,
     linearization_eigenvalues,
-    output_spectrum,
     snr,
     snr_equilibria,
     snr_vs_noise,
@@ -153,8 +152,7 @@ class TestSnr:
                 continue
             if r.R0 == 0.0 or not r.linear_response_ok:
                 continue
-            S1, S2 = output_spectrum(p, noise, ex)
-            assert S1 / S2 == pytest.approx(r.snr, rel=1e-12)
+            assert r.S1_integral / r.S2_at_Omega == pytest.approx(r.snr, rel=1e-12)
             count += 1
 
     def test_noise_induced_resonance_unimodal(
@@ -176,15 +174,14 @@ class TestSnr:
     def test_linear_response_failure_is_nan_everywhere(
         self, controlled_system, baseline_noise
     ):
-        """At q = 4 analyze, snr_vs_noise and output_spectrum agree: SNR NaN,
-        the flag down, the same (negative) noise floor."""
+        """At q = 4 analyze and snr_vs_noise agree: SNR NaN, the flag down,
+        and analyze reports a negative noise floor."""
         p, noise = controlled_system, baseline_noise
         ex = _failing_excitation(p, noise)
         r = analyze(p, noise, ex)
         assert r.R0 > 0 and not r.linear_response_ok
         assert math.isnan(r.snr)
         _assert_scan_is_analyze(p, ex, noise.c)
-        assert output_spectrum(p, noise, ex) == (r.S1_integral, r.S2_at_Omega)
         assert r.S2_at_Omega < 0.0
 
     def test_rate_underflow_is_zero_everywhere(self, baseline_excitation):
@@ -194,7 +191,7 @@ class TestSnr:
         assert r.underflow and r.R0 == 0.0 and r.linear_response_ok
         assert r.snr == 0.0
         assert snr_vs_noise(p, baseline_excitation, [1e-7], c=0.3)[0] == 0.0
-        assert output_spectrum(p, noise, baseline_excitation) == (0.0, 0.0)
+        assert (r.S1_integral, r.S2_at_Omega) == (0.0, 0.0)
         _assert_scan_is_analyze(
             p, _failing_excitation(p, NoiseParams(D=0.005, c=0.3)), 0.3
         )
