@@ -1,7 +1,8 @@
 """Command-line entry point: subcommand dispatch, sweeps, and CSV emission.
 
-Every run reads one JSON config document, optionally patched by --set
-overrides, and writes CSV data plus a sibling .meta.json provenance file.
+Every run reads one JSON config document (config.read_document, which
+applies --set and --seed), and each subcommand returns its outputs, which main
+writes as CSV data plus a sibling .meta.json provenance file each.
 Numeric output is fixed at 12 significant digits so repeated runs with the
 same config and seed are byte-identical.
 """
@@ -21,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__, averaging, freq, mcs, resonance
-from .config import RunConfig, apply_override, parse_config
+from .config import RunConfig, parse_config, read_document
 from .errors import ConfigError, HarvestError, LinearResponseError
 from .freq import build_table, exclusion_band
 from .model import harvested_power, seed_frequency, well_depth
@@ -96,19 +97,17 @@ def _base_meta(cfg: RunConfig, subcommand: str, t0: float) -> dict:
     }
 
 
-def _out_path(cfg: RunConfig, out_dir: str | None, suffix: str) -> str:
-    directory = out_dir if out_dir is not None else cfg.output.dir
-    return os.path.join(directory, f"{cfg.output.prefix}_{suffix}.csv")
+# Each _cmd_* takes (cfg, threads) and returns (outputs, exit code); main
+# writes each (suffix, header, rows, extra meta) of outputs to
+# <dir>/<prefix>_<suffix>.csv.
 
 
-def _cmd_freq(cfg: RunConfig, out_dir, t0) -> int:
+def _cmd_freq(cfg: RunConfig, threads: int):
     table = build_table(cfg.system)
-    header = ["H", "omega", "regime"]
     rows = [
         [H, om, "well"] for H, om in zip(table.H_neg, table.omega_neg)
     ] + [[H, om, "crosswell"] for H, om in zip(table.H_pos, table.omega_pos)]
-    emit_csv(_out_path(cfg, out_dir, "freq"), header, rows, _base_meta(cfg, "freq", t0))
-    return 0
+    return [("freq", ["H", "omega", "regime"], rows, {})], 0
 
 
 def _density_csv(fld) -> tuple[list[str], str]:
@@ -118,26 +117,20 @@ def _density_csv(fld) -> tuple[list[str], str]:
     return ["x", "v", "density"], "".join([_DENSITY_ROW % tuple(r) for r in rows])
 
 
-def _cmd_spd(cfg: RunConfig, out_dir, t0) -> int:
+def _cmd_spd(cfg: RunConfig, threads: int):
     fld = averaging.joint_spd(cfg.system, cfg.noise, cfg.sim.grid)
-    meta = _base_meta(cfg, "spd", t0)
-    meta["norm_const"] = fld.norm_const
-    emit_csv(_out_path(cfg, out_dir, "spd"), *_density_csv(fld), meta)
-    return 0
+    return [("spd", *_density_csv(fld), {"norm_const": fld.norm_const})], 0
 
 
-def _cmd_power(cfg: RunConfig, out_dir, t0) -> int:
+def _cmd_power(cfg: RunConfig, threads: int):
     p = cfg.system
     ev2 = averaging.mean_square_voltage(p, cfg.noise)
     header = ["mean_power", "mean_square_voltage", "well_depth"]
     rows = [[harvested_power(p, ev2), ev2, well_depth(p, seed_frequency(p))]]
-    emit_csv(
-        _out_path(cfg, out_dir, "power"), header, rows, _base_meta(cfg, "power", t0)
-    )
-    return 0
+    return [("power", header, rows, {})], 0
 
 
-def _cmd_snr(cfg: RunConfig, out_dir, t0) -> int:
+def _cmd_snr(cfg: RunConfig, threads: int):
     r = resonance.analyze(cfg.system, cfg.noise, cfg.excitation)
     header = [
         "x_s_plus", "x_s_minus", "x_u",
@@ -150,14 +143,11 @@ def _cmd_snr(cfg: RunConfig, out_dir, t0) -> int:
         r.R0, r.R1, r.S1_integral, r.S2_at_Omega, r.snr, r.omega_eq,
         int(r.linear_response_ok), int(r.underflow),
     ]]
-    emit_csv(_out_path(cfg, out_dir, "snr"), header, rows, _base_meta(cfg, "snr", t0))
-    return 0 if r.linear_response_ok else 1
+    return [("snr", header, rows, {})], 0 if r.linear_response_ok else 1
 
 
-def _cmd_mcs(cfg: RunConfig, out_dir, t0) -> int:
+def _cmd_mcs(cfg: RunConfig, threads: int):
     est = mcs.run_ensemble(cfg.system, cfg.noise, cfg.excitation, cfg.sim)
-    # read before anything is written: an empty histogram writes no CSV
-    histogram = est.histogram
     header = [
         "mean_power", "v_rms", "efficiency_pct", "efficiency_defined",
         "n_divergent", "n_samples", "psd_snr", "psd_snr_stderr",
@@ -169,16 +159,12 @@ def _cmd_mcs(cfg: RunConfig, out_dir, t0) -> int:
         int(est.efficiency_defined), est.n_divergent, est.n_samples,
         psd_val, psd_err,
     ]]
-    emit_csv(_out_path(cfg, out_dir, "mcs"), header, rows, _base_meta(cfg, "mcs", t0))
-    emit_csv(
-        _out_path(cfg, out_dir, "mcs_hist"),
-        *_density_csv(histogram),
-        _base_meta(cfg, "mcs", t0),
-    )
-    return 1 if est.n_divergent else 0
+    # an empty histogram raises here, before main writes any CSV
+    hist = ("mcs_hist", *_density_csv(est.histogram), {})
+    return [("mcs", header, rows, {}), hist], 1 if est.n_divergent else 0
 
 
-def _cmd_compare(cfg: RunConfig, out_dir, t0) -> int:
+def _cmd_compare(cfg: RunConfig, threads: int):
     analytic = averaging.mean_power(cfg.system, cfg.noise)
     est = mcs.run_ensemble(cfg.system, cfg.noise, cfg.excitation, cfg.sim)
     gap = (
@@ -192,10 +178,7 @@ def _cmd_compare(cfg: RunConfig, out_dir, t0) -> int:
         analytic, est.mean_power, gap, est.v_rms, est.efficiency_pct,
         est.n_divergent, est.n_samples,
     ]]
-    emit_csv(
-        _out_path(cfg, out_dir, "compare"), header, rows, _base_meta(cfg, "compare", t0)
-    )
-    return 1 if est.n_divergent else 0
+    return [("compare", header, rows, {})], 1 if est.n_divergent else 0
 
 
 def _cell_config(cfg: RunConfig, assignments) -> RunConfig:
@@ -375,17 +358,17 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
     return header, rows, cell_errors, batches
 
 
-def _cmd_sweep(cfg: RunConfig, out_dir, t0, threads: int) -> int:
+def _cmd_sweep(cfg: RunConfig, threads: int):
     header, rows, cell_errors, batches = run_sweep(cfg, threads=threads)
-    meta = _base_meta(cfg, "sweep", t0)
-    meta["threads"] = threads
-    meta["cell_errors"] = cell_errors
-    meta["mc_batches"] = [
-        {"cells": len(batch), "rows": len(batch) * cfg.sim.n_traj}
-        for batch in batches
-    ]
-    emit_csv(_out_path(cfg, out_dir, "sweep"), header, rows, meta)
-    return 1 if any(row[-1] for row in rows) else 0
+    meta = {
+        "threads": threads,
+        "cell_errors": cell_errors,
+        "mc_batches": [
+            {"cells": len(batch), "rows": len(batch) * cfg.sim.n_traj}
+            for batch in batches
+        ],
+    }
+    return [("sweep", header, rows, meta)], 1 if any(row[-1] for row in rows) else 0
 
 
 _COMMANDS = {
@@ -394,6 +377,7 @@ _COMMANDS = {
     "power": _cmd_power,
     "snr": _cmd_snr,
     "mcs": _cmd_mcs,
+    "sweep": _cmd_sweep,
     "compare": _cmd_compare,
 }
 
@@ -403,10 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="harvest",
         description="Delay-controlled bi-stable energy harvester toolkit",
     )
-    parser.add_argument(
-        "subcommand",
-        choices=["freq", "spd", "power", "snr", "mcs", "sweep", "compare"],
-    )
+    parser.add_argument("subcommand", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument(
@@ -425,36 +406,17 @@ def main(argv: list[str] | None = None) -> int:
 
     t0 = time.monotonic()
     try:
-        with open(args.config, encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        print(f"error: cannot read config {args.config}: {e}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(f"error: invalid JSON in {args.config}: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:  # invalid UTF-8, or an integer beyond the digit limit
-        print(f"error: cannot parse config {args.config}: {e}", file=sys.stderr)
-        return 2
-
-    try:
-        if not isinstance(doc, dict):
-            raise ConfigError("top level: expected a JSON object")
-        for override in args.set:
-            if "=" not in override:
-                raise ConfigError(f"--set {override!r}: expected KEY=VALUE")
-            key, value = override.split("=", 1)
-            apply_override(doc, key, value)
-        if args.seed is not None:
-            apply_override(doc, "sim.seed", str(args.seed))
-        cfg = parse_config(doc)
-        if args.subcommand == "sweep":
-            return _cmd_sweep(cfg, args.out, t0, max(1, args.threads))
-        return _COMMANDS[args.subcommand](cfg, args.out, t0)
+        cfg = parse_config(read_document(args.config, args.set, args.seed))
+        outputs, code = _COMMANDS[args.subcommand](cfg, max(1, args.threads))
+        directory = cfg.output.dir if args.out is None else args.out
+        for suffix, header, rows, extra_meta in outputs:
+            path = os.path.join(directory, f"{cfg.output.prefix}_{suffix}.csv")
+            meta = {**_base_meta(cfg, args.subcommand, t0), **extra_meta}
+            emit_csv(path, header, rows, meta)
     except HarvestError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

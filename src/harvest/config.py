@@ -203,22 +203,13 @@ def _block(raw: Any, table: dict, path: str, applied: list[str]) -> dict:
     return out
 
 
-def parse_config(document: str | dict) -> RunConfig:
-    """Parse and validate one JSON run document into a RunConfig.
+def parse_config(doc: dict) -> RunConfig:
+    """Parse and validate one run document (read_document) into a RunConfig.
 
     Physical-validity violations (negative stiffness and the like) surface as
     ParameterError from the domain types; schema violations as ConfigError,
     and so is a sweep axis with an end out of its parameter's range.
     """
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except ValueError as e:  # JSONDecodeError or the int-string limit
-            raise ConfigError(f"invalid JSON: {e}") from e
-    else:
-        doc = document
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a JSON object")
     unknown = set(doc) - {"system", "noise", "excitation", "sim", "sweep", "output"}
     if unknown:
         raise ConfigError(f"top level: unknown key(s) {sorted(unknown)}")
@@ -270,6 +261,29 @@ def parse_config(document: str | dict) -> RunConfig:
         defaults_applied=tuple(applied),
         document=doc,
     )
+
+
+def read_document(path: str, overrides: list[str], seed: int | None) -> dict:
+    """The JSON object in the file at path, patched by each KEY=VALUE of
+    overrides and then by the seed, if one is given, through apply_override."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"invalid JSON in {path}: {e}") from e
+    except ValueError as e:  # invalid UTF-8, or an integer beyond the digit limit
+        raise ConfigError(f"cannot parse config {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError("top level: expected a JSON object")
+    for override in overrides:
+        if "=" not in override:
+            raise ConfigError(f"--set {override!r}: expected KEY=VALUE")
+        apply_override(doc, *override.split("=", 1))
+    if seed is not None:
+        apply_override(doc, "sim.seed", str(seed))
+    return doc
 
 
 def apply_override(doc: dict, dotted: str, raw_value: str) -> None:

@@ -102,11 +102,11 @@ class SimConfig:
 
     def resolved_transient(self, ex: ExcitationParams) -> float:
         """Transient discard window; default 20% of the run, and at least 200
-        forcing periods when the periodic excitation is on."""
+        forcing periods when the drive amplitude eps*G is non-zero."""
         if self.t_transient is not None:
             return self.t_transient
         t = 0.2 * self.t_total
-        if ex.eps > 0:
+        if ex.amplitude > 0:
             t = max(t, 200.0 * 2.0 * math.pi / ex.Omega)
         return min(t, 0.95 * self.t_total)
 
@@ -230,7 +230,7 @@ def _batch_key(
 
 
 def _forcing_chunk(ex: ExcitationParams, dt: float, s0: int, n: int) -> np.ndarray:
-    if ex.eps == 0 or ex.G == 0:
+    if ex.amplitude == 0:
         return np.zeros(n)
     return ex.amplitude * np.sin(ex.Omega * dt * np.arange(s0, s0 + n, dtype=float))
 
@@ -391,9 +391,11 @@ class _PsdGeometry:
 def _psd_geometry(ex: ExcitationParams, cfg: SimConfig) -> _PsdGeometry:
     """The segments and SNR bins of a psd run, checked before it is stepped,
     in this order: a segment covers at least ten drive periods, the run holds
-    at least one segment, and the window stops below the Nyquist bin.  Ten
-    periods put the drive bin j at 10 or above, so the window j - 6 .. j + 6
-    always has its five background bins on each side, above DC."""
+    at least one segment, and the window stops below the last rfft bin
+    n_bins - 1 (j <= n_bins - 8), so the Nyquist bin of an even segment is
+    never background.  Ten periods put the drive bin j at 10 or above, so the
+    window j - 6 .. j + 6 always has its five background bins on each side,
+    above DC."""
     drive_period = 2.0 * math.pi / ex.Omega
     if cfg.psd.segment_time < 10.0 * drive_period:
         raise ParameterError(

@@ -1,5 +1,6 @@
 """Config parsing (fail-closed), overrides, CLI subcommands, CSV output."""
 
+import collections
 import concurrent.futures.process
 import csv
 import dataclasses
@@ -23,6 +24,7 @@ from harvest.config import (
     SweepAxis,
     apply_override,
     parse_config,
+    read_document,
 )
 from harvest.errors import ConfigError, ParameterError
 from harvest.mcs import PsdSettings, SimConfig
@@ -113,13 +115,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"system\.delta1"):
             parse_config(bad)
 
-    def test_invalid_json_text(self):
-        with pytest.raises(ConfigError, match="invalid JSON"):
-            parse_config("{not json")
-        with pytest.raises(ConfigError, match="invalid JSON"):
-            parse_config('{"system": {"delta1": %s}}' % ("9" * 5000))
-        with pytest.raises(ConfigError, match="top level"):
-            parse_config("[1, 2]")
+    def test_invalid_json_text(self, tmp_path):
+        """read_document rejects a file whose text is no JSON object."""
+        path = tmp_path / "run.json"
+        for text, message in [
+            ("{not json", "invalid JSON in "),
+            ('{"system": {"delta1": %s}}' % ("9" * 5000), "cannot parse config "),
+            ("[1, 2]", "top level: expected a JSON object"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                read_document(str(path), [], None)
 
     def test_physical_violations_surface_as_parameter_error(self):
         bad = doc()
@@ -347,6 +353,23 @@ class TestCliCommands:
         )
         assert "nan" in body and "-inf" in body and "-0.00000000000e+00" in body
 
+    def test_spd_output(self, tmp_path):
+        """harvest spd writes joint_spd's (x, v, density) rows, x-major, at
+        12 digits, and its norm_const in the meta."""
+        cfg_path = write_cfg(tmp_path, doc())
+        assert main(["spd", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        cfg = parse_config(doc())
+        fld = averaging.joint_spd(cfg.system, cfg.noise, cfg.sim.grid)
+        header, rows = read_csv(tmp_path / "harvest_spd.csv")
+        assert header == ["x", "v", "density"]
+        assert rows == [
+            [cli._fmt(x), cli._fmt(v), cli._fmt(fld.values[i, j])]
+            for i, x in enumerate(fld.x) for j, v in enumerate(fld.v)
+        ]
+        meta = json.loads((tmp_path / "harvest_spd.meta.json").read_text())
+        assert meta["subcommand"] == "spd"
+        assert meta["norm_const"] == fld.norm_const
+
     def test_snr_output(self, tmp_path):
         cfg_path = write_cfg(tmp_path, doc())
         assert main(["snr", "--config", cfg_path, "--out", str(tmp_path)]) == 0
@@ -446,6 +469,41 @@ class TestCliCommands:
         malformed_set = write_cfg(tmp_path, doc())
         assert main(["power", "--config", malformed_set,
                      "--set", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("subcommand, text, message", [
+        ("power", "[1, 2]", "error: top level: expected a JSON object\n"),
+        ("sweep", json.dumps(BASE_DOC), "error: config has no sweep block\n"),
+    ], ids=["list_config", "sweep_without_sweep_block"])
+    def test_config_rejected_after_reading_exits_2(self, tmp_path, capsys,
+                                                  subcommand, text, message):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        argv = [subcommand, "--config", str(path), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+        assert list(tmp_path.glob("harvest_*")) == []
+
+    def test_main_calls_the_names_the_benchmark_wraps(self, tmp_path, monkeypatch):
+        """The benchmark marks the end of set-up by wrapping cli.parse_config
+        and times cli.emit_csv, cli._sweep_cell and cli.build_table by
+        wrapping those module globals: main and the commands must call each
+        by that name, parse_config once per run and emit_csv once per CSV."""
+        counts = collections.Counter()
+        for name in ("parse_config", "emit_csv", "_sweep_cell", "build_table"):
+            def counted(*args, _fn=getattr(cli, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, counted)
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 0.004,
+                                 "stop": 0.006, "count": 2}],
+                       "quantities": ["power"]})
+        argv = ["--config", write_cfg(tmp_path, d), "--out", str(tmp_path),
+                "--threads", "1"]
+        assert main(["freq", *argv]) == 0
+        assert counts == {"parse_config": 1, "build_table": 1, "emit_csv": 1}
+        counts.clear()
+        assert main(["sweep", *argv]) == 0
+        assert counts == {"parse_config": 1, "_sweep_cell": 2, "emit_csv": 1}
 
     def test_seed_override_fills_a_null_sim_block(self, tmp_path):
         """--seed N and --set sim.seed=N take one path: on a config whose sim
@@ -828,6 +886,41 @@ class TestSweep:
             "message": "dt=0.01 too large: must be <= min(tau1, tau2, c)/20 = 0.005",
         }]
         assert meta["mc_batches"] == [{"cells": 2, "rows": 8}]
+
+    def test_transient_that_leaves_no_sample_stays_in_its_cell(self, tmp_path):
+        """A transient that leaves no sample fails each cell's ensemble
+        quantity with _batch_key's message; the analytic power survives."""
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 0.004,
+                                 "stop": 0.006, "count": 2}],
+                       "quantities": ["v_rms", "power"]})
+        d["sim"].update(dt=0.01, t_total=0.01, t_transient=0.006)
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                     "--threads", "1"]) == 1
+        _, rows = read_csv(tmp_path / "harvest_sweep.csv")
+        assert [r[1] for r in rows] == ["nan", "nan"]
+        assert all(float(r[2]) > 0 for r in rows)
+        assert [r[-1] for r in rows] == ["ParameterError"] * 2
+        meta = json.loads((tmp_path / "harvest_sweep.meta.json").read_text())
+        assert [(e["quantity"], e["message"]) for e in meta["cell_errors"]] == [
+            ("v_rms", "transient discard leaves no samples")
+        ] * 2
+        assert meta["mc_batches"] == []
+
+    def test_omega_eq_is_the_two_state_frequency(self, tmp_path):
+        d = doc(sweep={"axes": [{"param": "system.delta1", "start": 2.0,
+                                 "stop": 3.0, "count": 2}],
+                       "quantities": ["omega_eq"]})
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                     "--threads", "1"]) == 0
+        _, rows = read_csv(tmp_path / "harvest_sweep.csv")
+        system = parse_config(d).system
+        assert [r[1] for r in rows] == [
+            cli._fmt(resonance.snr_equilibria(
+                dataclasses.replace(system, delta1=delta1))[2])
+            for delta1 in (2.0, 3.0)
+        ]
 
     def test_empty_histogram_keeps_the_ensemble_values(self, tmp_path):
         """A sweep reads no histogram: with no sample on sim.grid its

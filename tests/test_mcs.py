@@ -1,6 +1,7 @@
 """Monte Carlo lane: noise generator statistics, integrator behavior,
 determinism, delay handling, and the spectral SNR estimator."""
 
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -169,6 +170,35 @@ class TestDeterminismAndConfig:
         assert SimConfig(dt=0.01, t_total=1000.0, t_transient=17.0).resolved_transient(
             EX_OFF
         ) == pytest.approx(17.0)
+        # eps > 0 with G = 0 is no drive: no 200-period window
+        assert cfg.resolved_transient(
+            ExcitationParams(eps=0.1, G=0.0, Omega=0.05)
+        ) == pytest.approx(200.0)
+
+    def test_zero_amplitude_run_is_the_undriven_run(
+        self, baseline_system, baseline_noise
+    ):
+        """eps > 0 with G = 0 steps, discards and estimates as eps = 0 does,
+        bit for bit, with the default transient."""
+        cfg = small_cfg(t_transient=None)
+        a = run_ensemble(baseline_system, baseline_noise, EX_OFF, cfg)
+        b = run_ensemble(
+            baseline_system, baseline_noise,
+            ExcitationParams(eps=0.1, G=0.0, Omega=0.05), cfg,
+        )
+        assert a.n_samples == b.n_samples == 8 * 16000
+        for f in dataclasses.fields(a):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+
+    def test_transient_that_leaves_no_sample_fails_before_stepping(
+        self, baseline_system, baseline_noise, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(_kernels, "_chunk_batch", lambda *a: calls.append(a))
+        cfg = SimConfig(dt=0.01, t_total=0.01, t_transient=0.006)
+        with pytest.raises(ParameterError, match="transient discard leaves no samples"):
+            run_ensemble(baseline_system, baseline_noise, EX_OFF, cfg)
+        assert calls == []
 
 
 class TestEstimators:
@@ -542,6 +572,23 @@ class TestSpectralSnr:
         with pytest.raises(ParameterError, match=message):
             run_ensemble(baseline_system, baseline_noise, ex, cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("n_seg", [100, 101], ids=["even", "odd"])
+    def test_drive_bin_edge(self, n_seg):
+        """The drive may sit at bin n_bins - 8, whose window ends at n_bins - 2;
+        at n_bins - 7 the window would reach the last rfft bin, the Nyquist
+        bin of an even segment, and the drive is rejected."""
+        n_bins = n_seg // 2 + 1
+        segment_time = n_seg * 0.01
+        cfg = SimConfig(dt=0.01, t_total=2.0 * segment_time, t_transient=0.0,
+                        psd=PsdSettings(segment_time=segment_time))
+        def at_bin(j):
+            omega = 2.0 * math.pi * j / segment_time
+            return ExcitationParams(eps=1.0, G=0.3, Omega=omega)
+
+        assert mcs._psd_geometry(at_bin(n_bins - 8), cfg).bins.max() == n_bins - 2
+        with pytest.raises(ParameterError, match="spectral edge"):
+            mcs._psd_geometry(at_bin(n_bins - 7), cfg)
 
     def test_accepted_geometry_reads_a_fixed_window(self):
         """On every psd setting that _psd_geometry accepts, the SNR bins are
