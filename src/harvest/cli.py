@@ -27,10 +27,11 @@ from .errors import ConfigError, HarvestError, LinearResponseError
 from .freq import build_table, exclusion_band
 from .model import harvested_power, seed_frequency, well_depth
 
+# The one number format, 12 significant digits; it prints nan and +-inf as
+# "nan", "inf" and "-inf".
 _FMT = "%.11e"
-# _FMT for each value of an (x, v, density) row: "%.11e" prints nan and
-# +-inf as _fmt does, so a row reads as the _fmt join of its values
-_DENSITY_ROW = "%.11e,%.11e,%.11e\n"
+# an (x, v, density) row, the _fmt join of its values
+_DENSITY_ROW = ",".join([_FMT] * 3) + "\n"
 
 
 def _fmt(value) -> str:
@@ -38,10 +39,7 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return _FMT % v
+    return _FMT % float(value)
 
 
 def emit_csv(path: str, header: list[str], rows: list[list] | str, meta: dict) -> None:
@@ -166,7 +164,9 @@ def _cmd_mcs(cfg: RunConfig, threads: int):
 
 def _cmd_compare(cfg: RunConfig, threads: int):
     analytic = averaging.mean_power(cfg.system, cfg.noise)
-    est = mcs.run_ensemble(cfg.system, cfg.noise, cfg.excitation, cfg.sim)
+    # compare reports no spectral SNR, so it runs no psd checks or sums
+    sim = dataclasses.replace(cfg.sim, psd=None)
+    est = mcs.run_ensemble(cfg.system, cfg.noise, cfg.excitation, sim)
     gap = (
         abs(est.mean_power - analytic) / abs(analytic) if analytic != 0 else math.nan
     )
@@ -291,10 +291,7 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
     if cfg.sweep is None:
         raise ConfigError("config has no sweep block")
     axes = cfg.sweep.axes
-    spaces = {"linear": np.linspace, "log": np.geomspace}
-    coords = list(itertools.product(
-        *(spaces[ax.scale](ax.start, ax.stop, ax.count) for ax in axes)
-    ))
+    coords = list(itertools.product(*(ax.values() for ax in axes)))
     configs = [_cell_config(cfg, zip([ax.param for ax in axes], p)) for p in coords]
     quantities = tuple(dict.fromkeys(cfg.sweep.quantities))
     analytic = tuple(q for q in quantities if q not in _ENSEMBLE_QUANTITIES)

@@ -2,16 +2,19 @@
 
 A run document is one JSON object with blocks ``system``, ``noise``,
 ``excitation`` and optionally ``sim``, ``sweep``, ``output``.  Unknown keys are
-rejected with a path-qualified message; omitted keys fall back to documented
-defaults and every applied default is recorded for provenance.
+rejected with a path-qualified message.  An omitted key takes its type's
+default (the field's own on SystemParams, SimConfig, ...), so the library and
+the CLI share every default; each default applied is recorded for provenance.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
+
+import numpy as np
 
 from .averaging import GridSpec
 from .errors import ConfigError, ParameterError
@@ -27,6 +30,9 @@ SWEEP_QUANTITIES = (
     "omega_eq",
 )
 
+# The spacing of an axis's coordinates, by its scale.
+_SCALES = {"linear": np.linspace, "log": np.geomspace}
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -36,11 +42,15 @@ class SweepAxis:
     count: int
     scale: str = "linear"
 
+    def values(self) -> np.ndarray:
+        """The count coordinates of the axis, start to stop, by its scale."""
+        return _SCALES[self.scale](self.start, self.stop, self.count)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
     axes: tuple[SweepAxis, ...]
-    quantities: tuple[str, ...]
+    quantities: tuple[str, ...] = ("power",)
 
 
 @dataclass(frozen=True)
@@ -114,8 +124,9 @@ def _count(value: Any, path: str) -> int:
 
 
 def _scale(value: Any, path: str) -> str:
-    if not isinstance(value, str) or value not in ("linear", "log"):
-        raise ConfigError(f"{path}: must be 'linear' or 'log', got {value!r}")
+    if not isinstance(value, str) or value not in _SCALES:
+        names = " or ".join(map(repr, _SCALES))
+        raise ConfigError(f"{path}: must be {names}, got {value!r}")
     return value
 
 
@@ -140,41 +151,31 @@ def _quantities(value: Any, path: str) -> tuple[str, ...]:
 # read and their defaults recorded.
 _REQUIRED = object()
 
-_SYSTEM = {
-    "delta1": (_number, _REQUIRED), "delta3": (_number, _REQUIRED),
-    "kappa": (_number, 0.0), "alpha": (_number, 0.05), "beta": (_number, 0.0),
-    "mu": (_number, 0.0), "nu": (_number, 0.0),
-    "tau1": (_number, 0.0), "tau2": (_number, 0.0),
-}
-_NOISE = {"D": (_number, _REQUIRED), "c": (_number, _REQUIRED)}
-_EXCITATION = {"eps": (_number, 0.0), "G": (_number, 0.1), "Omega": (_number, 0.05)}
-_SIM = {
-    "dt": (_number, 0.01),
-    "t_total": (_number, 2000.0),
-    "t_transient": (_optional_number, None),
-    "n_traj": (_integer, 100),
-    "seed": (_integer, 0),
-    "x0": (_optional_number, None),
-    "v0": (_number, 0.0),
-    "V0": (_number, 0.0),
-    "grid": (_nested, None),
-    "psd": (_nested, None),
-}
-_GRID = {
-    "x_min": (_number, -2.5), "x_max": (_number, 2.5), "nx": (_integer, 64),
-    "v_min": (_number, -3.0), "v_max": (_number, 3.0), "nv": (_integer, 64),
-}
-_PSD = {
-    "segment_time": (_number, _REQUIRED), "overlap": (_number, 0.5),
-    "n_bootstrap": (_integer, 200),
-}
-_AXIS = {
-    "param": (_param, _REQUIRED), "start": (_number, _REQUIRED),
-    "stop": (_number, _REQUIRED), "count": (_count, _REQUIRED),
-    "scale": (_scale, "linear"),
-}
-_SWEEP = {"axes": (_axes, _REQUIRED), "quantities": (_quantities, ("power",))}
-_OUTPUT = {"dir": (_text, "."), "prefix": (_text, "harvest")}
+
+def _table(source, **readers) -> dict:
+    """The table of a block that fills the fields of the dataclass (or
+    instance) source: one key per field, in field order, read by
+    readers[key] or else _number, with source's value of the field as its
+    default, or _REQUIRED where source has none."""
+    return {
+        f.name: (readers.get(f.name, _number), getattr(source, f.name, _REQUIRED))
+        for f in fields(source)
+    }
+
+
+_SYSTEM = _table(SystemParams)
+_NOISE = _table(NoiseParams)
+_EXCITATION = _table(ExcitationParams)
+# an omitted or null grid is read as {}, so its keys take the default grid's
+_SIM = _table(
+    SimConfig, t_transient=_optional_number, n_traj=_integer, seed=_integer,
+    x0=_optional_number, psd=_nested,
+) | {"grid": (_nested, None)}
+_GRID = _table(SimConfig().grid, nx=_integer, nv=_integer)
+_PSD = _table(PsdSettings, n_bootstrap=_integer)
+_AXIS = _table(SweepAxis, param=_param, count=_count, scale=_scale)
+_SWEEP = _table(SweepSpec, axes=_axes, quantities=_quantities)
+_OUTPUT = _table(OutputSpec, dir=_text, prefix=_text)
 
 _AXIS_PARAMS = (
     {f"system.{k}" for k in _SYSTEM} | {f"noise.{k}" for k in _NOISE}

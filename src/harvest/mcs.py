@@ -77,8 +77,8 @@ class PsdSettings:
 class SimConfig:
     """Integration and ensemble settings for the Monte Carlo runs."""
 
-    dt: float
-    t_total: float
+    dt: float = 0.01
+    t_total: float = 2000.0
     t_transient: float | None = None
     n_traj: int = 100
     seed: int = 0

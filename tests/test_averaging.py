@@ -21,7 +21,7 @@ from harvest.averaging import (
     mean_power,
     mean_square_voltage,
 )
-from harvest.errors import ParameterError, SeparatrixBandError
+from harvest.errors import ConvergenceError, ParameterError, SeparatrixBandError
 from harvest.freq import (
     bottom_frequency, exclusion_band, period_integral, solve_frequency,
 )
@@ -277,6 +277,13 @@ class TestJointSpd:
             GridSpec(nx=16)
         with pytest.raises(ParameterError):
             GridSpec(x_min=2.0, x_max=-2.0)
+
+    def test_expansion_that_runs_out_raises(self, baseline_system):
+        """At D = 50 the density is still above 1e-12 of its peak on the
+        boundary of the fifth expansion of a 32 x 32 grid."""
+        with pytest.raises(ConvergenceError, match="did not contain"):
+            joint_spd(baseline_system, NoiseParams(D=50.0, c=0.3),
+                      GridSpec(nx=32, nv=32))
 
 
 class TestGeneralizedPotential:

@@ -22,6 +22,7 @@ from harvest.config import (
     SWEEP_QUANTITIES,
     OutputSpec,
     SweepAxis,
+    SweepSpec,
     apply_override,
     parse_config,
     read_document,
@@ -132,6 +133,8 @@ class TestParseConfig:
         bad["system"]["delta1"] = -1.0
         with pytest.raises(ParameterError):
             parse_config(bad)
+        with pytest.raises(ParameterError, match="t_total must be > 0"):
+            parse_config(doc(sim={"t_total": 0}))
 
     def test_sweep_validation(self):
         good = doc(sweep={"axes": [{"param": "system.tau1", "start": 0.0,
@@ -163,6 +166,9 @@ class TestParseConfig:
                                    "stop": 1.0, "count": 3}],
                          "quantities": ["entropy"]})
         with pytest.raises(ConfigError, match="entropy"):
+            parse_config(bad)
+        bad["sweep"]["quantities"] = []
+        with pytest.raises(ConfigError, match="at least one quantity required"):
             parse_config(bad)
 
     @pytest.mark.parametrize(
@@ -281,6 +287,21 @@ class TestParseConfig:
         grid = SimConfig(dt=0.01, t_total=1.0).grid
         defaults = {k: default for k, (_, default) in config._GRID.items()}
         assert GridSpec(**defaults) == grid
+
+    def test_minimal_document_takes_the_types_defaults(self):
+        """Every key left out reads as its type's own default, so a run
+        built in code and one read from a document agree."""
+        axes = [{"param": "noise.D", "start": 0.001, "stop": 0.01, "count": 3}]
+        cfg = parse_config({
+            "system": {"delta1": 3.0, "delta3": 3.0},
+            "noise": {"D": 0.005, "c": 0.3},
+            "sweep": {"axes": axes},
+        })
+        assert cfg.system == SystemParams(delta1=3.0, delta3=3.0)
+        assert cfg.excitation == ExcitationParams()
+        assert cfg.sim == SimConfig()
+        assert cfg.output == OutputSpec()
+        assert cfg.sweep.quantities == SweepSpec(cfg.sweep.axes).quantities
 
 
 class TestOverrides:
@@ -420,6 +441,25 @@ class TestCliCommands:
         vals = dict(zip(header, rows[0]))
         assert float(vals["analytic_power"]) > 0
         assert float(vals["mcs_power"]) > 0
+
+    def test_compare_ignores_the_psd_block(self, tmp_path):
+        """compare reports no spectral SNR, so like sweep it drops sim.psd: a
+        segment longer than the run is no error, and the row is the one of
+        the same run without the block."""
+        d = doc()
+        d["sim"].update(t_total=50.0, t_transient=10.0)
+        plain = tmp_path / "plain"
+        assert main(["compare", "--config", write_cfg(tmp_path, d),
+                     "--out", str(plain)]) == 0
+        d["sim"]["psd"] = {"segment_time": 100.0}
+        cfg = parse_config(d)
+        with pytest.raises(ParameterError, match="must cover >= 10 drive periods"):
+            mcs.run_ensemble(cfg.system, cfg.noise, cfg.excitation, cfg.sim)
+        assert main(["compare", "--config", write_cfg(tmp_path, d),
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "harvest_compare.csv").read_bytes() == (
+            plain / "harvest_compare.csv"
+        ).read_bytes()
 
     def test_empty_histogram_fails_only_where_it_is_read(self, tmp_path, capsys):
         """With no sample on sim.grid, compare (which reads no histogram)

@@ -7,6 +7,7 @@ that quadrature to convergence; independent cross-checks against direct
 scipy.integrad quadrature of the singular integrand appear inline.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -22,11 +23,13 @@ from harvest.averaging import loop_average
 from harvest.errors import (
     BistabilityLossError,
     EnergyRangeError,
+    ParameterError,
     SeparatrixBandError,
 )
 from harvest.freq import (
     FrequencyTable,
     _ellipkm1,
+    bottom_frequency,
     build_table,
     exclusion_band,
     period_integral,
@@ -127,6 +130,8 @@ class TestTurningPoints:
         p = SystemParams(delta1=0.1, delta3=3.0, kappa=5.0)
         with pytest.raises(BistabilityLossError):
             turning_points(0.5, p, 2.0, MotionRegime.CROSS_WELL)
+        with pytest.raises(BistabilityLossError, match="bi-stability lost"):
+            bottom_frequency(p)
 
 
 def brentq_turning_points(H, p, omega, regime):
@@ -557,3 +562,44 @@ class TestFrequencyTable:
             assert np.max(np.abs(dom)) <= bnd
         below = table.H_neg[0] - 1.0
         assert table.slope_bound(np.array([below - 1]), np.array([below]))[0] == 0.0
+
+    def test_table_range_must_straddle_the_band(self, controlled_system):
+        band = exclusion_band(controlled_system)
+        for H_range in [(-0.5, -2 * band), (2 * band, 5.0), (-0.5 * band, 5.0)]:
+            with pytest.raises(ParameterError, match="must straddle"):
+                build_table(controlled_system, H_range=H_range)
+
+    def test_lookup_is_scipy_pchip_on_turning_branches(self, monkeypatch):
+        """On seeded random branches that turn up and down, so that the
+        three-point end slope is zeroed where it opposes the end secant and
+        clamped to three times it where the secants turn, the lookup and its
+        slope are bit for bit scipy's."""
+        kinds = collections.Counter()
+        end_slope = freq._pchip_end_slope
+
+        def counting(h0, h1, m0, m1):
+            d = end_slope(h0, h1, m0, m1)
+            kinds["zero" if d == 0.0 else "3 m0" if d == 3.0 * m0 else "3-point"] += 1
+            return d
+
+        monkeypatch.setattr(freq, "_pchip_end_slope", counting)
+        rng = np.random.default_rng(17)
+        band = 1e-3
+        for _ in range(60):
+            n = rng.integers(4, 12)
+            H_neg = np.r_[-2.0, np.sort(rng.uniform(-2.0, -band, n - 2)), -band]
+            H_pos = np.r_[band, np.sort(rng.uniform(band, 3.0, n - 2)), 3.0]
+            table = FrequencyTable(
+                H_neg, rng.uniform(0.5, 2.0, n), H_pos, rng.uniform(0.5, 2.0, n)
+            )
+            H = np.concatenate((
+                rng.uniform(H_neg[0] - 1.0, -band, 200),
+                rng.uniform(band, H_pos[-1], 200),
+                table.knots,
+            ))
+            H = H[np.abs(H) > band]
+            om, dom = table.lookup_bridged(H, slope=True)
+            ref_om, ref_dom = scipy_lookup(table, H)
+            assert np.array_equal(om, ref_om)
+            assert np.array_equal(dom, ref_dom)
+        assert min(kinds["zero"], kinds["3 m0"], kinds["3-point"]) > 0, kinds

@@ -160,6 +160,8 @@ class TestDeterminismAndConfig:
             PsdSettings(segment_time=0.0)
         with pytest.raises(ParameterError):
             PsdSettings(segment_time=100.0, overlap=1.0)
+        with pytest.raises(ParameterError, match="n_bootstrap"):
+            PsdSettings(segment_time=100.0, n_bootstrap=9)
 
     def test_default_transient_rules(self):
         cfg = SimConfig(dt=0.01, t_total=1000.0)
@@ -572,6 +574,15 @@ class TestSpectralSnr:
         with pytest.raises(ParameterError, match=message):
             run_ensemble(baseline_system, baseline_noise, ex, cfg)
         assert calls == []
+
+    def test_every_trajectory_diverging_after_the_transient(self, baseline_system):
+        """With samples kept but every row divergent, no periodogram is left
+        to average."""
+        ex = ExcitationParams(eps=1.0, G=0.3, Omega=5.0)
+        cfg = small_cfg(t_total=20.0, t_transient=0.0, n_traj=4,
+                        psd=PsdSettings(segment_time=13.0))
+        with pytest.raises(ParameterError, match="no spectra available"):
+            run_ensemble(baseline_system, NoiseParams(D=1e10, c=0.3), ex, cfg)
 
     @pytest.mark.parametrize("n_seg", [100, 101], ids=["even", "odd"])
     def test_drive_bin_edge(self, n_seg):
