@@ -189,8 +189,9 @@ def _cell_config(cfg: RunConfig, assignments) -> RunConfig:
     return cfg
 
 
-# Quantities read off one shared Monte Carlo ensemble run per cell.
-_ENSEMBLE_QUANTITIES = ("v_rms", "efficiency")
+# Quantities read off one shared Monte Carlo ensemble run per cell, each from
+# its EnsembleEstimates field.
+_ENSEMBLE_QUANTITIES = {"v_rms": "v_rms", "efficiency": "efficiency_pct"}
 
 _RERUN_MESSAGE = "rerun in the main process after a worker process died"
 
@@ -200,30 +201,28 @@ def _failure(e: Exception) -> tuple[str, str]:
 
 
 def _sweep_cell(cfg: RunConfig, quantities):
-    """Analytic quantities of one cell, as ({quantity: value}, {quantity:
-    (error type, message)}); a failed quantity reads NaN."""
-    values = {}
-    failures = {}
+    """Analytic quantities of one cell, as {quantity: value or (error type,
+    message)}."""
+    out = {}
     for q in quantities:
         try:
             if q == "power":
-                values[q] = averaging.mean_power(cfg.system, cfg.noise)
+                out[q] = averaging.mean_power(cfg.system, cfg.noise)
             elif q == "snr":
-                values[q] = resonance.snr(cfg.system, cfg.noise, cfg.excitation)
-                if math.isnan(values[q]):
+                out[q] = resonance.snr(cfg.system, cfg.noise, cfg.excitation)
+                if math.isnan(out[q]):
                     raise LinearResponseError(
                         "linear response fails (q >= 1): the two-state SNR is "
                         "undefined"
                     )
             elif q == "well_depth":
-                values[q] = well_depth(cfg.system, seed_frequency(cfg.system))
+                out[q] = well_depth(cfg.system, seed_frequency(cfg.system))
             elif q == "omega_eq":
-                values[q] = resonance.snr_equilibria(cfg.system)[2]
+                out[q] = resonance.snr_equilibria(cfg.system)[2]
         except Exception as e:
             # any failure is confined to this cell so the other rows survive
-            values[q] = math.nan
-            failures[q] = _failure(e)
-    return values, failures
+            out[q] = _failure(e)
+    return out
 
 
 def _system_cells(args):
@@ -233,11 +232,13 @@ def _system_cells(args):
 
 
 def _ensemble_values(est, quantity: str):
-    """({quantity: value}, failures) of one cell's ensemble estimates, or of
-    the exception it raised, filed under quantity."""
+    """{quantity: value or (error type, message)} of one cell's ensemble
+    estimates and their n_divergent, or of the exception it raised, filed
+    under quantity."""
     if isinstance(est, Exception):
-        return dict.fromkeys(_ENSEMBLE_QUANTITIES, math.nan), {quantity: _failure(est)}
-    return {"v_rms": est.v_rms, "efficiency": est.efficiency_pct}, {}
+        return {**dict.fromkeys(_ENSEMBLE_QUANTITIES, math.nan), quantity: _failure(est)}
+    out = {q: getattr(est, field) for q, field in _ENSEMBLE_QUANTITIES.items()}
+    return {**out, "n_divergent": est.n_divergent}
 
 
 def _ensemble_batch(args):
@@ -281,12 +282,14 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
     Each cell's config is built once.  The cells' Monte Carlo ensembles are
     planned once (mcs.plan) and run first, as the rows of few lockstep
     batches; then the analytic quantities, one task per system, so each
-    system's fields are solved once at any axis order or pool size.  Failures
-    are encoded per cell, never dropped, and results are merged in grid order
-    regardless of scheduling.  Returns the CSV header and rows, one {cell,
-    quantity, message} entry per exception raised in a cell and per quantity
-    rerun after a worker process died, where cell holds the cell's parameter
-    values, and the lockstep batches of cell indices that were stepped.
+    system's fields are solved once at any axis order or pool size.  A task
+    gives each of its cells one {quantity: value or (error type, message)}
+    map, merged in grid order regardless of scheduling.  Returns the CSV
+    header and rows, where a failed quantity reads NaN, one {cell, quantity,
+    message} entry per exception raised in a cell, per cell with divergent
+    trajectories and per quantity rerun after a worker process died, where
+    cell holds the cell's parameter values, and the lockstep batches of cell
+    indices that were stepped.
     """
     if cfg.sweep is None:
         raise ConfigError("config has no sweep block")
@@ -296,21 +299,19 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
     quantities = tuple(dict.fromkeys(cfg.sweep.quantities))
     analytic = tuple(q for q in quantities if q not in _ENSEMBLE_QUANTITIES)
     ensemble = tuple(q for q in quantities if q in _ENSEMBLE_QUANTITIES)
-    n = len(coords)
-    values = [{} for _ in range(n)]
-    failures = [{} for _ in range(n)]  # per cell: {quantity: (type, message)}
-    tasks = []  # (fn, arg, the cells its result lists, the quantities it computes)
+    results = [{} for _ in coords]  # per cell: {quantity: value or failure}
+    reruns = [set() for _ in coords]  # per cell: the quantities rerun here
+    tasks = []  # (fn, arg, the cells its result lists)
     batches = []
     if ensemble:
-        # a sweep has no spectral SNR column, so it stores no series and runs
-        # no periodograms
+        # a sweep reports no spectral SNR, so it runs no psd checks or sums
         sim = dataclasses.replace(cfg.sim, psd=None)
         cells = [(c.system, c.noise, c.excitation) for c in configs]
         batches, unsteppable = mcs.plan(cells, sim)
         for i, e in unsteppable.items():
-            values[i], failures[i] = _ensemble_values(e, ensemble[0])
+            results[i] = _ensemble_values(e, ensemble[0])
         tasks += [
-            (_ensemble_batch, (sim, [cells[i] for i in b], ensemble[0]), b, ensemble)
+            (_ensemble_batch, (sim, [cells[i] for i in b], ensemble[0]), b)
             for b in batches
         ]
     if analytic:
@@ -319,39 +320,37 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
         for i, c in enumerate(configs):
             systems.setdefault(c.system, []).append(i)
         tasks += [
-            (_system_cells, ([configs[i] for i in ids], analytic), ids, analytic)
+            (_system_cells, ([configs[i] for i in ids], analytic), ids)
             for ids in systems.values()
         ]
-    results, rerun = _run_tasks([task[:2] for task in tasks], threads)
+    outs, rerun = _run_tasks([task[:2] for task in tasks], threads)
 
-    reruns = [set() for _ in range(n)]  # per cell: the quantities rerun here
-    for t, ((_, _, cells_t, quantities_t), outs) in enumerate(zip(tasks, results)):
-        for i, (cell_values, cell_failures) in zip(cells_t, outs):
-            values[i].update(cell_values)
-            failures[i].update(cell_failures)
+    for t, ((_, _, cells_t), outs_t) in enumerate(zip(tasks, outs)):
+        for i, out in zip(cells_t, outs_t):
+            results[i].update(out)
             if t in rerun:
-                reruns[i].update(quantities_t)
+                reruns[i].update(out)
 
     header = [ax.param for ax in axes] + list(cfg.sweep.quantities) + ["error"]
     rows = []
     cell_errors = []
-    for i, point in enumerate(coords):
+    for point, out, rerun_q in zip(coords, results, reruns):
         error = ""
         cell = {ax.param: float(a) for ax, a in zip(axes, point)}
         for q in quantities:
-            if q in reruns[i]:
+            if q in rerun_q:
                 cell_errors.append(
                     {"cell": cell, "quantity": q, "message": _RERUN_MESSAGE}
                 )
-            if q in failures[i]:
-                kind, message = failures[i][q]
+            if isinstance(out[q], tuple):
+                kind, message = out[q]
+                out[q] = math.nan  # the row reads NaN
                 error = error or kind
                 cell_errors.append({"cell": cell, "quantity": q, "message": message})
-        rows.append(
-            list(point)
-            + [values[i].get(q, math.nan) for q in cfg.sweep.quantities]
-            + [error]
-        )
+        if out.get("n_divergent"):  # filed under the first ensemble quantity
+            message = f"{out['n_divergent']} of {cfg.sim.n_traj} trajectories diverged"
+            cell_errors.append({"cell": cell, "quantity": ensemble[0], "message": message})
+        rows.append(list(point) + [out[q] for q in cfg.sweep.quantities] + [error])
     return header, rows, cell_errors, batches
 
 
@@ -365,7 +364,9 @@ def _cmd_sweep(cfg: RunConfig, threads: int):
             for batch in batches
         ],
     }
-    return [("sweep", header, rows, meta)], 1 if any(row[-1] for row in rows) else 0
+    # a rerun gives the cell's values bit for bit, so it alone flags nothing
+    flagged = any(e["message"] != _RERUN_MESSAGE for e in cell_errors)
+    return [("sweep", header, rows, meta)], 1 if flagged else 0
 
 
 _COMMANDS = {

@@ -64,7 +64,7 @@ class NoiseParams:
     """Colored (exponentially correlated) noise: intensity D, correlation time c.
 
     D=0 switches the noise off, which only the simulation lane accepts; the
-    analytic densities and rates require D > 0 and say so at their entry points.
+    analytic lanes check D > 0 with require_positive_intensity, their one rule.
     """
 
     D: float

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
 from .model import (
     EffectiveCoeffs, ExcitationParams, NoiseParams, SystemParams,
     circuit_stiffness, colored_noise_factors, effective_coeffs,
@@ -22,7 +21,7 @@ from .model import (
 
 @dataclass(frozen=True)
 class ResonanceResult:
-    """Two-state analysis; R0 to underflow are arrays over an array of D."""
+    """Two-state analysis at one noise intensity."""
 
     x_s_plus: float
     x_s_minus: float
@@ -68,12 +67,10 @@ def linearization_eigenvalues(
     return (lam_plus, lam_minus)
 
 
-def _scalar(a):
-    return a if a.ndim else a.item()
-
-
-def _two_state(p: SystemParams, ex: ExcitationParams, D, c: float) -> ResonanceResult:
-    """The two-state analysis at each noise intensity in D (correlation time c).
+def analyze(
+    p: SystemParams, noise: NoiseParams, ex: ExcitationParams
+) -> ResonanceResult:
+    """Full two-state analysis: equilibria, rates, spectrum split, and SNR.
 
     The Kramers rate is R0 = sqrt(l+_s l-_s l+_u / |l-_u|) / (2 pi)
     * exp(beta_eff chi / D * U_eff(x_s)), 0.0 where the exponent is at or below
@@ -82,12 +79,10 @@ def _two_state(p: SystemParams, ex: ExcitationParams, D, c: float) -> ResonanceR
     spectrum: q = R1^2 eps^2 / (2 (R0^2 + Omega^2)) is the signal's share of
     the switching, S1 the integrated signal spike, S2 the noise floor at Omega
     and snr = S1 / S2.  The SNR is 0.0 where nothing switches (R0 == 0) or
-    nothing drives (eps == 0), and NaN where linear response fails (q >= 1).
-    D-dependent fields have D's shape, floats for scalar D.
+    nothing drives (eps == 0), and NaN, with linear_response_ok False, where
+    linear response fails (q >= 1).
     """
-    D = np.asarray(D, dtype=float)
-    if not (np.all(D > 0) and c > 0):
-        raise ParameterError(f"D and c must be > 0, got D={D}, c={c}")
+    noise.require_positive_intensity()
     x_s, x_s_m, omega_eq = snr_equilibria(p)
     ec = effective_coeffs(p, omega_eq)
     lam_s = linearization_eigenvalues(p, x_s, ec)
@@ -96,44 +91,37 @@ def _two_state(p: SystemParams, ex: ExcitationParams, D, c: float) -> ResonanceR
     lam_u_plus = lam_u[0].real
     lam_u_minus = abs(lam_u[1].real)
     prefactor = math.sqrt(prod_s * lam_u_plus / lam_u_minus) / (2.0 * math.pi)
-    _, beta_chi = colored_noise_factors(ec, c)
-    expo = beta_chi / D * effective_potential(x_s, p, ec.delta_eff)
+    _, beta_chi = colored_noise_factors(ec, noise.c)
+    expo = beta_chi / noise.D * effective_potential(x_s, p, ec.delta_eff)
     underflow = expo <= -745.0
-    R0 = np.where(underflow, 0.0, prefactor * np.exp(expo))
-    R1 = R0 * x_s * ex.G * beta_chi / D
+    # numpy's exp, not math.exp: the two can differ in the last place
+    R0 = 0.0 if underflow else prefactor * float(np.exp(expo))
+    R1 = R0 * x_s * ex.G * beta_chi / noise.D
 
     lor = R0 * R0 + ex.Omega**2
     q = R1 * R1 * ex.eps**2 / (2.0 * lor)
     S1 = math.pi * x_s**2 * R1 * R1 * ex.eps**2 / (2.0 * lor)
     S2 = (1.0 - q) * 2.0 * x_s**2 * R0 / lor
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if R0 == 0.0 or ex.eps == 0.0:
+        snr_val = 0.0
+    elif q < 1.0:
         snr_val = math.pi * R1 * R1 * ex.eps**2 / (4.0 * R0) / (1.0 - q)
-    snr_val = np.where((R0 == 0.0) | (ex.eps == 0.0), 0.0,
-                       np.where(q < 1.0, snr_val, math.nan))
+    else:
+        snr_val = math.nan
     return ResonanceResult(
         x_s_plus=x_s,
         x_s_minus=x_s_m,
         x_u=0.0,
         lambdas=(abs(lam_s[0]), abs(lam_s[1]), lam_u_plus, lam_u_minus),
-        R0=_scalar(R0),
-        R1=_scalar(R1),
-        S1_integral=_scalar(S1),
-        S2_at_Omega=_scalar(S2),
-        snr=_scalar(snr_val),
+        R0=R0,
+        R1=R1,
+        S1_integral=S1,
+        S2_at_Omega=S2,
+        snr=snr_val,
         omega_eq=omega_eq,
-        linear_response_ok=_scalar(q < 1.0),
-        underflow=_scalar(underflow),
+        linear_response_ok=q < 1.0,
+        underflow=underflow,
     )
-
-
-def analyze(
-    p: SystemParams, noise: NoiseParams, ex: ExcitationParams
-) -> ResonanceResult:
-    """Full two-state analysis: equilibria, rates, spectrum split, and SNR.
-
-    The SNR is NaN, and linear_response_ok False, where linear response fails.
-    """
-    return _two_state(p, ex, noise.D, noise.c)
 
 
 def snr(p: SystemParams, noise: NoiseParams, ex: ExcitationParams) -> float:
@@ -147,5 +135,5 @@ def snr_vs_noise(
     D_values: np.ndarray,
     c: float,
 ) -> np.ndarray:
-    """SNR along a noise-intensity scan: analyze(...).snr at each D."""
-    return _two_state(p, ex, D_values, c).snr
+    """SNR along a noise-intensity scan: snr(...) at each D."""
+    return np.array([snr(p, NoiseParams(D=float(d), c=c), ex) for d in D_values])

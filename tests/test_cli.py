@@ -1046,6 +1046,38 @@ class TestSweep:
         rerun = {(e["cell"]["noise.D"], e["quantity"]) for e in cell_errors}
         assert {(r[0], target) for r in rows} <= rerun
 
+    def test_divergent_trajectories_are_flagged(self, tmp_path):
+        """A cell whose ensemble has divergent trajectories keeps its values
+        and its empty error column, gets one cell_errors entry under its
+        first ensemble quantity, and the sweep exits 1, as compare does on
+        the same cell."""
+        d = doc(system={"delta1": 3.0, "delta3": 3.0, "kappa": 0.3,
+                        "alpha": 0.05, "beta": 0.02},
+                excitation={"eps": 0.0, "G": 0.1, "Omega": 0.05},
+                sweep={"axes": [{"param": "noise.D", "start": 0.004,
+                                 "stop": 0.006, "count": 2}],
+                       "quantities": ["v_rms", "efficiency"]})
+        d["sim"].update(x0=51.3, n_traj=20, seed=3, t_total=40.0,
+                        t_transient=10.0)
+        cfg_path = write_cfg(tmp_path, d)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
+                     "--threads", "1"]) == 1
+        _, rows = read_csv(tmp_path / "harvest_sweep.csv")
+        assert [r[-1] for r in rows] == ["", ""]
+        assert all(math.isfinite(float(v)) for r in rows for v in r[1:3])
+        meta = json.loads((tmp_path / "harvest_sweep.meta.json").read_text())
+        assert meta["cell_errors"] == [
+            {"cell": {"noise.D": 0.004}, "quantity": "v_rms",
+             "message": "12 of 20 trajectories diverged"},
+            {"cell": {"noise.D": 0.006}, "quantity": "v_rms",
+             "message": "14 of 20 trajectories diverged"},
+        ]
+        out = tmp_path / "compare"
+        assert main(["compare", "--config", cfg_path, "--out", str(out),
+                     "--set", "noise.D=0.004"]) == 1
+        header, rows = read_csv(out / "harvest_compare.csv")
+        assert rows[0][header.index("n_divergent")] == "12"
+
     def test_sweep_plans_its_ensembles_once(self, monkeypatch):
         """The sweep plans its lockstep batches once and each batch task
         steps its cells without planning them again."""

@@ -584,6 +584,17 @@ class TestSpectralSnr:
         with pytest.raises(ParameterError, match="no spectra available"):
             run_ensemble(baseline_system, NoiseParams(D=1e10, c=0.3), ex, cfg)
 
+    def test_silent_spectrum_reads_zero(self, baseline_system):
+        """Undriven and noiseless from rest at x = 0, every trajectory stays
+        there and every periodogram is 0: the SNR and its bootstrap error
+        read 0.0 on a zero background, not 0/0."""
+        cfg = SimConfig(dt=0.01, t_total=40.0, t_transient=0.0, n_traj=2, x0=0.0,
+                        psd=PsdSettings(segment_time=13.0, n_bootstrap=10))
+        ex = ExcitationParams(eps=0.0, Omega=5.0)
+        out = run_ensemble(baseline_system, NoiseParams(D=0.0, c=0.3), ex, cfg)
+        assert out.psd_snr.n_segments == 10
+        assert out.psd_snr.estimate == 0.0 and out.psd_snr.stderr == 0.0
+
     @pytest.mark.parametrize("n_seg", [100, 101], ids=["even", "odd"])
     def test_drive_bin_edge(self, n_seg):
         """The drive may sit at bin n_bins - 8, whose window ends at n_bins - 2;

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harvest import model, resonance
+from harvest import averaging, model, resonance
 from harvest.errors import BistabilityLossError, ParameterError
 from harvest.model import (
     ExcitationParams, NoiseParams, SystemParams, effective_coeffs,
@@ -112,6 +112,26 @@ class TestRates:
     def test_requires_positive_noise(self, controlled_system, baseline_excitation):
         with pytest.raises(ParameterError):
             analyze(controlled_system, NoiseParams(D=0.0, c=0.3), baseline_excitation)
+
+    def test_zero_noise_is_rejected_as_by_the_averaging_lane(
+        self, controlled_system, baseline_excitation
+    ):
+        """analyze, snr and snr_vs_noise reject D = 0 with the one D > 0 rule
+        of the analytic lanes, the message mean_power gives."""
+        noise = NoiseParams(D=0.0, c=0.3)
+        with pytest.raises(ParameterError) as averaging_error:
+            averaging.mean_power(controlled_system, noise)
+        message = str(averaging_error.value)
+        assert message == "this quantity requires noise intensity D > 0"
+        for call in (
+            lambda: analyze(controlled_system, noise, baseline_excitation),
+            lambda: snr(controlled_system, noise, baseline_excitation),
+            lambda: snr_vs_noise(controlled_system, baseline_excitation,
+                                 [0.005, 0.0], c=0.3),
+        ):
+            with pytest.raises(ParameterError) as e:
+                call()
+            assert str(e.value) == message
 
     def test_deep_well_underflows_to_zero(self, baseline_excitation):
         p = SystemParams(delta1=3.0, delta3=3.0, kappa=0.3, alpha=0.05, beta=0.02)
