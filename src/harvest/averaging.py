@@ -54,10 +54,18 @@ class GridSpec:
             raise ParameterError("grid bounds must satisfy min < max")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x and v nodes: np.linspace, made exactly antisymmetric
+        (a == -a[::-1]) when min == -max.  That moves each node by at most an
+        ulp of the bound, and lets _grid_fields solve each mirror pair once."""
         return (
-            np.linspace(self.x_min, self.x_max, self.nx),
-            np.linspace(self.v_min, self.v_max, self.nv),
+            _axis(self.x_min, self.x_max, self.nx),
+            _axis(self.v_min, self.v_max, self.nv),
         )
+
+
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    a = np.linspace(lo, hi, n)
+    return 0.5 * (a - a[::-1]) if lo == -hi else a
 
 
 @dataclass(frozen=True)
@@ -307,11 +315,26 @@ class _Fields:
 
 
 def _grid_fields(p: SystemParams, grid: GridSpec) -> _Fields:
-    """The fields of _self_consistent_fields over the grid's lattice."""
+    """The fields of _self_consistent_fields over the grid's lattice.
+
+    They are even in x and in v, so they are solved once per distinct
+    (|x|, |v|) pair, 101 x 101 points of the symmetric 201 x 201 default
+    grid, and gathered back onto the lattice by one take per axis: mirrored
+    points share one root by construction.
+    """
     x, v = grid.axes()
+    ax, ix = np.unique(np.abs(x), return_inverse=True)
+    av, iv = np.unique(np.abs(v), return_inverse=True)
+    AX, AV = np.meshgrid(ax, av, indexing="ij")
+    H, omega, ec = _self_consistent_fields(p, AX, AV, _table_for(p, grid))
+
+    def gather(a):
+        return a.take(ix, axis=0).take(iv, axis=1)
+
+    omega = gather(omega)
+    ec = EffectiveCoeffs(gather(ec.beta_eff), gather(ec.delta_eff), omega)
     X, V = np.meshgrid(x, v, indexing="ij")
-    H, omega, ec = _self_consistent_fields(p, X, V, _table_for(p, grid))
-    return _Fields(x, v, X, V, H, omega, ec)
+    return _Fields(x, v, X, V, gather(H), omega, ec)
 
 
 def _squared_voltage(p: SystemParams, f: _Fields) -> np.ndarray:

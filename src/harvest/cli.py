@@ -254,7 +254,8 @@ def _run_tasks(tasks, threads: int):
     With more than one task and thread, every task is its own future on a
     pool of at most one worker process per task, and each result is
     collected from its future.  If a worker dies, the tasks it left
-    unfinished are rerun here, one after another.
+    unfinished, and any task not yet submitted when the pool broke, are
+    rerun here, one after another.
     """
     workers = min(threads, len(tasks))
     if workers <= 1:
@@ -264,12 +265,18 @@ def _run_tasks(tasks, threads: int):
     results = [None] * len(tasks)
     rerun = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, arg) for fn, arg in tasks]
+        futures = []
+        try:
+            for fn, arg in tasks:
+                futures.append(pool.submit(fn, arg))
+        except BrokenProcessPool:  # a worker died before the last submit
+            pass
         for i, future in enumerate(futures):
             try:
                 results[i] = future.result()
             except BrokenProcessPool:
                 rerun.append(i)
+    rerun += range(len(futures), len(tasks))
     for i in rerun:
         fn, arg = tasks[i]
         results[i] = fn(arg)

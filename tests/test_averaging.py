@@ -450,6 +450,72 @@ class TestFieldSolve:
         assert np.array_equal(om, damped_reference_fields(p, X, V, table)[1])
 
 
+class TestGridAxes:
+    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(nx=64, nv=64)],
+                             ids=["201", "64"])
+    def test_symmetric_bounds_give_antisymmetric_axes(self, grid):
+        """Symmetric bounds give exactly antisymmetric nodes, each within
+        4.5e-16 of np.linspace and printed as it at the CSV's 12 digits."""
+        bounds = [(grid.x_min, grid.x_max, grid.nx), (grid.v_min, grid.v_max, grid.nv)]
+        for a, (lo, hi, n) in zip(grid.axes(), bounds):
+            ref = np.linspace(lo, hi, n)
+            assert np.array_equal(a, -a[::-1])
+            assert np.max(np.abs(a - ref)) <= 4.5e-16
+            assert [f"{t:.11e}" for t in a] == [f"{t:.11e}" for t in ref]
+
+    def test_asymmetric_bounds_give_linspace(self):
+        x, v = GridSpec(-2, 3, 41, -3, 2.5, 41).axes()
+        assert np.array_equal(x, np.linspace(-2, 3, 41))
+        assert np.array_equal(v, np.linspace(-3, 2.5, 41))
+
+
+class TestMirrorDedupe:
+    """_grid_fields solves once per distinct (|x|, |v|) pair and gathers the
+    fields back onto the full lattice."""
+
+    def test_solves_the_mirror_distinct_points(self, baseline_system, monkeypatch):
+        sizes = []
+        solve = averaging._self_consistent_fields
+
+        def spy(p, X, V, table):
+            sizes.append(X.size)
+            return solve(p, X, V, table)
+
+        monkeypatch.setattr(averaging, "_self_consistent_fields", spy)
+        f = averaging._grid_fields(baseline_system, GridSpec())
+        assert sizes == [101 * 101]
+        assert f.H.shape == f.X.shape == (201, 201)
+
+    @pytest.mark.parametrize(
+        "grid", [GridSpec(), GridSpec(-2, 3, 41, -3, 2.5, 41)],
+        ids=["symmetric", "asymmetric"],
+    )
+    @pytest.mark.parametrize("system", ["baseline", "controlled", "criterion_08"])
+    def test_matches_the_full_solve(self, request, system, grid):
+        """The gathered fields equal the solve on every lattice point to 1e-12;
+        criterion 08's (tau1, tau2) = (1.7, 1.0) has points with several
+        roots."""
+        p = (delayed(1.7, 1.0) if system == "criterion_08"
+             else request.getfixturevalue(f"{system}_system"))
+        f = averaging._grid_fields(p, grid)
+        X, V = np.meshgrid(*grid.axes(), indexing="ij")
+        H, om, ec = averaging._self_consistent_fields(
+            p, X, V, averaging._table_for(p, grid)
+        )
+        assert np.array_equal(f.X, X) and np.array_equal(f.V, V)
+        assert np.max(np.abs(f.H - H)) <= 1e-12
+        assert np.max(np.abs(f.omega - om)) <= 1e-12
+        assert np.max(np.abs(f.ec.beta_eff - ec.beta_eff)) <= 1e-12
+        assert np.max(np.abs(f.ec.delta_eff - ec.delta_eff)) <= 1e-12
+        assert np.array_equal(f.ec.omega, f.omega)
+
+    def test_fields_are_mirror_symmetric(self, controlled_system):
+        f = averaging._grid_fields(controlled_system, GridSpec())
+        for arr in (f.H, f.omega, f.ec.beta_eff, f.ec.delta_eff, f.ec.omega):
+            assert np.array_equal(arr[::-1], arr)
+            assert np.array_equal(arr[:, ::-1], arr)
+
+
 class TestTableCache:
     def test_cached_table_is_read_only(self, controlled_system):
         table = averaging._table_for(controlled_system, GridSpec())

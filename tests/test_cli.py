@@ -1046,6 +1046,24 @@ class TestSweep:
         rerun = {(e["cell"]["noise.D"], e["quantity"]) for e in cell_errors}
         assert {(r[0], target) for r in rows} <= rerun
 
+    def test_pool_broken_while_submitting(self, monkeypatch):
+        """A worker can die before the last task is submitted, and then
+        submit itself raises; the tasks not yet submitted are rerun here."""
+        pool_cls = concurrent.futures.process.ProcessPoolExecutor
+        submit = pool_cls.submit
+        calls = []
+
+        def breaking(self, fn, *args):
+            calls.append(fn)
+            if len(calls) > 1:
+                raise concurrent.futures.process.BrokenProcessPool("worker died")
+            return submit(self, fn, *args)
+
+        monkeypatch.setattr(pool_cls, "submit", breaking)
+        results, rerun = cli._run_tasks([(abs, -1), (abs, -2), (abs, -3)], 2)
+        assert results == [1, 2, 3]
+        assert rerun == [1, 2]
+
     def test_divergent_trajectories_are_flagged(self, tmp_path):
         """A cell whose ensemble has divergent trajectories keeps its values
         and its empty error column, gets one cell_errors entry under its
