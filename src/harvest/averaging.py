@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SeparatrixBandError
 from .freq import (
-    FrequencyTable, _orbit_integral, bottom_frequency, build_table, exclusion_band,
-    solve_frequency, turning_points,
+    FrequencyTable, _leggauss, _orbit_integral, _orbit_points, bottom_frequency,
+    build_table, exclusion_band, solve_frequency, turning_points,
 )
 from .model import (
     EffectiveCoeffs, MotionRegime, NoiseParams, SystemParams, bare_potential,
@@ -160,7 +160,7 @@ def energy_spd(
 def _table_for(p: SystemParams, grid: GridSpec) -> FrequencyTable:
     """Frequency table wide enough to cover every energy reachable on the grid.
 
-    It is built once per field solve; _fields_for keeps the fields it gives.
+    It is built once per field solve, and once per _energy_nodes.
     """
     d_eff = effective_coeffs(p, seed_frequency(p)).delta_eff
     xm = max(abs(grid.x_min), abs(grid.x_max))
@@ -301,8 +301,7 @@ def _damped_fields(p, base, x, table, d_span):
 
 @dataclass(frozen=True)
 class _Fields:
-    """Self-consistent energy and frequency over an (x, v) grid; the
-    memoized fields of _fields_for also hold the squared voltage map."""
+    """Self-consistent energy and frequency over an (x, v) grid."""
 
     x: np.ndarray
     v: np.ndarray
@@ -311,7 +310,6 @@ class _Fields:
     H: np.ndarray
     omega: np.ndarray
     ec: EffectiveCoeffs
-    volt_sq: np.ndarray | None = None
 
 
 def _grid_fields(p: SystemParams, grid: GridSpec) -> _Fields:
@@ -337,40 +335,6 @@ def _grid_fields(p: SystemParams, grid: GridSpec) -> _Fields:
     return _Fields(x, v, X, V, gather(H), omega, ec)
 
 
-def _squared_voltage(p: SystemParams, f: _Fields) -> np.ndarray:
-    """The voltage map over the fields' grid, squared.
-
-    The oscillation center X* per grid point follows the regime rule: above the
-    saddle energy the center is 0; below it, the minimum of the effective
-    potential on the side of the current displacement.  The effective minimum
-    (not the bare equilibrium) is the center the density actually oscillates
-    around, so using it keeps the voltage map consistent with the joint SPD.
-    """
-    H, omega, X, V = f.H, f.omega, f.X, f.V
-    x_min = well_minimum(p, p.delta1 - f.ec.delta_eff)
-    xstar = np.where(H >= 0.0, 0.0, np.where(X >= 0.0, x_min, -x_min))
-    den = p.alpha**2 + omega**2
-    volt = omega**2 / den * (X - xstar) + p.alpha / den * V
-    return volt * volt
-
-
-@functools.lru_cache(maxsize=1)
-def _fields_for(p: SystemParams, grid: GridSpec) -> _Fields:
-    """_grid_fields and their squared voltage map, memoized for the last
-    (system, grid) pair: neither depends on the noise, so cells of one system
-    run one after another (as a sweep groups them) solve them once.  Their
-    arrays are read-only, so the shared fields cannot be changed by a caller."""
-    f = _grid_fields(p, grid)
-    f = replace(f, volt_sq=_squared_voltage(p, f))
-    ec = f.ec
-    for arr in (
-        f.x, f.v, f.X, f.V, f.H, f.omega, f.volt_sq,
-        ec.beta_eff, ec.delta_eff, ec.omega,
-    ):
-        arr.flags.writeable = False
-    return f
-
-
 def _joint_density(noise: NoiseParams, f: _Fields):
     """Joint density on the fields' grid, trapezoid-normalized to 1, and its
     normalization constant N0."""
@@ -394,8 +358,8 @@ def joint_spd(
 
     The grid expands, up to five times, until the boundary density falls
     below 1e-12 of the peak, so normalization captures the tails.  The fields
-    of each grid are solved afresh, not through _fields_for, so the expansion
-    keeps no earlier grid alive and squares no voltage map.
+    of each grid are solved afresh, so the expansion keeps no earlier grid
+    alive.
     """
     if grid is None:
         grid = GridSpec()
@@ -428,17 +392,185 @@ def effective_generalized_potential(x, v, p: SystemParams, noise: NoiseParams):
     return float(out[0]) if out.size == 1 else out
 
 
+# Clenshaw-Curtis intervals of the energy rule per knot interval of the
+# frequency table; the nested half rule, every other node, has half as many.
+# With 8 the half rule moves <V^2> by at most 1e-5 on the benchmark's system
+# for D from 1e-3 to 0.1, and the full rule by at most 1e-11.
+_ENERGY_INTERVALS = 8
+# Gauss-Legendre nodes in theta of the orbit moments.  Next to the band they
+# give the cross-well period to 4e-13 (64 leave 1e-10), the in-well one to
+# 1e-15.
+_ORBIT_NODES = 80
+# A power whose rel_err or band_share (PowerAccuracy) exceeds this is
+# flagged in its .meta.json.
+POWER_REL_TOL = 1e-3
+
+
+@functools.cache
+def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clenshaw-Curtis nodes -cos(j pi / n), ascending, and weights on
+    [-1, 1] for even n (Trefethen, SIAM Rev. 50, 67, 2008); the rule for n/2
+    takes every other node."""
+    theta = np.pi * np.arange(n + 1) / n
+    k = np.arange(1, n // 2 + 1)
+    b = np.where(2 * k == n, 1.0, 2.0)
+    w = 1.0 - (b / (4.0 * k * k - 1.0)) @ np.cos(2.0 * np.outer(k, theta))
+    w *= np.where((theta == 0) | (theta == np.pi), 1.0, 2.0) / n
+    return -np.cos(theta), w
+
+
+def _energy_rule(knots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, in the knots' order, and the dH weights of the composite
+    _ENERGY_INTERVALS-interval Clenshaw-Curtis rule in u = ln|H| over each
+    interval of the log-spaced knots of one table branch, and of its nested
+    half rule (0 at the nodes it skips).  Neighbouring intervals share their
+    end node, which is the knot itself."""
+    n = _ENERGY_INTERVALS
+    t, w = _clenshaw_curtis(n)
+    w_half = np.zeros(n + 1)
+    w_half[::2] = _clenshaw_curtis(n // 2)[1]
+    u = np.log(np.abs(knots))
+    half = 0.5 * np.diff(u)
+    H = np.copysign(np.exp(u[:-1, None] + half[:, None] * (1.0 + t[:-1])), knots[0])
+    H = np.append(H.ravel(), knots[-1])
+    H[::n] = knots
+    weights = np.zeros((2, H.size))
+    for row, rule in zip(weights, (w, w_half)):
+        per_interval = np.outer(np.abs(half), rule)  # node j of interval i is n*i + j
+        row[:-1] += per_interval[:, :-1].ravel()
+        row[n::n] += per_interval[:, -1]
+    weights *= np.abs(H)
+    return H, weights[0], weights[1]
+
+
+@dataclass(frozen=True)
+class _EnergyNodes:
+    """The energy rule of one system with each node's orbit quantities, in-well
+    nodes first.  weight and half are the dH weights of the full and of the
+    nested half rule (0 off its nodes); period and volt_sq are T and
+    loop-integral volt^2 dt summed over the orbits at the energy (both wells
+    below the separatrix)."""
+
+    H: np.ndarray
+    weight: np.ndarray
+    half: np.ndarray
+    omega: np.ndarray
+    beta_eff: np.ndarray
+    period: np.ndarray
+    volt_sq: np.ndarray
+    split: int  # the first cross-well node, at +band; the one before is at -band
+
+
+def _orbit_moments(p: SystemParams, H, omega, regime: MotionRegime):
+    """T and loop-integral (x - x*)^2 dt and v^2 dt of the frozen orbits at
+    energies H (arrays) by _ORBIT_NODES-point Gauss-Legendre over the passes
+    of _orbit_points, as (energies x nodes) arrays; x* is the right well's
+    minimum in a well and 0 across both wells.  Every orbit is four passes:
+    down and up in each well (the left well mirrors the right one), or its
+    four quarters."""
+    H, omega = H[:, None], omega[:, None]
+    theta, w = _leggauss(_ORBIT_NODES)
+    x, v, dt = _orbit_points(turning_points(H, p, omega, regime), p.delta3, theta)
+    if regime is not MotionRegime.CROSS_WELL:
+        x -= well_minimum(p, stiffness_margin(p, omega))
+    x *= x
+    x *= dt
+    v *= v
+    v *= dt
+    return 4.0 * (dt @ w), 4.0 * (x @ w), 4.0 * (v @ w)
+
+
+@functools.lru_cache(maxsize=1)
+def _energy_nodes(p: SystemParams, grid: GridSpec) -> _EnergyNodes:
+    """The energy rule and its orbit quantities over _table_for(p, grid)'s
+    energies, memoized for the last (system, grid) pair: nothing here depends
+    on the noise, so cells of one system run one after another (as a sweep
+    groups them) build it once.  Its arrays are read-only.
+
+    Each branch of the table is log-spaced, so the nodes are the
+    _ENERGY_INTERVALS-interval Clenshaw-Curtis rule on each knot interval in
+    u = ln|H| (_energy_rule), over the table's range: from its deepest knot,
+    1e-6 of the depth above the well bottom, up to the band edge -band, and
+    from +band up to the table top.  In u the integrands are smooth up to
+    the band edges, where the period diverges like ln|H|, and omega(H) is
+    one cubic per interval.  The band |H| < band itself is left out.
+    omega is read through the table, and the moments are taken at frozen
+    omega (_orbit_moments).
+    """
+    table = _table_for(p, grid)
+    parts = []
+    for regime, knots in (
+        (MotionRegime.RIGHT_WELL, table.H_neg), (MotionRegime.CROSS_WELL, table.H_pos)
+    ):
+        H, weight, half = _energy_rule(knots)
+        omega = table.lookup_bridged(H)
+        ec = effective_coeffs(p, omega)
+        period, x2, v2 = _orbit_moments(p, H, omega, regime)
+        den = p.alpha**2 + omega**2
+        volt_sq = (omega**2 / den) ** 2 * x2 + (p.alpha / den) ** 2 * v2
+        parts.append((H, weight, half, omega, ec.beta_eff, period, volt_sq))
+    arrays = [np.concatenate(a) for a in zip(*parts)]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return _EnergyNodes(*arrays, split=parts[0][0].size)
+
+
+@dataclass(frozen=True)
+class PowerAccuracy:
+    """How far a mean_square_voltage can be trusted.
+
+    rel_err: |<V^2> of the nested half rule / <V^2> - 1|, an upper estimate of
+    the energy rule's error.  band_share: the estimated share of the energy
+    density's mass in the exclusion band |H| < band, which both integrals
+    leave out: the band's width times f T at its two edges, over the total.
+    """
+
+    rel_err: float
+    band_share: float
+
+
+def _energy_average(p: SystemParams, noise: NoiseParams, grid: GridSpec | None):
+    """E[V^2] by the full and by the half rule, and the band share."""
+    noise.require_positive_intensity()
+    n = _energy_nodes(p, grid or GridSpec())
+    chi = 1.0 + noise.c**2 * n.omega**2
+    ln_f = np.log(chi) - n.beta_eff * chi / noise.D * n.H
+    f = np.exp(ln_f - ln_f.max())
+    ft = f * n.period
+    Z = n.weight @ ft
+    msv = (n.weight @ (f * n.volt_sq)) / Z
+    msv_half = (n.half @ (f * n.volt_sq)) / (n.half @ ft)
+    band_share = n.H[n.split] * (ft[n.split - 1] + ft[n.split]) / Z
+    return msv, msv_half, band_share
+
+
 def mean_square_voltage(
     p: SystemParams, noise: NoiseParams, grid: GridSpec | None = None
 ) -> float:
-    """E[V^2]: voltage map squared (_squared_voltage), integrated against the
-    joint SPD."""
-    if grid is None:
-        grid = GridSpec()
-    f = _fields_for(p, grid)
-    values, _ = _joint_density(noise, f)
-    integrand = f.volt_sq * values
-    return float(np.trapezoid(np.trapezoid(integrand, f.v, axis=1), f.x))
+    """E[V^2] by stochastic averaging, as an integral over the energy H:
+
+    E[V^2] = sum over regimes of int f(H) loop-int volt^2 dt dH
+             / sum over regimes of int f(H) T(H) dH,
+
+    with the density f(H) = chi exp(-beta_eff chi H / D) of _joint_density,
+    chi = 1 + c^2 omega^2, in the averaging measure f(H) dH x dt.  At frozen
+    omega(H) the voltage map is volt = omega^2/den (x - x*) + alpha/den v with
+    den = alpha^2 + omega^2, so loop-int volt^2 dt = (omega^2/den)^2
+    loop-int (x - x*)^2 dt + (alpha/den)^2 loop-int v^2 dt: the cross term is
+    the loop integral of d(x - x*)^2/2 and vanishes.  x* is the effective
+    well minimum +-sqrt(a/delta3) below the separatrix, where the regime
+    counts both wells, and 0 above it.  The grid sets only the energy range,
+    through _table_for; the nodes and moments are _energy_nodes'.
+    """
+    return float(_energy_average(p, noise, grid)[0])
+
+
+def power_accuracy(p: SystemParams, noise: NoiseParams) -> PowerAccuracy:
+    """The PowerAccuracy of mean_square_voltage(p, noise), from the same
+    memoized nodes."""
+    msv, msv_half, band_share = _energy_average(p, noise, None)
+    rel_err = abs(msv_half / msv - 1.0) if msv != 0 else 0.0
+    return PowerAccuracy(float(rel_err), float(band_share))
 
 
 def mean_power(

@@ -95,6 +95,19 @@ def _base_meta(cfg: RunConfig, subcommand: str, t0: float) -> dict:
     }
 
 
+def _power_report(cfg: RunConfig) -> dict:
+    """The .meta.json report of an analytic power: averaging.power_accuracy,
+    with the tolerance above which either value flags it."""
+    acc = averaging.power_accuracy(cfg.system, cfg.noise)
+    tol = averaging.POWER_REL_TOL
+    return {
+        "rel_err": acc.rel_err,
+        "band_share": acc.band_share,
+        "rel_tol": tol,
+        "flagged": acc.rel_err > tol or acc.band_share > tol,
+    }
+
+
 # Each _cmd_* takes (cfg, threads) and returns (outputs, exit code); main
 # writes each (suffix, header, rows, extra meta) of outputs to
 # <dir>/<prefix>_<suffix>.csv.
@@ -125,7 +138,7 @@ def _cmd_power(cfg: RunConfig, threads: int):
     ev2 = averaging.mean_square_voltage(p, cfg.noise)
     header = ["mean_power", "mean_square_voltage", "well_depth"]
     rows = [[harvested_power(p, ev2), ev2, well_depth(p, seed_frequency(p))]]
-    return [("power", header, rows, {})], 0
+    return [("power", header, rows, {"report": {"power": _power_report(cfg)}})], 0
 
 
 def _cmd_snr(cfg: RunConfig, threads: int):
@@ -178,7 +191,8 @@ def _cmd_compare(cfg: RunConfig, threads: int):
         analytic, est.mean_power, gap, est.v_rms, est.efficiency_pct,
         est.n_divergent, est.n_samples,
     ]]
-    return [("compare", header, rows, {})], 1 if est.n_divergent else 0
+    meta = {"report": {"power": _power_report(cfg)}}
+    return [("compare", header, rows, meta)], 1 if est.n_divergent else 0
 
 
 def _cell_config(cfg: RunConfig, assignments) -> RunConfig:
@@ -202,12 +216,13 @@ def _failure(e: Exception) -> tuple[str, str]:
 
 def _sweep_cell(cfg: RunConfig, quantities):
     """Analytic quantities of one cell, as {quantity: value or (error type,
-    message)}."""
+    message)}, and a computed power's _power_report under "power_report"."""
     out = {}
     for q in quantities:
         try:
             if q == "power":
                 out[q] = averaging.mean_power(cfg.system, cfg.noise)
+                out["power_report"] = _power_report(cfg)
             elif q == "snr":
                 out[q] = resonance.snr(cfg.system, cfg.noise, cfg.excitation)
                 if math.isnan(out[q]):
@@ -226,7 +241,7 @@ def _sweep_cell(cfg: RunConfig, quantities):
 
 
 def _system_cells(args):
-    """_sweep_cell of each cell of one system, sharing one field solve."""
+    """_sweep_cell of each cell of one system, sharing its energy nodes."""
     configs, quantities = args
     return [_sweep_cell(c, quantities) for c in configs]
 
@@ -289,14 +304,15 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
     Each cell's config is built once.  The cells' Monte Carlo ensembles are
     planned once (mcs.plan) and run first, as the rows of few lockstep
     batches; then the analytic quantities, one task per system, so each
-    system's fields are solved once at any axis order or pool size.  A task
-    gives each of its cells one {quantity: value or (error type, message)}
-    map, merged in grid order regardless of scheduling.  Returns the CSV
-    header and rows, where a failed quantity reads NaN, one {cell, quantity,
-    message} entry per exception raised in a cell, per cell with divergent
-    trajectories and per quantity rerun after a worker process died, where
-    cell holds the cell's parameter values, and the lockstep batches of cell
-    indices that were stepped.
+    system's energy nodes are built once at any axis order or pool size.  A
+    task gives each of its cells one {quantity: value or (error type,
+    message)} map, merged in grid order regardless of scheduling.  Returns
+    the CSV header and rows, where a failed quantity reads NaN, one {cell,
+    quantity, message} entry per exception raised in a cell, per cell with
+    divergent trajectories and per quantity rerun after a worker process
+    died, where cell holds the cell's parameter values, the lockstep batches
+    of cell indices that were stepped, and the {cell, **_power_report} of
+    each cell whose power was computed.
     """
     if cfg.sweep is None:
         raise ConfigError("config has no sweep block")
@@ -322,7 +338,7 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
             for b in batches
         ]
     if analytic:
-        # every analytic power reads GridSpec(): cells of a system share fields
+        # every analytic power reads GridSpec(): cells of a system share nodes
         systems = {}
         for i, c in enumerate(configs):
             systems.setdefault(c.system, []).append(i)
@@ -341,6 +357,7 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
     header = [ax.param for ax in axes] + list(cfg.sweep.quantities) + ["error"]
     rows = []
     cell_errors = []
+    power_reports = []
     for point, out, rerun_q in zip(coords, results, reruns):
         error = ""
         cell = {ax.param: float(a) for ax, a in zip(axes, point)}
@@ -357,15 +374,18 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
         if out.get("n_divergent"):  # filed under the first ensemble quantity
             message = f"{out['n_divergent']} of {cfg.sim.n_traj} trajectories diverged"
             cell_errors.append({"cell": cell, "quantity": ensemble[0], "message": message})
+        if "power_report" in out:
+            power_reports.append({"cell": cell, **out["power_report"]})
         rows.append(list(point) + [out[q] for q in cfg.sweep.quantities] + [error])
-    return header, rows, cell_errors, batches
+    return header, rows, cell_errors, batches, power_reports
 
 
 def _cmd_sweep(cfg: RunConfig, threads: int):
-    header, rows, cell_errors, batches = run_sweep(cfg, threads=threads)
+    header, rows, cell_errors, batches, power_reports = run_sweep(cfg, threads=threads)
     meta = {
         "threads": threads,
         "cell_errors": cell_errors,
+        "report": {"power": power_reports},
         "mc_batches": [
             {"cells": len(batch), "rows": len(batch) * cfg.sim.n_traj}
             for batch in batches

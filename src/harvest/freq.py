@@ -7,7 +7,8 @@ over an array of energies.  The period of the frozen quartic well is a closed
 form in the complete elliptic integral K, evaluated by the arithmetic-geometric
 mean.  A tabulated version, one piecewise cubic over both branches, serves the
 grid-heavy consumers.  The module needs only numpy: scipy is imported on first
-use by the orbit quadrature, which no CLI command runs.
+use by the adaptive fallback of the orbit quadrature, which no CLI command
+runs.
 """
 
 from __future__ import annotations
@@ -43,17 +44,40 @@ _ORBIT_REL_TOL = 1e-12
 _MAX_ORDER = 2048
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Newton steps of _leggauss: from Tricomi's estimate a root is at machine
+# precision after three.
+_NEWTON_STEPS = 4
 
 
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _leggauss_cache:
-        from scipy.special import roots_legendre
+    """Gauss-Legendre nodes and weights of even order n, mapped to [0, pi/2].
 
-        nodes, weights = roots_legendre(n)
-        # map [-1, 1] -> [0, pi/2]
-        theta = 0.25 * math.pi * (nodes + 1.0)
-        _leggauss_cache[n] = (theta, 0.25 * math.pi * weights)
+    Newton's method on P_n from Tricomi's estimate of each positive root,
+    with P_n and P_n' from the three-term recurrence, then the weights
+    2 / ((1 - x^2) P_n'(x)^2); the negative roots mirror the positive ones
+    (Abramowitz & Stegun 25.4.29).  numpy alone, so the orbit moments of the
+    power load no scipy.
+    """
+    if n not in _leggauss_cache:
+        k = np.arange(1, n // 2 + 1)
+        x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+        for _ in range(_NEWTON_STEPS):
+            p, dp = _legendre(n, x)
+            x = x - p / dp
+        _, dp = _legendre(n, x)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        nodes = np.concatenate((-x, x[::-1]))
+        weights = np.concatenate((w, w[::-1]))
+        _leggauss_cache[n] = (0.25 * math.pi * (nodes + 1.0), 0.25 * math.pi * weights)
     return _leggauss_cache[n]
+
+
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
 def quad(func, a, b, **kwargs):
@@ -66,7 +90,8 @@ def quad(func, a, b, **kwargs):
 
 @dataclass(frozen=True)
 class TurningPoints:
-    """Ends x_a <= x_b of the orbit, and the inner root y_in of _level_roots."""
+    """Ends x_a <= x_b of the orbit, and the inner root y_in of _level_roots:
+    floats, or arrays of the broadcast shape of turning_points' H and omega."""
 
     x_a: float
     x_b: float
@@ -124,59 +149,94 @@ def _level_roots(H, p: SystemParams, omega, regime: MotionRegime):
     return a, -4.0 * H / (a + s), (a + s) / d3
 
 
-def turning_points(
-    H: float, p: SystemParams, omega: float, regime: MotionRegime
-) -> TurningPoints:
+def turning_points(H, p: SystemParams, omega, regime: MotionRegime) -> TurningPoints:
     """Roots of U_eff(x) = H bracketing the accessible interval of the regime:
     the square roots of _level_roots' y_in and y_out.  An orbit within
-    _DEGENERATE_GAP of the well bottom collapses onto the minimum."""
+    _DEGENERATE_GAP of the well bottom collapses onto the minimum.  H and
+    omega broadcast; the fields are floats for scalar inputs."""
     a, y_in, y_out = _level_roots(H, p, omega, regime)
-    y_in = float(y_in)
-    x_b = math.sqrt(y_out)
+    x_b = np.sqrt(y_out)
     if regime is MotionRegime.CROSS_WELL:
-        return TurningPoints(-x_b, x_b, regime, y_in)
-    u_min = well_bottom(p, a)
-    if H - u_min <= _DEGENERATE_GAP * max(1.0, abs(u_min)):
-        x_a = x_b = well_minimum(p, a)
+        x_a = -x_b
     else:
-        x_a = math.sqrt(y_in)
-    if regime is MotionRegime.LEFT_WELL:
-        x_a, x_b = -x_b, -x_a
+        u_min = well_bottom(p, a)
+        collapsed = H - u_min <= _DEGENERATE_GAP * np.maximum(1.0, np.abs(u_min))
+        x_b = np.where(collapsed, well_minimum(p, a), x_b)
+        x_a = np.where(collapsed, x_b, np.sqrt(y_in))
+        if regime is MotionRegime.LEFT_WELL:
+            x_a, x_b = -x_b, -x_a
+    if x_b.ndim == 0:
+        return TurningPoints(float(x_a), float(x_b), regime, float(y_in))
     return TurningPoints(x_a, x_b, regime, y_in)
 
 
-def _orbit_integral(func, H: float, delta3: float, tp: TurningPoints) -> float:
-    """Integral over the closed orbit of [func(x, v) + func(x, -v)] / v dx.
+def _orbit_points(tp: TurningPoints, delta3: float, theta):
+    """Displacement x, speed v >= 0 and dt/dtheta at the nodes theta of one
+    pass along the orbit, in the sin^2 substitution of _orbit_integral.
 
-    Uses the substitution x = x_a + (x_b - x_a) sin^2(theta).  The turning points
-    are roots of the quartic H - U(x), so that quartic is evaluated in factored
-    form: H - U = (x - x_a)(x_b - x) * S(x) with S smooth and positive on the
-    orbit.  The substitution cancels the (x - x_a)(x_b - x) factor exactly, so
-    the integrand is 2*[func(x,v)+func(x,-v)] / sqrt(2 S(x)) with no endpoint
-    singularity and no cancellation near the well bottom.  Across both wells
-    S(x) = delta3/4 (x^2 - y_in) with the inner root tp.y_in < 0.
-    Gauss-Legendre order doubling until the relative change is below
-    _ORBIT_REL_TOL; near the separatrix the integrand has a sharp (bounded) peak
-    and an adaptive quadrature takes over.
+    In a well the pass runs from x_a to x_b, with x = x_a + (x_b - x_a)
+    sin^2(theta).  The turning points are roots of the quartic H - U(x), so
+    H - U = (x - x_a)(x_b - x) S(x) with S = delta3/4 (x + x_a)(x + x_b)
+    smooth and positive on the orbit; the substitution cancels the first two
+    factors, so dt/dtheta = 2 / sqrt(2 S) has no endpoint singularity and no
+    cancellation near the well bottom, and an orbit collapsed onto the
+    minimum (x_a = x_b) gives dt/dtheta = 2 / sqrt(2a) there: 4 times its
+    integral over theta is the harmonic period 2 pi / sqrt(2a).  Across both
+    wells the pass is the quarter orbit from 0 to x_b, with x = x_b
+    sin^2(theta) and H - U = (x_b - x)(x_b + x) delta3/4 (x^2 - y_in), the
+    inner root y_in < 0.  Next to the separatrix the factor x^2 - y_in peaks
+    at x = 0, which this pass puts at its end theta = 0, where x is
+    quadratic in theta; a fixed Gauss-Legendre order then resolves it (on
+    the whole orbit the peak sits inside the interval, and 64 nodes miss
+    the period by 20% at the band).  The tp fields broadcast against theta.
     """
-    dx = tp.x_b - tp.x_a
-    q = 0.25 * delta3
+    s = np.sin(theta)
+    c = np.cos(theta)
+    two_q = 0.5 * delta3
+    # in-place steps: on the (energies x nodes) arrays of the power, every
+    # temporary costs as much as the arithmetic
     if tp.regime is MotionRegime.CROSS_WELL:
+        root_b = np.sqrt(tp.x_b)
+        x = tp.x_b * (s * s)
+        r = x * x
+        r -= tp.y_in
+        r *= tp.x_b + x
+        r *= two_q
+        np.sqrt(r, out=r)
+        v = root_b * c
+        v *= r
+        dt = (2.0 * root_b) * s
+        dt /= r
+        return x, v, dt
+    dx = tp.x_b - tp.x_a
+    x = dx * (s * s)
+    x += tp.x_a
+    r = x + tp.x_a
+    r *= x + tp.x_b
+    r *= two_q
+    np.sqrt(r, out=r)
+    v = dx * (s * c)
+    v *= r
+    return x, v, np.divide(2.0, r, out=r)
 
-        def smooth_part(x):
-            return q * (x * x - tp.y_in)
 
-    else:
+def _orbit_integral(func, H: float, delta3: float, tp: TurningPoints) -> float:
+    """Loop integral of func(x, v) dt over the closed orbit, v signed.
 
-        def smooth_part(x):
-            return q * (x + tp.x_a) * (x + tp.x_b)
+    The passes of _orbit_points: in a well func at (x, v) and (x, -v) over
+    the pass from x_a to x_b; across both wells func at (+-x, +-v) over the
+    quarter orbit from 0 to x_b.  Gauss-Legendre order doubling until the
+    relative change is below _ORBIT_REL_TOL; if it has not settled at
+    _MAX_ORDER an adaptive quadrature takes over.
+    """
+    cross = tp.regime is MotionRegime.CROSS_WELL
 
     def integrand(theta):
-        s = np.sin(theta)
-        x = tp.x_a + dx * s * s
-        S = smooth_part(x)
-        v = dx * s * np.cos(theta) * np.sqrt(2.0 * S)
-        return 2.0 * (func(x, v) + func(x, -v)) / np.sqrt(2.0 * S)
+        x, v, dt = _orbit_points(tp, delta3, theta)
+        total = func(x, v) + func(x, -v)
+        if cross:
+            total = total + func(-x, v) + func(-x, -v)
+        return dt * total
 
     def scalar_integrand(theta):
         return float(integrand(np.array([theta]))[0])

@@ -118,9 +118,12 @@ def seed_frequency(p: SystemParams) -> float:
 
 
 def bare_potential(x, p: SystemParams):
-    """Symmetric quartic potential -delta1*x^2/2 + delta3*x^4/4."""
+    """Symmetric quartic potential -delta1*x^2/2 + delta3*x^4/4, exactly even
+    in x: x^4 is (x*x)*(x*x), since numpy's x**4 differs between x and -x
+    at some nodes by an ulp."""
     x = np.asarray(x, dtype=float)
-    out = -0.5 * p.delta1 * x * x + 0.25 * p.delta3 * x**4
+    x2 = x * x
+    out = -0.5 * p.delta1 * x2 + 0.25 * p.delta3 * (x2 * x2)
     return out if out.ndim else float(out)
 
 
@@ -187,7 +190,7 @@ def effective_potential(x, p: SystemParams, d_eff):
     """Unforced potential of the equivalent oscillator with stiffness
     correction d_eff (effective_coeffs(...).delta_eff)."""
     x = np.asarray(x, dtype=float)
-    out = bare_potential(x, p) + 0.5 * d_eff * x**2
+    out = bare_potential(x, p) + 0.5 * d_eff * (x * x)
     return out if out.ndim else float(out)
 
 

@@ -23,7 +23,7 @@ from harvest.averaging import (
 )
 from harvest.errors import ConvergenceError, ParameterError, SeparatrixBandError
 from harvest.freq import (
-    bottom_frequency, exclusion_band, period_integral, solve_frequency,
+    bottom_frequency, exclusion_band, period_integral, solve_frequency, turning_points,
 )
 from harvest.model import (
     MotionRegime,
@@ -319,16 +319,19 @@ class TestGeneralizedPotential:
 
 
 class TestMeanPower:
-    def test_grid_refinement_converged(self, controlled_system, baseline_noise):
-        coarse = mean_square_voltage(
-            controlled_system, baseline_noise,
-            grid=GridSpec(-2.5, 2.5, 101, -3.0, 3.0, 101),
-        )
-        fine = mean_square_voltage(
-            controlled_system, baseline_noise,
-            grid=GridSpec(-2.5, 2.5, 201, -3.0, 3.0, 201),
-        )
-        assert abs(fine - coarse) <= 0.01 * abs(fine)
+    def test_grid_refinement_converged(self, controlled_system, monkeypatch):
+        """Doubling the energy rule's intervals and the orbit nodes moves the
+        power by at most 1e-4 at D = 0.001, 0.005 and 0.1, and
+        power_accuracy's half-rule estimate bounds the move."""
+        noises = [NoiseParams(D=D, c=0.3) for D in (0.001, 0.005, 0.1)]
+        power = [mean_power(controlled_system, n) for n in noises]
+        rel_err = [averaging.power_accuracy(controlled_system, n).rel_err for n in noises]
+        monkeypatch.setattr(averaging, "_ENERGY_INTERVALS", 2 * averaging._ENERGY_INTERVALS)
+        monkeypatch.setattr(averaging, "_ORBIT_NODES", 2 * averaging._ORBIT_NODES)
+        averaging._energy_nodes.cache_clear()
+        for n, coarse, err in zip(noises, power, rel_err):
+            fine = mean_power(controlled_system, n)
+            assert abs(fine / coarse - 1.0) <= min(1e-4, max(err, 1e-12))
 
     def test_power_is_kappa_alpha_msv(self, controlled_system, baseline_noise):
         p = controlled_system
@@ -536,37 +539,155 @@ class TestTableCache:
 
 
 class TestFieldCache:
+    """The energy nodes of _energy_nodes, the power's per-system memo."""
+
     def test_cached_fields_are_read_only(self, controlled_system):
-        f = averaging._fields_for(controlled_system, GridSpec())
-        assert averaging._fields_for(controlled_system, GridSpec()) is f
-        for arr in (f.x, f.v, f.X, f.V, f.H, f.omega, f.volt_sq,
-                    f.ec.beta_eff, f.ec.delta_eff, f.ec.omega):
+        n = averaging._energy_nodes(controlled_system, GridSpec())
+        assert averaging._energy_nodes(controlled_system, GridSpec()) is n
+        for arr in (n.H, n.weight, n.half, n.omega, n.beta_eff, n.period, n.volt_sq):
             assert not arr.flags.writeable
 
     def test_power_same_on_cold_and_warm_cache(self, controlled_system,
                                                baseline_noise):
         cold = mean_power(controlled_system, baseline_noise)
         warm = mean_power(controlled_system, baseline_noise)
-        assert averaging._fields_for.cache_info().hits == 1
+        assert averaging._energy_nodes.cache_info().hits == 1
         assert warm == cold
 
     def test_voltage_same_on_cold_and_warm_cache(self, controlled_system,
                                                  baseline_noise):
-        """A warm call reads the cached squared voltage map; it gives the
-        number that the map worked out afresh gives."""
+        """A warm call reads the cached nodes; it gives the number that nodes
+        built afresh give, and power_accuracy reads the same nodes."""
         cold = mean_square_voltage(controlled_system, baseline_noise)
         warm = mean_square_voltage(controlled_system, baseline_noise)
-        assert averaging._fields_for.cache_info().hits == 1
-        f = averaging._grid_fields(controlled_system, GridSpec())
-        values, _ = averaging._joint_density(baseline_noise, f)
-        volt_sq = averaging._squared_voltage(controlled_system, f)
-        fresh = float(np.trapezoid(np.trapezoid(volt_sq * values, f.v, axis=1), f.x))
-        assert f.volt_sq is None
+        averaging.power_accuracy(controlled_system, baseline_noise)
+        assert averaging._energy_nodes.cache_info().hits == 2
+        averaging._energy_nodes.cache_clear()
+        fresh = mean_square_voltage(controlled_system, baseline_noise)
         assert cold == warm == fresh
 
     def test_joint_spd_does_not_fill_the_cache(self, baseline_system,
                                               controlled_system, baseline_noise):
         mean_power(baseline_system, baseline_noise)
-        before = averaging._fields_for.cache_info().currsize
         joint_spd(controlled_system, baseline_noise)
-        assert averaging._fields_for.cache_info().currsize == before
+        mean_power(baseline_system, baseline_noise)
+        info = averaging._energy_nodes.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+def _moments(p, H, regime):
+    """_orbit_moments at energies H with omega from the table, as mean_power
+    reads it."""
+    H = np.asarray(H, dtype=float)
+    omega = averaging._table_for(p, GridSpec()).lookup_bridged(H)
+    return omega, averaging._orbit_moments(p, H, omega, regime)
+
+
+class TestOrbitMoments:
+    """The orbit moments of the power against the closed-form period,
+    loop_average and the in-well identity loop-int x dt = pi sqrt(2/delta3)."""
+
+    @pytest.fixture
+    def energies(self, controlled_system):
+        p = controlled_system
+        band = exclusion_band(p)
+        bottom = averaging._table_for(p, GridSpec()).H_neg[0]
+        return {
+            MotionRegime.RIGHT_WELL: [bottom, 0.5 * bottom, -0.05, -1.01 * band, -band],
+            MotionRegime.CROSS_WELL: [band, 1.01 * band, 0.05, 2.0, 40.0],
+        }
+
+    @pytest.mark.parametrize("regime", [MotionRegime.RIGHT_WELL, MotionRegime.CROSS_WELL])
+    def test_period_matches_closed_form(self, controlled_system, energies, regime):
+        """T(H) to 1e-10 from the well bottom to both band edges; below the
+        separatrix the moments count both wells."""
+        p = controlled_system
+        H = energies[regime]
+        omega, (T, _, _) = _moments(p, H, regime)
+        wells = 1 if regime is MotionRegime.CROSS_WELL else 2
+        ref = period_integral(np.asarray(H), p, omega, regime)
+        assert np.max(np.abs(T / (wells * ref) - 1.0)) <= 1e-10
+
+    def test_in_well_mean_displacement_identity(self, controlled_system, energies):
+        """In y = x^2 the loop integral of x dt is int dy / v over the roots of
+        a quadratic, pi sqrt(2/delta3) at every energy and frequency."""
+        p = controlled_system
+        H = np.asarray(energies[MotionRegime.RIGHT_WELL])
+        omega = averaging._table_for(p, GridSpec()).lookup_bridged(H)
+        tp = turning_points(H[:, None], p, omega[:, None], MotionRegime.RIGHT_WELL)
+        theta, w = freq._leggauss(averaging._ORBIT_NODES)
+        x, _, dt = freq._orbit_points(tp, p.delta3, theta)
+        loop_x = 2.0 * ((x * dt) @ w)
+        assert loop_x == pytest.approx(np.full(H.size, math.pi * math.sqrt(2.0 / p.delta3)),
+                                       rel=1e-12)
+
+    @pytest.mark.parametrize("regime", [MotionRegime.RIGHT_WELL, MotionRegime.CROSS_WELL])
+    def test_velocity_moment_matches_loop_average(self, controlled_system, energies,
+                                                  regime):
+        """loop-int v^2 dt = 2 pi / omega loop_average(v^2) per orbit, the
+        loop average taken at the same frozen omega."""
+        p = controlled_system
+        H = energies[regime][1:-1]
+        omega, (_, _, V2) = _moments(p, H, regime)
+        wells = 1 if regime is MotionRegime.CROSS_WELL else 2
+        avg = [loop_average(lambda x, v: v * v, h, p, regime, om) for h, om in zip(H, omega)]
+        assert V2 == pytest.approx(wells * 2.0 * math.pi / omega * np.array(avg), rel=1e-12)
+
+    def test_collapsed_orbit_keeps_the_loop_average_limit(self):
+        """Half a _DEGENERATE_GAP above the bottom the orbit collapses onto the
+        minimum: the moments are two harmonic periods 2 pi / sqrt(2a) and no
+        excursion, the limit that loop_average gives there."""
+        p = SystemParams(delta1=3.0, delta3=3.0, kappa=0.3, alpha=0.05, beta=0.02)
+        omega = 1.0
+        a = stiffness_margin(p, omega)
+        u_min = -a * a / (4.0 * p.delta3)
+        H = np.array([u_min + 0.5 * freq._DEGENERATE_GAP * abs(u_min)])
+        T, X2, V2 = averaging._orbit_moments(p, H, np.array([omega]),
+                                             MotionRegime.RIGHT_WELL)
+        assert T[0] == pytest.approx(2.0 * 2.0 * math.pi / math.sqrt(2.0 * a), rel=1e-14)
+        assert X2[0] == pytest.approx(0.0, abs=1e-28) and V2[0] == 0.0
+        one = loop_average(lambda x, v: np.ones_like(x), float(H[0]), p,
+                           MotionRegime.RIGHT_WELL, omega)
+        assert omega / (2.0 * math.pi) * T[0] / 2.0 == pytest.approx(one, rel=1e-14)
+
+
+class TestEnergyRule:
+    def test_power_reads_no_field_solve(self, controlled_system, baseline_noise,
+                                        monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("mean_power solved the (x, v) fields")
+
+        monkeypatch.setattr(averaging, "_self_consistent_fields", no_solve)
+        assert mean_power(controlled_system, baseline_noise) > 0
+
+    def test_nodes_span_the_table_up_to_the_band(self, controlled_system):
+        """The nodes run from the table's deepest knot to -band and from +band
+        to its top, and each rule integrates dH exactly over that range."""
+        table = averaging._table_for(controlled_system, GridSpec())
+        n = averaging._energy_nodes(controlled_system, GridSpec())
+        band = exclusion_band(controlled_system)
+        well, cross = slice(0, n.split), slice(n.split, None)
+        assert n.H[0] == table.H_neg[0] and n.H[-1] == table.H_pos[-1]
+        assert n.H[n.split - 1] == -band and n.H[n.split] == band
+        for weights in (n.weight, n.half):
+            assert np.sum(weights[well]) == pytest.approx(-band - table.H_neg[0], rel=1e-9)
+            assert np.sum(weights[cross]) == pytest.approx(table.H_pos[-1] - band, rel=1e-9)
+
+    def test_half_rule_is_every_other_node(self, controlled_system):
+        n = averaging._energy_nodes(controlled_system, GridSpec())
+        for part in (slice(0, n.split), slice(n.split, None)):
+            assert np.all(n.half[part][1::2] == 0.0) and np.all(n.half[part][::2] > 0)
+
+    @pytest.mark.parametrize("D", [0.001, 0.0072, 0.1])
+    def test_accuracy_is_small_and_unflagged(self, controlled_system, D):
+        acc = averaging.power_accuracy(controlled_system, NoiseParams(D=D, c=0.3))
+        assert 0.0 <= acc.rel_err <= 2e-5
+        assert 0.0 <= acc.band_share <= 2e-4
+        assert max(acc.rel_err, acc.band_share) <= averaging.POWER_REL_TOL
+
+    def test_low_noise_is_flagged(self, controlled_system):
+        """At D = 1e-4 the density decays over about 0.004 of the well's
+        depth of 0.6, finer than the rule resolves: the half-rule estimate
+        says so."""
+        acc = averaging.power_accuracy(controlled_system, NoiseParams(D=1e-4, c=0.3))
+        assert acc.rel_err > averaging.POWER_REL_TOL

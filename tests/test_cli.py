@@ -342,6 +342,12 @@ class TestCliCommands:
             "orbit_quadrature_rel": freq._ORBIT_REL_TOL,
             "significant_digits": 12,
         }
+        cfg = parse_config(doc())
+        acc = averaging.power_accuracy(cfg.system, cfg.noise)
+        assert meta["report"] == {"power": {
+            "rel_err": acc.rel_err, "band_share": acc.band_share,
+            "rel_tol": averaging.POWER_REL_TOL, "flagged": False,
+        }}
 
     def test_freq_output_monotone_energy(self, tmp_path):
         cfg_path = write_cfg(tmp_path, doc())
@@ -441,6 +447,9 @@ class TestCliCommands:
         vals = dict(zip(header, rows[0]))
         assert float(vals["analytic_power"]) > 0
         assert float(vals["mcs_power"]) > 0
+        meta = json.loads((out_a / "harvest_compare.meta.json").read_text())
+        report = meta["report"]["power"]
+        assert 0 <= report["rel_err"] <= report["rel_tol"] and not report["flagged"]
 
     def test_compare_ignores_the_psd_block(self, tmp_path):
         """compare reports no spectral SNR, so like sweep it drops sim.psd: a
@@ -799,9 +808,10 @@ class TestSweep:
         _, rows = read_csv(tmp_path / "harvest_sweep.csv")
         assert all(math.isfinite(float(r[1])) for r in rows)
 
-    def test_noise_sweep_solves_the_fields_once(self, tmp_path, monkeypatch):
-        """The self-consistent (H, omega) fields do not depend on the noise,
-        so a one-worker sweep over noise.D solves them once."""
+    def test_noise_sweep_solves_no_fields(self, tmp_path, monkeypatch):
+        """The power is an energy integral: a one-worker sweep over noise.D
+        solves no (x, v) field and builds the system's energy nodes once,
+        and its meta holds one power report per cell."""
         calls = []
         solve = averaging._self_consistent_fields
 
@@ -816,37 +826,45 @@ class TestSweep:
         cfg_path = write_cfg(tmp_path, d)
         assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
                      "--threads", "1"]) == 0
-        assert len(calls) == 1
+        assert calls == []
+        assert averaging._energy_nodes.cache_info().misses == 1
         _, rows = read_csv(tmp_path / "harvest_sweep.csv")
         assert len({r[1] for r in rows}) == 3
+        meta = json.loads((tmp_path / "harvest_sweep.meta.json").read_text())
+        reports = meta["report"]["power"]
+        assert [r["cell"] for r in reports] == [{"noise.D": float(r[0])} for r in rows]
+        assert not any(r["flagged"] for r in reports)
 
     def test_each_system_is_solved_once_at_any_axis_order(self, monkeypatch):
         """A 3 x 3 sweep over noise.D (outer) and system.mu (inner) visits
         its three systems in turn; the analytic cells are grouped by system,
-        so each system's fields are solved once and its table built once,
-        and each cell still reads the power of its own system and noise."""
-        solves, tables = [], []
-        solve, build_table = averaging._self_consistent_fields, averaging.build_table
+        so each system's energy nodes are built once and its table built
+        once, and each cell still reads the power of its own system and
+        noise."""
+        systems, tables = [], []
+        moments, build_table = averaging._orbit_moments, averaging.build_table
 
-        def counting_solve(p, *args):
-            solves.append(p)
-            return solve(p, *args)
+        def counting_moments(p, *args):
+            systems.append(p)
+            return moments(p, *args)
 
         def counting_table(*args, **kwargs):
             tables.append(args)
             return build_table(*args, **kwargs)
 
-        monkeypatch.setattr(averaging, "_self_consistent_fields", counting_solve)
+        monkeypatch.setattr(averaging, "_orbit_moments", counting_moments)
         monkeypatch.setattr(averaging, "build_table", counting_table)
         d = doc(sweep={"axes": [
             {"param": "noise.D", "start": 0.004, "stop": 0.008, "count": 3},
             {"param": "system.mu", "start": -0.01, "stop": 0.0, "count": 3},
         ], "quantities": ["power"]})
         cfg = parse_config(d)
-        _, rows, errors, _ = run_sweep(cfg, threads=1)
+        _, rows, errors, _, reports = run_sweep(cfg, threads=1)
         assert errors == []
-        assert len(solves) == 3 and len(set(solves)) == 3
+        # two regimes per system
+        assert len(systems) == 6 and len(set(systems)) == 3
         assert len(tables) == 3
+        assert len(reports) == 9
         for D, mu, power, _ in rows:
             cell = cli._cell_config(cfg, [("noise.D", D), ("system.mu", mu)])
             assert power == averaging.mean_power(cell.system, cell.noise)
@@ -993,7 +1011,7 @@ class TestSweep:
         d["sim"]["t_total"] = 40.0
         d["sim"]["t_transient"] = 10.0
         cfg = parse_config(d)
-        _, clean, errors, batches = run_sweep(cfg, threads=1)
+        _, clean, errors, batches, _ = run_sweep(cfg, threads=1)
         assert errors == [] and batches == [[0, 1], [2, 3], [4, 5]]
         step_cells = mcs._step_cells
 
@@ -1003,7 +1021,7 @@ class TestSweep:
             return step_cells(cells, *args, **kwargs)
 
         monkeypatch.setattr(mcs, "_step_cells", failing)
-        _, rows, cell_errors, _ = run_sweep(cfg, threads=1)
+        _, rows, cell_errors, _, _ = run_sweep(cfg, threads=1)
         assert [r[-1] for r in rows] == ["", "", "FloatingPointError",
                                          "FloatingPointError", "", ""]
         assert all(math.isnan(v) for r in rows[2:4] for v in r[2:4])
@@ -1034,10 +1052,10 @@ class TestSweep:
                                  "stop": 1e-1, "count": 3, "scale": "log"}],
                        "quantities": ["power", "v_rms"]})
         cfg = parse_config(d)
-        header, serial, errors, _ = run_sweep(cfg, threads=1)
+        header, serial, errors, _, _ = run_sweep(cfg, threads=1)
         assert errors == []
         monkeypatch.setattr(module, name, dying)
-        h2, rows, cell_errors, _ = run_sweep(cfg, threads=2)
+        h2, rows, cell_errors, _, _ = run_sweep(cfg, threads=2)
         assert (h2, rows) == (header, serial)
         assert all(r[-1] == "" for r in rows)
         assert all(e["message"] == cli._RERUN_MESSAGE for e in cell_errors)
@@ -1110,7 +1128,7 @@ class TestSweep:
         d = doc(sweep={"axes": [{"param": "noise.c", "start": 0.1,
                                  "stop": 0.3, "count": 3}],
                        "quantities": ["v_rms", "power"]})
-        _, rows, cell_errors, batches = run_sweep(parse_config(d), threads=1)
+        _, rows, cell_errors, batches, _ = run_sweep(parse_config(d), threads=1)
         assert len(calls) == 1
         assert batches == [[1, 2]]
         assert [r[-1] for r in rows] == ["ParameterError", "", ""]
@@ -1183,8 +1201,8 @@ class TestSweep:
                                  "stop": 1.0, "count": 4}],
                        "quantities": ["power"]})
         cfg = parse_config(d)
-        h1, serial, e1, _ = run_sweep(cfg, threads=1)
-        h2, parallel, e2, _ = run_sweep(cfg, threads=2)
+        h1, serial, e1, _, _ = run_sweep(cfg, threads=1)
+        h2, parallel, e2, _, _ = run_sweep(cfg, threads=2)
         assert h1 == h2
         assert e1 == e2 == []
         for a, b in zip(serial, parallel):
@@ -1198,8 +1216,8 @@ class TestSweep:
                        "quantities": ["power", "v_rms"]})
         cfg = parse_config(d)
         # the pool first, so that its forked workers start with cold caches
-        h2, parallel, e2, _ = run_sweep(cfg, threads=2)
-        h1, serial, e1, _ = run_sweep(cfg, threads=1)
+        h2, parallel, e2, _, _ = run_sweep(cfg, threads=2)
+        h1, serial, e1, _, _ = run_sweep(cfg, threads=1)
         assert h1 == h2
         assert e1 == e2 == []
         assert serial == parallel

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harvest.averaging import GridSpec
 from harvest.errors import BistabilityLossError, ParameterError
 from harvest.model import (
     ExcitationParams,
@@ -100,6 +101,16 @@ class TestBarePotential:
         vec = bare_potential(x, baseline_system)
         scal = np.array([bare_potential(float(xx), baseline_system) for xx in x])
         np.testing.assert_allclose(vec, scal, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("x", [
+        GridSpec().axes()[0], np.linspace(-2.5, 2.5, 201),
+    ], ids=["grid_axis", "linspace"])
+    def test_exactly_even(self, controlled_system, x):
+        """U(-x) == U(x) bit for bit, for the bare and the effective
+        potential, on axes where numpy's x**4 is uneven."""
+        p = controlled_system
+        assert np.array_equal(bare_potential(-x, p), bare_potential(x, p))
+        assert np.array_equal(effective_potential(-x, p, 0.3), effective_potential(x, p, 0.3))
 
 
 class TestEffectiveCoeffs:
