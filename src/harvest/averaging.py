@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SeparatrixBandError
 from .freq import (
-    FrequencyTable, _leggauss, _orbit_integral, _orbit_points, bottom_frequency,
+    FrequencyTable, _leggauss, _orbit_points, bottom_frequency,
     build_table, exclusion_band, solve_frequency, turning_points,
 )
 from .model import (
@@ -28,7 +28,8 @@ from .model import (
 
 @dataclass(frozen=True)
 class DriftDiffusion:
-    """Averaged drift m(H) and diffusion sigma^2(H) of the energy envelope."""
+    """Averaged drift m(H) and diffusion sigma^2(H) of the energy envelope:
+    floats, or arrays of drift_diffusion's H."""
 
     m: float
     sigma2: float
@@ -81,13 +82,15 @@ class DensityField:
         return float(np.trapezoid(np.trapezoid(self.values, self.v, axis=1), self.x))
 
 
-def loop_average(
-    f, H: float, p: SystemParams, regime: MotionRegime, omega: float | None = None
-) -> float:
-    """Time average (omega/2pi) * loop-integral of f(x, v)/|v| dx at energy H.
+def loop_average(f, H, p: SystemParams, regime: MotionRegime, omega=None):
+    """Time average (omega/2pi) * loop-integral of f(x, v)/|v| dx at energies H.
 
     omega defaults to the self-consistent frequency at H; passing omega
-    evaluates the orbit in the frozen potential delta_eff(omega).  f must
+    evaluates the orbit in the frozen potential delta_eff(omega).  H and
+    omega broadcast, and a scalar call runs as the one-element array call, so
+    both give the same bits.  The loop integral is the power's fixed rule:
+    _ORBIT_NODES-point Gauss-Legendre over the pass of _orbit_points, with f
+    at (x, v) and (x, -v), and across both wells at (-x, +-v) too.  f must
     accept array x and signed array v and return an array.  On an orbit that
     turning_points collapsed onto the well minimum it is omega / sqrt(2a)
     times f there, with a the stiffness margin: the limit of the open orbit,
@@ -95,17 +98,29 @@ def loop_average(
     """
     if omega is None:
         omega = solve_frequency(H, p, regime)
-    tp = turning_points(H, p, omega, regime)
-    if tp.x_a == tp.x_b:
-        scale = omega / math.sqrt(2.0 * stiffness_margin(p, omega))
-        return scale * float(f(np.array([tp.x_a]), np.array([0.0]))[0])
-    return omega / (2.0 * math.pi) * _orbit_integral(f, H, p.delta3, tp)
+    H, omega = np.broadcast_arrays(
+        np.asarray(H, dtype=float), np.asarray(omega, dtype=float)
+    )
+    om = omega.reshape(-1, 1)
+    tp = turning_points(H.reshape(-1, 1), p, om, regime)
+    theta, w = _leggauss(_ORBIT_NODES)
+    x, v, dt = _orbit_points(tp, p.delta3, theta)
+    total = f(x, v) + f(x, -v)
+    if regime is MotionRegime.CROSS_WELL:
+        total = total + f(-x, v) + f(-x, -v)
+    avg = om / (2.0 * math.pi) * np.sum(w * (dt * total), axis=1, keepdims=True)
+    scale = om / np.sqrt(2.0 * stiffness_margin(p, om))
+    at_min = scale * f(tp.x_a, np.zeros_like(tp.x_a))
+    out = np.where(tp.x_a == tp.x_b, at_min, avg).reshape(H.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def drift_diffusion(
-    H: float, p: SystemParams, noise: NoiseParams, regime: MotionRegime
+    H, p: SystemParams, noise: NoiseParams, regime: MotionRegime
 ) -> DriftDiffusion:
-    """Averaged drift and diffusion of the energy envelope at H.
+    """Averaged drift and diffusion of the energy envelope at energies H:
+    one solve_frequency, one effective_coeffs and one loop_average over the
+    array, floats for scalar H.
 
     The dissipation is -beta_eff*<v^2>: the cross term -delta_eff*X*<v> of
     v*(beta_eff*v - delta_eff*X*) averages to 0 on every closed orbit.
@@ -128,8 +143,10 @@ def energy_spd(
     """Stationary probability density of the total energy on the given grid.
 
     p(H) = N0/sigma^2(H) * exp(int 2m/sigma^2 dH), accumulated by trapezoid from
-    the grid base and normalized over the grid.  The grid must avoid the
-    separatrix exclusion band.
+    the grid base and normalized over the grid.  The drift and diffusion are
+    one drift_diffusion call per regime: the grid's negative energies in a
+    well, its positive ones across both.  The grid must avoid the separatrix
+    exclusion band.
     """
     noise.require_positive_intensity()
     H_grid = np.asarray(H_grid, dtype=float)
@@ -142,11 +159,12 @@ def energy_spd(
         )
     ratio = np.empty_like(H_grid)
     ln_s2 = np.empty_like(H_grid)
-    for i, H in enumerate(H_grid):
-        regime = MotionRegime.CROSS_WELL if H > 0 else MotionRegime.RIGHT_WELL
-        dd = drift_diffusion(H, p, noise, regime)
-        ratio[i] = 2.0 * dd.m / dd.sigma2
-        ln_s2[i] = math.log(dd.sigma2)
+    for regime, part in (
+        (MotionRegime.RIGHT_WELL, H_grid < 0), (MotionRegime.CROSS_WELL, H_grid > 0)
+    ):
+        dd = drift_diffusion(H_grid[part], p, noise, regime)
+        ratio[part] = 2.0 * dd.m / dd.sigma2
+        ln_s2[part] = np.log(dd.sigma2)
     inner = np.concatenate(
         ([0.0], np.cumsum(0.5 * (ratio[1:] + ratio[:-1]) * np.diff(H_grid)))
     )
@@ -397,12 +415,12 @@ def effective_generalized_potential(x, v, p: SystemParams, noise: NoiseParams):
 # With 8 the half rule moves <V^2> by at most 1e-5 on the benchmark's system
 # for D from 1e-3 to 0.1, and the full rule by at most 1e-11.
 _ENERGY_INTERVALS = 8
-# Gauss-Legendre nodes in theta of the orbit moments.  Next to the band they
-# give the cross-well period to 4e-13 (64 leave 1e-10), the in-well one to
-# 1e-15.
+# Gauss-Legendre nodes in theta of the orbit moments and of loop_average.
+# Next to the band they give the cross-well period to 4e-13 (64 leave 1e-10),
+# the in-well one to 1e-15.
 _ORBIT_NODES = 80
-# A power whose rel_err or band_share (PowerAccuracy) exceeds this is
-# flagged in its .meta.json.
+# A power whose rel_err, band_share or top_share (PowerAccuracy) exceeds
+# this is flagged in its .meta.json.
 POWER_REL_TOL = 1e-3
 
 
@@ -523,14 +541,19 @@ class PowerAccuracy:
     the energy rule's error.  band_share: the estimated share of the energy
     density's mass in the exclusion band |H| < band, which both integrals
     leave out: the band's width times f T at its two edges, over the total.
+    top_share: the estimated share above the table top, where both integrals
+    stop: f T at the top node times the density's decay length
+    D / (beta_eff chi) there, over the total; inf where the density does not
+    decay at the top.
     """
 
     rel_err: float
     band_share: float
+    top_share: float
 
 
 def _energy_average(p: SystemParams, noise: NoiseParams, grid: GridSpec | None):
-    """E[V^2] by the full and by the half rule, and the band share."""
+    """E[V^2] by the full and by the half rule, and the band and top shares."""
     noise.require_positive_intensity()
     n = _energy_nodes(p, grid or GridSpec())
     chi = 1.0 + noise.c**2 * n.omega**2
@@ -541,7 +564,9 @@ def _energy_average(p: SystemParams, noise: NoiseParams, grid: GridSpec | None):
     msv = (n.weight @ (f * n.volt_sq)) / Z
     msv_half = (n.half @ (f * n.volt_sq)) / (n.half @ ft)
     band_share = n.H[n.split] * (ft[n.split - 1] + ft[n.split]) / Z
-    return msv, msv_half, band_share
+    decay = n.beta_eff[-1] * chi[-1] / noise.D
+    top_share = ft[-1] / decay / Z if decay > 0 else math.inf
+    return msv, msv_half, band_share, top_share
 
 
 def mean_square_voltage(
@@ -568,9 +593,9 @@ def mean_square_voltage(
 def power_accuracy(p: SystemParams, noise: NoiseParams) -> PowerAccuracy:
     """The PowerAccuracy of mean_square_voltage(p, noise), from the same
     memoized nodes."""
-    msv, msv_half, band_share = _energy_average(p, noise, None)
+    msv, msv_half, band_share, top_share = _energy_average(p, noise, None)
     rel_err = abs(msv_half / msv - 1.0) if msv != 0 else 0.0
-    return PowerAccuracy(float(rel_err), float(band_share))
+    return PowerAccuracy(float(rel_err), float(band_share), float(top_share))
 
 
 def mean_power(

@@ -97,14 +97,15 @@ def _base_meta(cfg: RunConfig, subcommand: str, t0: float) -> dict:
 
 def _power_report(cfg: RunConfig) -> dict:
     """The .meta.json report of an analytic power: averaging.power_accuracy,
-    with the tolerance above which either value flags it."""
+    with the tolerance above which any of its values flags it."""
     acc = averaging.power_accuracy(cfg.system, cfg.noise)
     tol = averaging.POWER_REL_TOL
     return {
         "rel_err": acc.rel_err,
         "band_share": acc.band_share,
+        "top_share": acc.top_share,
         "rel_tol": tol,
-        "flagged": acc.rel_err > tol or acc.band_share > tol,
+        "flagged": any(v > tol for v in (acc.rel_err, acc.band_share, acc.top_share)),
     }
 
 

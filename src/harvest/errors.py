@@ -21,10 +21,6 @@ class ConvergenceError(HarvestError):
     """An iterative solver failed to converge within its iteration cap."""
 
 
-class QuadratureError(HarvestError):
-    """A quadrature failed to reach its requested accuracy."""
-
-
 class EnergyRangeError(HarvestError):
     """Energy outside the admissible range for the requested motion regime or table."""
 

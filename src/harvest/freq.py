@@ -6,9 +6,7 @@ energy is obtained by a damped-secant fixed-point iteration, run elementwise
 over an array of energies.  The period of the frozen quartic well is a closed
 form in the complete elliptic integral K, evaluated by the arithmetic-geometric
 mean.  A tabulated version, one piecewise cubic over both branches, serves the
-grid-heavy consumers.  The module needs only numpy: scipy is imported on first
-use by the adaptive fallback of the orbit quadrature, which no CLI command
-runs.
+grid-heavy consumers.  The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from .errors import (
     ConvergenceError,
     EnergyRangeError,
     ParameterError,
-    QuadratureError,
     SeparatrixBandError,
 )
 from .model import (
@@ -37,11 +34,10 @@ BAND_FRACTION = 1e-4
 
 _DEGENERATE_GAP = 1e-13  # orbit treated as harmonic when (H - U_min) is this small
 
-# Relative change of the orbit quadrature's Gauss-Legendre order doubling at
-# which it stops; its adaptive fallback aims at a tenth of it.  Near the
-# separatrix a looser stop leaves the time average of 1 off by ~1e-9.
+# Relative accuracy to which the fixed Gauss-Legendre rule over
+# _orbit_points is held against the closed-form period, from the well bottom
+# to the band edges and up to the table top.
 _ORBIT_REL_TOL = 1e-12
-_MAX_ORDER = 2048
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # Newton steps of _leggauss: from Tricomi's estimate a root is at machine
@@ -55,8 +51,7 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     Newton's method on P_n from Tricomi's estimate of each positive root,
     with P_n and P_n' from the three-term recurrence, then the weights
     2 / ((1 - x^2) P_n'(x)^2); the negative roots mirror the positive ones
-    (Abramowitz & Stegun 25.4.29).  numpy alone, so the orbit moments of the
-    power load no scipy.
+    (Abramowitz & Stegun 25.4.29).
     """
     if n not in _leggauss_cache:
         k = np.arange(1, n // 2 + 1)
@@ -78,14 +73,6 @@ def _legendre(n: int, x: np.ndarray):
     for j in range(2, n + 1):
         p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
     return p, n * (x * p - p_prev) / (x * x - 1.0)
-
-
-def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on first use: only the adaptive fallback
-    of the orbit quadrature calls it."""
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(func, a, b, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -172,7 +159,7 @@ def turning_points(H, p: SystemParams, omega, regime: MotionRegime) -> TurningPo
 
 def _orbit_points(tp: TurningPoints, delta3: float, theta):
     """Displacement x, speed v >= 0 and dt/dtheta at the nodes theta of one
-    pass along the orbit, in the sin^2 substitution of _orbit_integral.
+    pass along the orbit, in a sin^2 substitution.
 
     In a well the pass runs from x_a to x_b, with x = x_a + (x_b - x_a)
     sin^2(theta).  The turning points are roots of the quartic H - U(x), so
@@ -218,50 +205,6 @@ def _orbit_points(tp: TurningPoints, delta3: float, theta):
     v = dx * (s * c)
     v *= r
     return x, v, np.divide(2.0, r, out=r)
-
-
-def _orbit_integral(func, H: float, delta3: float, tp: TurningPoints) -> float:
-    """Loop integral of func(x, v) dt over the closed orbit, v signed.
-
-    The passes of _orbit_points: in a well func at (x, v) and (x, -v) over
-    the pass from x_a to x_b; across both wells func at (+-x, +-v) over the
-    quarter orbit from 0 to x_b.  Gauss-Legendre order doubling until the
-    relative change is below _ORBIT_REL_TOL; if it has not settled at
-    _MAX_ORDER an adaptive quadrature takes over.
-    """
-    cross = tp.regime is MotionRegime.CROSS_WELL
-
-    def integrand(theta):
-        x, v, dt = _orbit_points(tp, delta3, theta)
-        total = func(x, v) + func(x, -v)
-        if cross:
-            total = total + func(-x, v) + func(-x, -v)
-        return dt * total
-
-    def scalar_integrand(theta):
-        return float(integrand(np.array([theta]))[0])
-
-    rel_tol = _ORBIT_REL_TOL
-    prev = None
-    order = 64
-    while order <= _MAX_ORDER:
-        theta, w = _leggauss(order)
-        val = float(np.sum(w * integrand(theta)))
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
-            return val
-        prev = val
-        order *= 2
-
-    val, err = quad(
-        scalar_integrand, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=0.1 * rel_tol,
-        limit=500,
-    )
-    if not math.isfinite(val) or (abs(val) > 0 and err > 10 * rel_tol * abs(val)):
-        raise QuadratureError(
-            f"orbit quadrature did not reach rel_tol={rel_tol} "
-            f"(H={H}, regime={tp.regime.name}, err={err})"
-        )
-    return val
 
 
 # Arithmetic-geometric mean steps of _ellipkm1: from p = 5e-324, the smallest

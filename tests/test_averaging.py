@@ -116,6 +116,18 @@ class TestDriftDiffusion:
                 MotionRegime.RIGHT_WELL,
             )
 
+    @pytest.mark.parametrize("regime", [MotionRegime.RIGHT_WELL, MotionRegime.CROSS_WELL])
+    def test_array_call_is_its_scalar_calls(self, controlled_system, baseline_noise,
+                                            regime):
+        p = controlled_system
+        H = np.linspace(0.05, 3.0, 12)
+        if regime is MotionRegime.RIGHT_WELL:
+            H = -0.18 * H
+        dd = drift_diffusion(H, p, baseline_noise, regime)
+        scalar = [drift_diffusion(h, p, baseline_noise, regime) for h in H]
+        assert np.array_equal(dd.m, [s.m for s in scalar])
+        assert np.array_equal(dd.sigma2, [s.sigma2 for s in scalar])
+
 
 class TestEnergyIdentity:
     @pytest.mark.parametrize("regime", [MotionRegime.RIGHT_WELL, MotionRegime.CROSS_WELL])
@@ -683,7 +695,17 @@ class TestEnergyRule:
         acc = averaging.power_accuracy(controlled_system, NoiseParams(D=D, c=0.3))
         assert 0.0 <= acc.rel_err <= 2e-5
         assert 0.0 <= acc.band_share <= 2e-4
-        assert max(acc.rel_err, acc.band_share) <= averaging.POWER_REL_TOL
+        assert max(acc.rel_err, acc.band_share, acc.top_share) <= averaging.POWER_REL_TOL
+
+    def test_high_noise_is_flagged_by_the_table_top(self, controlled_system):
+        """The integrals stop at the table top, H = 50.7 here.  At D = 1 the
+        density decays over D / (beta_eff chi) = 17 there, and the share
+        above the top flags the power alone; at D = 0.1 it is 3e-14."""
+        tol = averaging.POWER_REL_TOL
+        acc = averaging.power_accuracy(controlled_system, NoiseParams(D=1.0, c=0.3))
+        assert max(acc.rel_err, acc.band_share) <= tol < acc.top_share
+        acc = averaging.power_accuracy(controlled_system, NoiseParams(D=0.1, c=0.3))
+        assert acc.top_share <= 1e-12
 
     def test_low_noise_is_flagged(self, controlled_system):
         """At D = 1e-4 the density decays over about 0.004 of the well's

@@ -346,8 +346,21 @@ class TestCliCommands:
         acc = averaging.power_accuracy(cfg.system, cfg.noise)
         assert meta["report"] == {"power": {
             "rel_err": acc.rel_err, "band_share": acc.band_share,
+            "top_share": acc.top_share,
             "rel_tol": averaging.POWER_REL_TOL, "flagged": False,
         }}
+
+    def test_power_above_the_table_top_is_flagged(self, tmp_path):
+        """At D = 1 the mass above the table top flags the power, and the
+        run still writes its row and exits 0."""
+        cfg_path = write_cfg(tmp_path, doc(noise={"D": 1.0, "c": 0.3}))
+        assert main(["power", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "harvest_power.csv")
+        assert float(rows[0][0]) > 0
+        report = json.loads((tmp_path / "harvest_power.meta.json").read_text())["report"]
+        power = report["power"]
+        assert power["flagged"] and power["top_share"] > power["rel_tol"]
+        assert max(power["rel_err"], power["band_share"]) <= power["rel_tol"]
 
     def test_freq_output_monotone_energy(self, tmp_path):
         cfg_path = write_cfg(tmp_path, doc())

@@ -325,6 +325,58 @@ class TestOrbitAverage:
         opened = loop_average(f, u_min + 2.0 * gap, p, regime, 1.0)
         assert collapsed == pytest.approx(opened, rel=1e-9)
 
+    @pytest.mark.parametrize("regime", list(MotionRegime))
+    def test_array_call_is_its_scalar_calls(self, controlled_system, regime):
+        """Over an array of energies, with a collapsed orbit among them in a
+        well, loop_average gives its scalar calls bit for bit, at given
+        frequencies and at the self-consistent ones."""
+        p = controlled_system
+        H, omega = orbit_energies(p, regime, 25)
+
+        def f(x, v):
+            return 1.0 + x**3 + v * v
+
+        if regime is not MotionRegime.CROSS_WELL:
+            tp = turning_points(H, p, omega, regime)
+            assert np.any(tp.x_a == tp.x_b)
+        scalar = [loop_average(f, h, p, regime, om) for h, om in zip(H, omega)]
+        assert all(type(s) is float for s in scalar)
+        assert np.array_equal(loop_average(f, H, p, regime, omega), scalar)
+        H = H[1::4]
+        scalar = [loop_average(f, h, p, regime) for h in H]
+        assert np.array_equal(loop_average(f, H, p, regime), scalar)
+
+    @pytest.mark.parametrize("system", ["bare", "baseline_system", "controlled_system",
+                                        "near_band"])
+    @pytest.mark.parametrize("regime", [MotionRegime.RIGHT_WELL, MotionRegime.CROSS_WELL])
+    def test_time_average_of_one_is_the_period(self, request, system, regime):
+        """<1> 2 pi / omega is the closed-form period to _ORBIT_REL_TOL from
+        the well bottom to 1.0001 band widths, and from there to the top of
+        the power's table."""
+        p = {"bare": bare(), "near_band": NEAR_BAND_SYSTEM}.get(system)
+        p = p or request.getfixturevalue(system)
+        H, omega = orbit_energies(p, regime, 60)
+        one = loop_average(lambda x, v: np.ones_like(x), H, p, regime, omega)
+        T = period_integral(H, p, omega, regime)
+        rel = np.abs(2.0 * math.pi / omega * one / T - 1.0)
+        assert np.max(rel) <= freq._ORBIT_REL_TOL
+
+
+def orbit_energies(p: SystemParams, regime: MotionRegime, n: int):
+    """n energies of the regime and their frequencies from the power's table:
+    log-spaced from the well bottom (at the first energy's frequency) up to
+    1.0001 band widths below the separatrix, or from 1.0001 band widths
+    above it up to the table top."""
+    table = averaging._table_for(p, averaging.GridSpec())
+    edge = 1.0001 * exclusion_band(p)
+    if regime is MotionRegime.CROSS_WELL:
+        H = np.geomspace(edge, table.H_pos[-1], n)
+        return H, table.lookup_bridged(H)
+    H = -np.geomspace(-table.H_neg[0], edge, n)
+    omega = table.lookup_bridged(H)
+    H[0] = well_bottom(p, stiffness_margin(p, omega[0]))
+    return H, omega
+
 
 def test_one_rule_below_the_well_bottom():
     """Just below the well bottom of bare(), at 1e-14 and 5e-13 of its depth,

@@ -1,11 +1,13 @@
 """Source hygiene: no module of the package or of the tests imports a name it
 never uses (a re-export marked `# noqa: F401` on its import line is exempt),
-every default is set somewhere, every public name has a caller, and every
-committed benchmark record names what the benchmark measures."""
+the package imports nothing but numpy and the standard library, every default
+is set somewhere, every public name has a caller, and every committed
+benchmark record names what the benchmark measures."""
 
 import ast
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -42,6 +44,8 @@ def test_no_unused_imports(path):
 
 
 PACKAGE = sorted((ROOT / "src" / "harvest").glob("*.py"))
+
+
 # The code outside the package whose calls count as uses: the acceptance
 # tests and the benchmark scripts.  A unit test exercises a name; it does not
 # use it.
@@ -50,6 +54,31 @@ OUTSIDE = [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.
 
 def _parse(path: pathlib.Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def foreign_imports(path: pathlib.Path) -> list[str]:
+    """'line module' for each import in path, at any depth, that is neither
+    relative, nor numpy, nor of the standard library."""
+    foreign = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            if top != "numpy" and top not in sys.stdlib_module_names:
+                foreign.append(f"{node.lineno} {module}")
+    return foreign
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_needs_only_numpy(path):
+    """The package's one dependency is numpy; scipy and the rest serve the
+    tests alone."""
+    assert foreign_imports(path) == []
 
 
 def _defaulted(fn: ast.FunctionDef):
