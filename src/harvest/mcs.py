@@ -173,9 +173,9 @@ Cell = tuple[SystemParams, NoiseParams, ExcitationParams]
 
 
 def lane() -> str:
-    """The stepping lane, recorded in run provenance: the numpy lockstep
-    kernel is the only one."""
-    return "numpy"
+    """The stepping lane, recorded in run provenance: "c" when the compiled
+    step loop runs in this process, "numpy" when it fell back."""
+    return _kernels.lane()
 
 
 def _ou_coefficients(noise: NoiseParams, dt: float) -> tuple[float, float]:

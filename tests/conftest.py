@@ -1,9 +1,11 @@
 """Shared fixtures and the acceptance-report terminal summary."""
 
+import shutil
+
 import numpy as np
 import pytest
 
-from harvest import averaging
+from harvest import _kernels, averaging
 from harvest.model import ExcitationParams, NoiseParams, SystemParams
 
 # One line per acceptance criterion, printed at the end of the session so the
@@ -23,6 +25,39 @@ def cold_analytic_caches():
     """Every test starts with an empty energy-node memo, so a test that counts
     builds or memo hits does not depend on the tests before it."""
     averaging._energy_nodes.cache_clear()
+
+
+@pytest.fixture(autouse=True, scope="session")
+def private_build_cache(tmp_path_factory):
+    """The compiled step loop is built into a cache of this session, not the
+    user's: every session builds it once, and no test writes to $HOME."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        _kernels._library.cache_clear()
+        yield
+    _kernels._library.cache_clear()
+
+
+def compiler_found() -> bool:
+    """Whether sysconfig names a C compiler that is on PATH."""
+    cc = _kernels._compiler()
+    return cc is not None and shutil.which(cc[0]) is not None
+
+
+@pytest.fixture
+def numpy_lane(monkeypatch):
+    """_chunk_batch steps on the numpy lane: the loader finds no library."""
+    monkeypatch.setattr(_kernels, "_library", lambda: None)
+
+
+@pytest.fixture
+def c_lane():
+    """_chunk_batch steps on the C lane; skipped only when no compiler is
+    found, and a failed build with a compiler at hand fails the test."""
+    if _kernels._library() is None:
+        if compiler_found():
+            pytest.fail("the C step loop did not build or load")
+        pytest.skip("no C compiler found, so the C lane falls back to numpy")
 
 
 @pytest.fixture(scope="session")

@@ -335,7 +335,7 @@ class TestCliCommands:
         assert meta["subcommand"] == "power"
         assert meta["seed"] == 7
         assert len(meta["config_hash"]) == 64
-        assert meta["lane"] == "numpy"
+        assert meta["lane"] == mcs.lane()
         assert meta["exclusion_band"] > 0
         assert meta["tolerances"] == {
             "frequency_fixed_point": freq._TOL,

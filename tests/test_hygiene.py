@@ -1,15 +1,20 @@
 """Source hygiene: no module of the package or of the tests imports a name it
 never uses (a re-export marked `# noqa: F401` on its import line is exempt),
-the package imports nothing but numpy and the standard library, every default
-is set somewhere, every public name has a caller, and every committed
-benchmark record names what the benchmark measures."""
+the package imports nothing but numpy and the standard library, the C lane's
+source compiles without a warning, every default is set somewhere, every
+public name has a caller, and every committed benchmark record names what the
+benchmark measures."""
 
 import ast
 import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
+from conftest import compiler_found
+
+from harvest import _kernels
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FILES = sorted(
@@ -79,6 +84,18 @@ def test_package_needs_only_numpy(path):
     """The package's one dependency is numpy; scipy and the rest serve the
     tests alone."""
     assert foreign_imports(path) == []
+
+
+def test_step_source_compiles_without_warnings(tmp_path):
+    """The C lane's source builds with its own flags and every common warning
+    as an error: a discarded const, an unused variable or a sign mismatch in
+    a loop bound fails here rather than in a silent numpy fallback."""
+    if not compiler_found():
+        pytest.skip("no C compiler found")
+    argv = [*_kernels._compiler(), *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror",
+            "-o", str(tmp_path / "step.so"), _kernels._SOURCE]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _defaulted(fn: ast.FunctionDef):
