@@ -17,7 +17,7 @@ which lane() names:
   compiler Python was built with (sysconfig's CC) and -O2 -fPIC -shared
   -ffp-contract=off, into a private per-user cache, $XDG_CACHE_HOME/harvest
   or ~/.cache/harvest, under a name keyed by the source, the compiler
-  command and the machine.  Every coefficient is passed as an (m,) row.
+  command and the machine.
 - "numpy": the fallback, taken silently when no compiler is found, the
   compile fails, the cache cannot be written or is not private, or the
   library cannot be loaded.  It is also the oracle of the C lane.  It is
@@ -33,10 +33,15 @@ which lane() names:
     coefficient rows give delta1*x, -beta*v and kappa*V, and delta3*x and
     alpha*V; the velocity and voltage increments are one contiguous pair,
     scaled by dt in one call and added to [v, V] in another.
-  - Array operands.  Every coefficient is a float64 array, 0-d for one cell
-    and (m,) for a batch: a ufunc converts a Python float operand anew on
-    every call.  A step writes its temporaries into preallocated rows and
-    walks the state rows with iterators instead of indexing them.
+  - Array operands.  Every operand of a step is a float64 array: a ufunc
+    converts a Python float operand anew on every call.  A step writes its
+    temporaries into preallocated rows and walks the state rows with
+    iterators instead of indexing them.
+
+Both lanes read the per-row coefficients from one C-contiguous float64 block
+of shape (len(COEF_ROWS), m), built once per run: row r holds coefficient
+COEF_ROWS[r] of every trajectory.  dt, the delay offsets k1 and k2 and the
+transient skip are shared by the whole batch and stay scalars.
 
 In both lanes each element sees the operations of the update equations in
 the same order, each rounded to float64, so every result is bit-identical
@@ -56,6 +61,14 @@ STORE_NONE = 0
 STORE_XVV = 2
 
 DIVERGENCE_LIMIT = 1.0e3
+
+# The rows of the coefficient block, in order: the model parameters, the
+# delay fractions of the interpolated reads at k1 and k2, and the decay and
+# scale of the colored noise's one-step update.  _step.c lists the same order.
+COEF_ROWS = (
+    "beta", "delta1", "delta3", "kappa", "alpha", "mu", "nu", "f1", "f2",
+    "E_ou", "S_ou",
+)
 
 # The C lane's source, shipped next to this module, and its build.
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
@@ -149,8 +162,8 @@ def _library():
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     n, p = ctypes.c_long, ctypes.c_void_p
-    ou.argtypes = [n, n, p, p, n, n, p, p]
-    steps.argtypes = [n, n, n, n, n, p, p, *[p] * 10]
+    ou.argtypes = [n, n, p, p, n, n, p]
+    steps.argtypes = [n, n, n, n, n, ctypes.c_double, p, p, p]
     ou.restype = steps.restype = None
     return lib
 
@@ -173,11 +186,11 @@ def _running_sum(start, terms):
     return np.subtract.reduce(terms, axis=0)
 
 
-def _numpy_ou(xis, draws, E_ou, S_ou):
+def _numpy_ou(xis, draws, coef):
     """xis[i + 1] = xis[i]*E_ou + draws[i]*S_ou for every row of draws, which
     is overwritten."""
+    E_ou, S_ou = coef[-2:]
     np.multiply(draws, S_ou, out=draws)
-    E_ou = np.asarray(E_ou, dtype=float)
     mul = np.multiply
     prev = xis[0]
     for new, d in zip(xis[1:], draws):
@@ -186,15 +199,13 @@ def _numpy_ou(xis, draws, E_ou, S_ou):
         prev = new
 
 
-def _numpy_steps(h, L, drive, k1, k2, dt, beta, delta1, delta3, kappa, alpha,
-                 mu, nu, f1, f2):
+def _numpy_steps(h, L, drive, k1, k2, dt, coef):
     """The step loop of the numpy lane: one step per row of drive, from row L
     of the history h on."""
     m = h.shape[2]
-    # coefficients as float64 arrays, 0-d for one cell and (m,) for a batch
-    dt, mu, nu, f1, f2 = (np.asarray(c, dtype=float) for c in (dt, mu, nu, f1, f2))
-    c1 = np.asarray(1.0 - f1)
-    c2 = np.asarray(1.0 - f2)
+    beta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, _, _ = coef
+    c1 = 1.0 - f1
+    c2 = 1.0 - f2
     # full coefficient rows against a state row [x, v, V]: p gives
     # [delta1 x, -beta v, kappa V] and q gives [delta3 x, 0, alpha V]
     p = np.empty((3, m))
@@ -202,6 +213,7 @@ def _numpy_steps(h, L, drive, k1, k2, dt, beta, delta1, delta3, kappa, alpha,
     p[0], p[1], p[2] = delta1, -beta, kappa
     q[0], q[1], q[2] = delta3, 0.0, alpha
     dt2 = np.full((2, m), dt)
+    dt1 = dt2[0]
 
     # the ufuncs of the loop, bound once and given out by position: a module
     # lookup and a keyword argument cost about 70 ns a call
@@ -255,46 +267,14 @@ def _numpy_steps(h, L, drive, k1, k2, dt, beta, delta1, delta3, kappa, alpha,
             sub(vc, u2, b)
             ab *= dt2
             add(vVc, ab, vVn)
-            mul(dt, vn, a)
+            mul(dt1, vn, a)
             add(xc, a, xn)
             hc, xc, vc, vVc = hn, xn, vn, vVn
 
 
 def _chunk_batch(
-    x,
-    v,
-    V,
-    xi,
-    alive,
-    h,
-    s0,
-    n,
-    forcing,
-    draws,
-    dt,
-    beta,
-    delta1,
-    delta3,
-    kappa,
-    alpha,
-    mu,
-    nu,
-    k1,
-    f1,
-    k2,
-    f2,
-    E_ou,
-    S_ou,
-    skip,
-    hist,
-    x_min,
-    dx,
-    v_min,
-    dv,
-    acc,
-    series,
-    store,
-    sink,
+    x, v, V, xi, alive, h, s0, n, forcing, draws, coef, dt, k1, k2, skip,
+    hist, hist_grid, acc, series, store, sink,
 ):
     """Advance every trajectory of the ensemble by n Euler steps.
 
@@ -304,10 +284,12 @@ def _chunk_batch(
     [x, v, V] at one step: on entry rows 0 .. L-1 hold steps s0-L .. s0-1
     (L > max(k1, k2)), and on exit they hold the last L steps of this chunk.
     forcing is (n, 1) or (n, m); draws is (n, m) float64 and may be overwritten;
-    acc is (m, 3), series (m, 3, n_post).  The model parameters, f1, f2, E_ou and
-    S_ou are scalars or (m,) rows.  hist is (cells, nx, nv): the rows are
-    cell-major, m // cells to a cell, and each row counts into its cell's
-    histogram, on the nx x nv grid of cells dx x dv wide from (x_min, v_min).
+    acc is (m, 3), series (m, 3, n_post).  coef is the C-contiguous float64
+    coefficient block (len(COEF_ROWS), m), one column per trajectory; the
+    step dt and the delay offsets k1 and k2 are the whole batch's.  hist is
+    (cells, nx, nv): the rows are cell-major, m // cells to a cell, and each
+    row counts into its cell's histogram, on the nx x nv grid of cells
+    dx x dv wide from (x_min, v_min) = hist_grid (x_min, dx, v_min, dv).
     Steps s0 .. s0+n-1 are taken; samples from step skip on are accumulated.
     sink, when not None, is called once per chunk that has post-transient
     steps as sink(rows, first): rows (steps, m) are their displacements, with
@@ -320,33 +302,31 @@ def _chunk_batch(
     L = h.shape[0] - n - 1
     m = x.shape[0]
     nx, nv = hist.shape[1:]
+    x_min, dx, v_min, dv = hist_grid
     h[L] = x, v, V
-    coeffs = (dt, beta, delta1, delta3, kappa, alpha, mu, nu, f1, f2)
     lib = _library()
     # colored-noise path and drive: they do not depend on the state
     xis = np.empty((n + 1, m))
     xis[0] = xi
     if lib is None:
-        _numpy_ou(xis, draws, E_ou, S_ou)
+        _numpy_ou(xis, draws, coef)
     else:
         # the C loops index raw memory, so check the layout they assume
         if not (
             h.flags.c_contiguous and h.dtype == np.float64 and h.shape[1:] == (3, m)
             and draws.shape == (n, m) and draws.dtype == np.float64
+            and coef.flags.c_contiguous and coef.dtype == np.float64
+            and coef.shape == (len(COEF_ROWS), m)
             and 0 <= min(k1, k2) and max(k1, k2) < L
         ):
             raise ValueError(
                 "h must be C-contiguous float64 of shape (L + n + 1, 3, m) with "
-                "L > max(k1, k2) >= 0, and draws float64 of shape (n, m)"
+                "L > max(k1, k2) >= 0, draws float64 of shape (n, m) and coef "
+                "C-contiguous float64 of shape (len(COEF_ROWS), m)"
             )
-        # every coefficient as a contiguous (m,) float64 row
-        E_row, S_row, *rows = (
-            np.ascontiguousarray(np.broadcast_to(np.asarray(c, dtype=float), m))
-            for c in (E_ou, S_ou, *coeffs)
-        )
         di, dj = (s // draws.itemsize for s in draws.strides)
         lib.harvest_ou(n, m, xis.ctypes.data, draws.ctypes.data, di, dj,
-                       E_row.ctypes.data, S_row.ctypes.data)
+                       coef.ctypes.data)
     drive = np.ascontiguousarray(xis[:n] + forcing)
 
     xh = h[:, 0]
@@ -354,10 +334,10 @@ def _chunk_batch(
     # the chunk) can overflow; their samples and state are discarded below.
     with np.errstate(over="ignore", invalid="ignore"):
         if lib is None:
-            _numpy_steps(h, L, drive, k1, k2, *coeffs)
+            _numpy_steps(h, L, drive, k1, k2, dt, coef)
         else:
-            lib.harvest_steps(n, m, L, int(k1), int(k2), h.ctypes.data,
-                              drive.ctypes.data, *(row.ctypes.data for row in rows))
+            lib.harvest_steps(n, m, L, int(k1), int(k2), dt, h.ctypes.data,
+                              drive.ctypes.data, coef.ctypes.data)
 
         # live[j]: the steps of this chunk trajectory j took while alive; one
         # that crosses the limit at step i took steps 0 .. i

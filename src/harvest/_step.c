@@ -5,15 +5,19 @@
  * rounded to double: build with -ffp-contract=off (no fused multiply-add)
  * and without -ffast-math, and the results are bit-identical to it.
  *
- * Arrays are C-ordered float64.  m is the ensemble width; every coefficient
- * is an (m,) row, one entry per trajectory.
+ * Arrays are C-ordered float64.  m is the ensemble width.  coef is the
+ * coefficient block of shape (rows, m): coefficient r of trajectory j is
+ * coef[r * m + j], and the rows are those of _kernels.COEF_ROWS, in order:
+ * beta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, E_ou, S_ou.
  */
+enum { BETA, DELTA1, DELTA3, KAPPA, ALPHA, MU, NU, F1, F2, E_OU, S_OU };
 
-/* xis[i + 1] = xis[i] * E + draws[i] * S for i = 0 .. n-1.  xis is
+/* xis[i + 1] = xis[i] * E_ou + draws[i] * S_ou for i = 0 .. n-1.  xis is
  * (n + 1, m); draw (i, j) sits at draws[i * di + j * dj]. */
 void harvest_ou(long n, long m, double *xis, const double *draws, long di,
-                long dj, const double *E, const double *S)
+                long dj, const double *coef)
 {
+    const double *E = coef + E_OU * m, *S = coef + S_OU * m;
     for (long i = 0; i < n; i++) {
         const double *prev = xis + i * m;
         double *next = xis + (i + 1) * m;
@@ -23,15 +27,16 @@ void harvest_ou(long n, long m, double *xis, const double *draws, long di,
     }
 }
 
-/* n semi-implicit Euler steps on the step-major history h of shape
- * (rows, 3, m): step i reads row L + i = [x, v, V] and the delayed rows
+/* n semi-implicit Euler steps of size dt on the step-major history h of
+ * shape (rows, 3, m): step i reads row L + i = [x, v, V] and the delayed rows
  * L + i - k and L + i - k - 1, and writes row L + i + 1.  drive is (n, m). */
-void harvest_steps(long n, long m, long L, long k1, long k2, double *h,
-                   const double *drive, const double *dt, const double *beta,
-                   const double *delta1, const double *delta3,
-                   const double *kappa, const double *alpha, const double *mu,
-                   const double *nu, const double *f1, const double *f2)
+void harvest_steps(long n, long m, long L, long k1, long k2, double dt,
+                   double *h, const double *drive, const double *coef)
 {
+    const double *beta = coef + BETA * m, *delta1 = coef + DELTA1 * m,
+                 *delta3 = coef + DELTA3 * m, *kappa = coef + KAPPA * m,
+                 *alpha = coef + ALPHA * m, *mu = coef + MU * m,
+                 *nu = coef + NU * m, *f1 = coef + F1 * m, *f2 = coef + F2 * m;
     const long row = 3 * m;
     for (long i = 0; i < n; i++) {
         const double *hc = h + (L + i) * row;
@@ -56,10 +61,10 @@ void harvest_steps(long n, long m, long L, long k1, long k2, double *h,
             a += d[j];
             double b = v - alpha[j] * V;
             /* [v, V] advance by dt*[a, b], then x by dt times the new v */
-            double vn = v + a * dt[j];
+            double vn = v + a * dt;
             hn[m + j] = vn;
-            hn[2 * m + j] = V + b * dt[j];
-            hn[j] = x + dt[j] * vn;
+            hn[2 * m + j] = V + b * dt;
+            hn[j] = x + dt * vn;
         }
     }
 }

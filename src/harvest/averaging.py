@@ -472,11 +472,18 @@ class _EnergyNodes:
     H: np.ndarray
     weight: np.ndarray
     half: np.ndarray
-    omega: np.ndarray
-    beta_eff: np.ndarray
+    ec: EffectiveCoeffs  # at each node's frequency
     period: np.ndarray
     volt_sq: np.ndarray
     split: int  # the first cross-well node, at +band; the one before is at -band
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.ec.omega
+
+    @property
+    def beta_eff(self) -> np.ndarray:
+        return self.ec.beta_eff
 
 
 def _orbit_moments(p: SystemParams, H, omega, regime: MotionRegime):
@@ -526,11 +533,16 @@ def _energy_nodes(p: SystemParams, grid: GridSpec) -> _EnergyNodes:
         period, x2, v2 = _orbit_moments(p, H, omega, regime)
         den = p.alpha**2 + omega**2
         volt_sq = (omega**2 / den) ** 2 * x2 + (p.alpha / den) ** 2 * v2
-        parts.append((H, weight, half, omega, ec.beta_eff, period, volt_sq))
+        parts.append(
+            (H, weight, half, period, volt_sq, ec.beta_eff, ec.delta_eff, ec.omega)
+        )
     arrays = [np.concatenate(a) for a in zip(*parts)]
     for arr in arrays:
         arr.flags.writeable = False
-    return _EnergyNodes(*arrays, split=parts[0][0].size)
+    H, weight, half, period, volt_sq, *ec = arrays
+    return _EnergyNodes(
+        H, weight, half, EffectiveCoeffs(*ec), period, volt_sq, split=parts[0][0].size
+    )
 
 
 @dataclass(frozen=True)
@@ -556,15 +568,15 @@ def _energy_average(p: SystemParams, noise: NoiseParams, grid: GridSpec | None):
     """E[V^2] by the full and by the half rule, and the band and top shares."""
     noise.require_positive_intensity()
     n = _energy_nodes(p, grid or GridSpec())
-    chi = 1.0 + noise.c**2 * n.omega**2
-    ln_f = np.log(chi) - n.beta_eff * chi / noise.D * n.H
+    chi, beta_chi = colored_noise_factors(n.ec, noise.c)
+    ln_f = np.log(chi) - beta_chi / noise.D * n.H
     f = np.exp(ln_f - ln_f.max())
     ft = f * n.period
     Z = n.weight @ ft
     msv = (n.weight @ (f * n.volt_sq)) / Z
     msv_half = (n.half @ (f * n.volt_sq)) / (n.half @ ft)
     band_share = n.H[n.split] * (ft[n.split - 1] + ft[n.split]) / Z
-    decay = n.beta_eff[-1] * chi[-1] / noise.D
+    decay = beta_chi[-1] / noise.D
     top_share = ft[-1] / decay / Z if decay > 0 else math.inf
     return msv, msv_half, band_share, top_share
 

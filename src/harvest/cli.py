@@ -84,7 +84,6 @@ def _base_meta(cfg: RunConfig, subcommand: str, t0: float) -> dict:
         "defaults_applied": list(cfg.defaults_applied),
         "seed": cfg.sim.seed,
         "versions": _versions(),
-        "lane": mcs.lane(),
         "exclusion_band": exclusion_band(cfg.system),
         "tolerances": {
             "frequency_fixed_point": freq._TOL,
@@ -111,7 +110,9 @@ def _power_report(cfg: RunConfig) -> dict:
 
 # Each _cmd_* takes (cfg, threads) and returns (outputs, exit code); main
 # writes each (suffix, header, rows, extra meta) of outputs to
-# <dir>/<prefix>_<suffix>.csv.
+# <dir>/<prefix>_<suffix>.csv.  A run that steps an ensemble records the
+# lane it stepped with (mcs.lane()) in its extra meta; no other run asks, so
+# no other run builds the compiled step loop.
 
 
 def _cmd_freq(cfg: RunConfig, threads: int):
@@ -171,9 +172,10 @@ def _cmd_mcs(cfg: RunConfig, threads: int):
         int(est.efficiency_defined), est.n_divergent, est.n_samples,
         psd_val, psd_err,
     ]]
+    lane = {"lane": mcs.lane()}
     # an empty histogram raises here, before main writes any CSV
-    hist = ("mcs_hist", *_density_csv(est.histogram), {})
-    return [("mcs", header, rows, {}), hist], 1 if est.n_divergent else 0
+    hist = ("mcs_hist", *_density_csv(est.histogram), lane)
+    return [("mcs", header, rows, lane), hist], 1 if est.n_divergent else 0
 
 
 def _cmd_compare(cfg: RunConfig, threads: int):
@@ -192,7 +194,7 @@ def _cmd_compare(cfg: RunConfig, threads: int):
         analytic, est.mean_power, gap, est.v_rms, est.efficiency_pct,
         est.n_divergent, est.n_samples,
     ]]
-    meta = {"report": {"power": _power_report(cfg)}}
+    meta = {"report": {"power": _power_report(cfg)}, "lane": mcs.lane()}
     return [("compare", header, rows, meta)], 1 if est.n_divergent else 0
 
 
@@ -392,6 +394,8 @@ def _cmd_sweep(cfg: RunConfig, threads: int):
             for batch in batches
         ],
     }
+    if any(q in _ENSEMBLE_QUANTITIES for q in cfg.sweep.quantities):
+        meta["lane"] = mcs.lane()
     # a rerun gives the cell's values bit for bit, so it alone flags nothing
     flagged = any(e["message"] != _RERUN_MESSAGE for e in cell_errors)
     return [("sweep", header, rows, meta)], 1 if flagged else 0

@@ -270,24 +270,15 @@ def _step_cells(
     k = len(gens)
     m = len(cells) * k
 
-    def per_row(values):
-        return values[0] if len(cells) == 1 else np.repeat(values, k)
-
-    systems = [p for p, _, _ in cells]
-    ou = [_ou_coefficients(noise, cfg.dt) for _, noise, _ in cells]
-    coeffs = (
-        cfg.dt,
-        *(
-            per_row([getattr(p, name) for p in systems])
-            for name in ("beta", "delta1", "delta3", "kappa", "alpha", "mu", "nu")
-        ),
-        k1,
-        per_row([_delay_offsets(p.tau1, cfg.dt)[1] for p in systems]),
-        k2,
-        per_row([_delay_offsets(p.tau2, cfg.dt)[1] for p in systems]),
-        per_row([decay for decay, _ in ou]),
-        per_row([scale for _, scale in ou]),
-        skip,
+    # the coefficient block, one column per cell repeated over its k rows
+    named = []
+    for p, noise, _ in cells:
+        E_ou, S_ou = _ou_coefficients(noise, cfg.dt)
+        f1, f2 = (_delay_offsets(tau, cfg.dt)[1] for tau in (p.tau1, p.tau2))
+        named.append(dict(vars(p), f1=f1, f2=f2, E_ou=E_ou, S_ou=S_ou))
+    coef = np.repeat(
+        np.array([[c[r] for c in named] for r in _kernels.COEF_ROWS], dtype=float),
+        k, axis=1,
     )
     g = cfg.grid
     hspec = (g.x_min, (g.x_max - g.x_min) / g.nx, g.v_min, (g.v_max - g.v_min) / g.nv)
@@ -330,7 +321,7 @@ def _step_cells(
             draws = np.tile(draws, len(cells))
         _kernels._chunk_batch(
             x, v, V, xi, alive, h[: n_back + n + 1], s0, n, forcing, draws,
-            *coeffs, hist, *hspec, acc, series, store, sink,
+            coef, cfg.dt, k1, k2, skip, hist, hspec, acc, series, store, sink,
         )
         s0 += n
     out_series = series if store != _kernels.STORE_NONE else None

@@ -15,7 +15,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from harvest import averaging, cli, config, freq, mcs, resonance
+from harvest import _kernels, averaging, cli, config, freq, mcs, resonance
 from harvest.averaging import GridSpec
 from harvest.cli import main, run_sweep
 from harvest.config import (
@@ -335,7 +335,7 @@ class TestCliCommands:
         assert meta["subcommand"] == "power"
         assert meta["seed"] == 7
         assert len(meta["config_hash"]) == 64
-        assert meta["lane"] == mcs.lane()
+        assert "lane" not in meta
         assert meta["exclusion_band"] > 0
         assert meta["tolerances"] == {
             "frequency_fixed_point": freq._TOL,
@@ -349,6 +349,39 @@ class TestCliCommands:
             "top_share": acc.top_share,
             "rel_tol": averaging.POWER_REL_TOL, "flagged": False,
         }}
+
+    def test_only_stepping_runs_build_the_step_loop(self, tmp_path, monkeypatch):
+        """On an empty build cache, freq, spd, power, snr and an analytic
+        sweep step no ensemble, so they build no step loop and record no
+        lane; mcs and a sweep of v_rms record the lane they stepped with."""
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        _kernels._library.cache_clear()
+        try:
+            sweep = {"axes": [{"param": "noise.D", "start": 0.004, "stop": 0.006,
+                               "count": 2}], "quantities": ["power"]}
+            runs = [(sub, doc()) for sub in ("freq", "spd", "power", "snr")]
+            runs.append(("sweep", doc(sweep=sweep)))
+            for sub, document in runs:
+                out = tmp_path / sub
+                main([sub, "--config", write_cfg(tmp_path, document),
+                      "--out", str(out), "--threads", "1"])
+                assert not list(cache.glob("harvest/step-*.so")), sub
+                meta = json.loads((out / f"harvest_{sub}.meta.json").read_text())
+                assert "lane" not in meta, sub
+
+            sweep["quantities"] = ["v_rms"]
+            runs = [("mcs", doc()), ("sweep", doc(sweep=sweep))]
+            for sub, document in runs:
+                out = tmp_path / sub
+                main([sub, "--config", write_cfg(tmp_path, document),
+                      "--out", str(out), "--threads", "1"])
+                meta = json.loads((out / f"harvest_{sub}.meta.json").read_text())
+                assert meta["lane"] == mcs.lane(), sub
+            built = list(cache.glob("harvest/step-*.so"))
+            assert len(built) == (mcs.lane() == "c")
+        finally:
+            _kernels._library.cache_clear()
 
     def test_power_above_the_table_top_is_flagged(self, tmp_path):
         """At D = 1 the mass above the table top flags the power, and the

@@ -74,14 +74,15 @@ def _check_against_the_update_equations():
 
 
 def _reference_chunk_batch(
-    x, v, V, xi, alive, xh, vh, s0, n, forcing, draws, dt, beta, delta1,
-    delta3, kappa, alpha, mu, nu, k1, f1, k2, f2, E_ou, S_ou, skip, hist,
-    x_min, dx, v_min, dv, acc, series, store, sink,
+    x, v, V, xi, alive, xh, vh, s0, n, forcing, draws, coef, dt, k1, k2, skip,
+    hist, hist_grid, acc, series, store, sink,
 ):
     """The one-step-at-a-time kernel that the blocked kernel replaced, kept
     verbatim as the bit-for-bit oracle: every step reads its delayed rows and
     evaluates the whole update in one expression.  It stores every column and
     takes no sink, which the runs compared here do not use."""
+    beta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, E_ou, S_ou = coef
+    x_min, dx, v_min, dv = hist_grid
     L = xh.shape[0] - n - 1
     m = x.shape[0]
     nx, nv = hist.shape[1:]
@@ -302,12 +303,13 @@ def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m):
     def row(lo, hi):
         return rng.uniform(lo, hi, m)
 
-    coeffs = dict(
-        dt=0.01, beta=row(0.01, 0.03), delta1=row(2.5, 3.5), delta3=row(2.5, 3.5),
+    rows = dict(
+        beta=row(0.01, 0.03), delta1=row(2.5, 3.5), delta3=row(2.5, 3.5),
         kappa=row(0.2, 0.4), alpha=row(0.04, 0.06), mu=row(-0.4, 0.4),
-        nu=row(-0.2, 0.2), k1=_K1, f1=row(0.0, 1.0), k2=_K2, f2=row(0.0, 1.0),
+        nu=row(-0.2, 0.2), f1=row(0.0, 1.0), f2=row(0.0, 1.0),
         E_ou=row(0.95, 0.99), S_ou=row(0.01, 0.05),
     )
+    coef = np.array([rows[name] for name in _kernels.COEF_ROWS])
     h0 = np.empty((L + n + 1, 3, m))
     h0[:L] = rng.uniform(-1.0, 1.0, (L, 3, m))
     start = [rng.uniform(-1.2, 1.2, m) for _ in range(3)] + [rng.normal(0, 0.1, m)]
@@ -326,9 +328,9 @@ def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m):
         for c in range(2):
             _kernels._chunk_batch(
                 x, v, V, xi, alive, h, c * n, n, forcing[c * n : (c + 1) * n],
-                draws[c].T.copy().T, **coeffs, skip=skip, hist=hist,
-                x_min=-2.0, dx=0.1, v_min=-1.5, dv=0.1, acc=acc, series=series,
-                store=STORE_XVV, sink=None,
+                draws[c].T.copy().T, coef=coef, dt=0.01, k1=_K1, k2=_K2,
+                skip=skip, hist=hist, hist_grid=(-2.0, 0.1, -1.5, 0.1), acc=acc,
+                series=series, store=STORE_XVV, sink=None,
             )
         return h, acc, hist, xi, alive, x, v, V, series
 
@@ -343,16 +345,18 @@ def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m):
 
 def test_c_lane_rejects_a_history_it_cannot_index(c_lane):
     """The C loops index raw memory, so a history that is not C-contiguous
-    or too short for the delay is refused before a pointer is passed."""
+    or too short for the delay, and a coefficient block with a row missing,
+    a transposed one or a float32 one, are refused before a pointer is
+    passed; the same call with a good history and block runs."""
     m, n, L = 4, 8, 3
     h = np.zeros((L + n + 1, m, 3)).transpose(0, 2, 1)
+    column = [0.02, 3.0, 3.0, 0.3, 0.05, 0.0, 0.0, 0.0, 0.0, 0.9, 0.1]
     args = dict(
         x=np.zeros(m), v=np.zeros(m), V=np.zeros(m), xi=np.zeros(m),
         alive=np.ones(m, dtype=bool), h=h, s0=0, n=n, forcing=np.zeros((n, 1)),
-        draws=np.zeros((n, m)), dt=0.01, beta=0.02, delta1=3.0, delta3=3.0,
-        kappa=0.3, alpha=0.05, mu=0.0, nu=0.0, k1=0, f1=0.0, k2=0, f2=0.0,
-        E_ou=0.9, S_ou=0.1, skip=0, hist=np.zeros((1, 4, 4), dtype=np.int64),
-        x_min=-2.0, dx=1.0, v_min=-2.0, dv=1.0, acc=np.zeros((m, 3)),
+        draws=np.zeros((n, m)), coef=np.repeat(np.array(column)[:, None], m, axis=1),
+        dt=0.01, k1=0, k2=0, skip=0, hist=np.zeros((1, 4, 4), dtype=np.int64),
+        hist_grid=(-2.0, 1.0, -2.0, 1.0), acc=np.zeros((m, 3)),
         series=np.zeros((m, 1, 1)), store=STORE_NONE, sink=None,
     )
     with pytest.raises(ValueError, match="C-contiguous"):
@@ -360,6 +364,13 @@ def test_c_lane_rejects_a_history_it_cannot_index(c_lane):
     args.update(h=np.zeros((L + n + 1, 3, m)), k2=L)
     with pytest.raises(ValueError, match="C-contiguous"):
         _kernels._chunk_batch(**args)
+    args.update(k2=0)
+    good = args["coef"]
+    for coef in (good[:-1], np.ascontiguousarray(good.T).T, good.astype(np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _kernels._chunk_batch(**{**args, "coef": coef})
+    _kernels._chunk_batch(**args)
+    assert args["acc"][:, 2].tolist() == [n] * m
 
 
 def _children() -> set[int]:
