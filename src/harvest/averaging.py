@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError, SeparatrixBandError
 from .freq import (
-    FrequencyTable, _leggauss, _orbit_points, bottom_frequency,
+    FrequencyTable, _fixed_point, _leggauss, _orbit_points, bottom_frequency,
     build_table, exclusion_band, solve_frequency, turning_points,
 )
 from .model import (
     EffectiveCoeffs, MotionRegime, NoiseParams, SystemParams, bare_potential,
-    colored_noise_factors, delta_eff_and_slope, effective_coeffs, harvested_power,
+    colored_noise_factors, effective_coeffs, harvested_power,
     seed_frequency, stiffness_margin, well_depth, well_minimum,
 )
 
@@ -189,10 +189,14 @@ def _table_for(p: SystemParams, grid: GridSpec) -> FrequencyTable:
     return build_table(p, H_range=(-depth * (1.0 - 1e-6), H_max))
 
 
-# A point is solved by Newton's method when x^2/2 * max|delta_eff'| * max|omega'|
-# over its root bracket is at most this: F(H) then has slope in [-3/2, -1/2].
-_CERTIFIED_GAIN = 0.5
-_NEWTON_MAX_ITER = 30
+# Iteration cap of the field solve's fixed point: a point still iterating
+# there is bisected.
+_FIELD_MAX_ITER = 40
+# A point whose fixed-point residual |omega(H) - omega| exceeds this is bisected.
+_FIELD_RESID_TOL = 1e-9
+# Halvings of _bisected_fields: they shrink the bracket by 5e-20, to adjacent
+# doubles, since its ends are frequencies of order 1.
+_BISECTIONS = 64
 
 
 def _self_consistent_fields(
@@ -205,116 +209,52 @@ def _self_consistent_fields(
     F(H) = B + delta_eff(omega(H)) x^2 / 2 - H, with omega(H) from
     table.lookup_bridged and B = v^2/2 - delta1 x^2/2 + delta3 x^4/4.
 
-    Uniqueness certificate: every root lies in the bracket
-    B + x^2/2 [min delta_eff, max delta_eff] over the table's frequency range
-    (sampled at 64 frequencies and padded by one sample step times
-    max|delta_eff'|).  F'(H) = x^2/2 delta_eff'(omega) omega'(H) - 1, so where
-    x^2/2 max|delta_eff'| times the bound on |omega'| over the bracket
-    (FrequencyTable.slope_bound) is at most 1/2, F falls with slope in
-    [-3/2, -1/2]: the root is unique, and Newton's method, kept inside the
-    bracket, finds it.  The factor 2 below 1 absorbs the sampling of
-    delta_eff'.
-
-    Points without the certificate (near the separatrix, where omega(H) is steep
-    and F may have several roots) and any point Newton leaves unconverged run
-    the damped fixed point on omega from sqrt(2 delta1).  Those that still cycle
-    are finished by bisection of F on the bracket.
+    The frequency is the fixed point of
+    omega -> table.lookup_bridged(B + delta_eff(omega) x^2 / 2), found by
+    solve_frequency's iteration (freq._fixed_point) from sqrt(2 delta1),
+    capped at _FIELD_MAX_ITER steps.  Near the separatrix, where omega(H) is
+    steep, a point can have several self-consistent energies; it gets the
+    one the iteration reaches from that seed.  A point that does not settle
+    within the cap, or whose residual |omega(H) - omega| exceeds
+    _FIELD_RESID_TOL, is bisected (_bisected_fields).
     """
     shape = X.shape
     # B = v^2/2 + U_bare(x), the energy without the frequency correction
     base = np.broadcast_to(0.5 * V * V + bare_potential(X, p), shape).ravel()
     x = np.asarray(X, dtype=float).ravel()
 
-    om_lo = min(float(table.omega_neg.min()), float(table.omega_pos.min()))
-    om_hi = max(float(table.omega_neg.max()), float(table.omega_pos.max()))
-    om_span = np.linspace(om_lo, om_hi, 64)
-    d_span, slope_span = delta_eff_and_slope(p, om_span)
-    slope_max = float(np.max(np.abs(slope_span)))
-    pad = slope_max * (om_span[1] - om_span[0])
-    d_lo, d_hi = d_span.min() - pad, d_span.max() + pad
+    def frequency(omega, idx):
+        xi = x[idx]
+        d_eff = effective_coeffs(p, omega).delta_eff
+        return table.lookup_bridged(base[idx] + 0.5 * d_eff * xi * xi)
 
-    # Newton on the certified points, dropping each point once it converges
-    idx = _certified(table, base, x, d_lo, d_hi, slope_max)
-    b = base[idx]
-    q = 0.5 * x[idx] * x[idx]
-    Hn = b + q * (0.5 * (d_lo + d_hi))
-    omega = np.empty_like(base)
-    unsolved = np.ones(base.shape, dtype=bool)
-    for _ in range(_NEWTON_MAX_ITER):
-        if idx.size == 0:
-            break
-        om, dom = table.lookup_bridged(Hn, slope=True)
-        d_eff, d_slope = delta_eff_and_slope(p, om)
-        step = b + q * d_eff - Hn
-        step /= 1.0 - q * d_slope * dom
-        done = np.abs(step) <= 1e-12 * (1.0 + np.abs(Hn))
-        # omega at the stepped energy, to first order in the (tiny) last step
-        omega[idx[done]] = om[done] + dom[done] * step[done]
-        unsolved[idx[done]] = False
-        Hn += step
-        del om, dom, step, d_eff, d_slope  # free this step's arrays first
-        keep = ~done
-        idx, b, q, Hn = idx[keep], b[keep], q[keep], Hn[keep]
-        np.clip(Hn, b + q * d_lo, b + q * d_hi, out=Hn)
-
-    slow = np.flatnonzero(unsolved)
-    if slow.size:
-        omega[slow] = _damped_fields(p, base[slow], x[slow], table, d_span)
-    omega = omega.reshape(shape)
+    flat, stuck = _fixed_point(frequency, seed_frequency(p), base.size, _FIELD_MAX_ITER)
+    omega = flat.reshape(shape)  # a view: bisected points are written through flat
     ec = effective_coeffs(p, omega)
-    H = (base + 0.5 * ec.delta_eff.ravel() * x * x).reshape(shape)
-    return H, omega, ec
-
-
-def _certified(table, base, x, d_lo, d_hi, slope_max):
-    """Indices of the points whose root bracket base + x^2/2 [d_lo, d_hi]
-    carries the uniqueness certificate of _self_consistent_fields."""
-    half_x2 = 0.5 * x * x
-    bound = table.slope_bound(base + half_x2 * d_lo, base + half_x2 * d_hi)
-    return np.flatnonzero(half_x2 * slope_max * bound <= _CERTIFIED_GAIN)
-
-
-def _damped_fields(p, base, x, table, d_span):
-    """Damped fixed point on omega for the uncertified points, with the
-    stragglers (fixed-point residual above 1e-9) finished by bisection of
-    F(H) = base + delta_eff(omega(H)) x^2 / 2 - H on the bracket set by the
-    sampled delta_eff values d_span."""
-    omega = np.full(base.shape, seed_frequency(p))
-
-    def d_eff_of(om):
-        return effective_coeffs(p, om).delta_eff
-
-    def H_of(om):
-        return base + 0.5 * d_eff_of(om) * x * x
-
-    for _ in range(60):
-        omega_new = table.lookup_bridged(H_of(omega))
-        if np.max(np.abs(omega_new - omega)) <= 1e-12:
-            omega = omega_new
-            break
-        omega = 0.5 * (omega + omega_new)
-    resid = np.abs(table.lookup_bridged(H_of(omega)) - omega)
-    bad = resid > 1e-9
+    H = base + 0.5 * ec.delta_eff.ravel() * x * x
+    bad = np.abs(table.lookup_bridged(H) - flat) > _FIELD_RESID_TOL
+    bad[stuck] = True
     if np.any(bad):
-        xb = x[bad]
-        bb = base[bad]
-        lo = bb + 0.5 * d_span.min() * xb * xb - 1e-9
-        hi = bb + 0.5 * d_span.max() * xb * xb + 1e-9
+        flat[bad] = _bisected_fields(p, base[bad], x[bad], table)
+        ec = effective_coeffs(p, omega)
+        H = base + 0.5 * ec.delta_eff.ravel() * x * x
+    return H.reshape(shape), omega, ec
 
-        def F(Hq):
-            om = table.lookup_bridged(Hq)
-            return bb + 0.5 * d_eff_of(om) * xb * xb - Hq
 
-        flo = F(lo)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = F(mid)
-            same = np.sign(fm) == np.sign(flo)
-            lo = np.where(same, mid, lo)
-            flo = np.where(same, fm, flo)
-            hi = np.where(same, hi, mid)
-        omega[bad] = table.lookup_bridged(0.5 * (lo + hi))
-    return omega
+def _bisected_fields(p, base, x, table):
+    """omega at a root of G(omega) = omega(B + delta_eff(omega) x^2 / 2) - omega,
+    with omega(H) from table.lookup_bridged, by _BISECTIONS halvings of the
+    table's frequency range.  The lookup stays within that range, so G >= 0
+    at its bottom and G <= 0 at its top: the bracket always holds a root."""
+    lo = np.full(base.shape, min(table.omega_neg.min(), table.omega_pos.min()))
+    hi = np.full(base.shape, max(table.omega_neg.max(), table.omega_pos.max()))
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        d_eff = effective_coeffs(p, mid).delta_eff
+        up = table.lookup_bridged(base + 0.5 * d_eff * x * x) > mid
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

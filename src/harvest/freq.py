@@ -3,7 +3,8 @@
 The effective stiffness correction depends on the oscillation frequency, which in
 turn depends on the energy through the orbit period, so the frequency at a given
 energy is obtained by a damped-secant fixed-point iteration, run elementwise
-over an array of energies.  The period of the frozen quartic well is a closed
+over an array of energies (_fixed_point, which also solves the self-consistent
+(x, v) fields of averaging).  The period of the frozen quartic well is a closed
 form in the complete elliptic integral K, evaluated by the arithmetic-geometric
 mean.  A tabulated version, one piecewise cubic over both branches, serves the
 grid-heavy consumers.  The module needs only numpy.
@@ -254,48 +255,30 @@ def period_integral(H, p: SystemParams, omega, regime: MotionRegime):
     return float(T) if T.ndim == 0 else T
 
 
-# Damped-secant fixed point of solve_frequency: damping of the fallback step,
-# tolerance on the step, and iteration cap.
+# Damped-secant fixed point of _fixed_point: damping of the fallback step,
+# tolerance on the step, and solve_frequency's iteration cap.
 _ETA = 0.5
 _TOL = 1e-10
 _MAX_ITER = 200
 
 
-def solve_frequency(H, p: SystemParams, regime: MotionRegime):
-    """Fixed point of omega -> 2*pi / T(H; delta_eff(omega)) at each energy H.
+def _fixed_point(g, seed: float, size: int, max_iter: int):
+    """Elementwise fixed point of omega = g(omega, idx) over size elements.
 
-    Every element is seeded at sqrt(2*delta1) and takes secant steps on the
-    fixed-point residual, falling back to the damped update
+    g maps the iterates omega of the elements idx still iterating to their
+    images.  Every element is seeded at seed and takes secant steps on the
+    residual g - omega, falling back to the damped update
     omega + _ETA * residual whenever the secant step misbehaves; it is frozen
-    once a step is below _TOL.  Returns a float for scalar H, else an array of
-    H's shape.  Raises inside the separatrix exclusion band, on bi-stability
-    loss at any iterate, when the iteration cap is exhausted, and when H lies
-    below the self-consistent well bottom.  Each error names the first
-    offending energy.
+    once a step is below _TOL.  Returns the frozen values and the indices
+    still iterating after max_iter steps, whose entries hold their last
+    iterate.
     """
-    H = np.asarray(H, dtype=float)
-    band = exclusion_band(p)
-    _raise_at_first(
-        np.abs(H) < band, H, SeparatrixBandError,
-        f"inside the separatrix exclusion band (+-{band:.6g})",
-    )
-    well = regime is not MotionRegime.CROSS_WELL
-    h = H.ravel()
-    out = np.empty_like(h)
-    idx = np.arange(h.size)  # elements still iterating
-    omega = np.full(h.size, seed_frequency(p))
+    out = np.empty(size)
+    idx = np.arange(size)  # elements still iterating
+    omega = np.full(size, seed)
     omega_prev = resid_prev = None
-    for _ in range(_MAX_ITER):
-        a = stiffness_margin(p, omega)
-        _raise_at_first(
-            a <= 0, h[idx], BistabilityLossError, "bi-stability lost mid-iteration"
-        )
-        h_eval = h[idx]
-        if well:
-            # a transient iterate that puts the bottom above H is treated as a
-            # collapsed orbit: the bottom's period is the harmonic one
-            h_eval = np.maximum(h_eval, well_bottom(p, a))
-        resid = 2.0 * math.pi / period_integral(h_eval, p, omega, regime) - omega
+    for _ in range(max_iter):
+        resid = g(omega, idx) - omega
         omega_new = omega + _ETA * resid
         if omega_prev is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -309,9 +292,45 @@ def solve_frequency(H, p: SystemParams, regime: MotionRegime):
         omega, omega_prev, resid_prev = omega_new[keep], omega[keep], resid[keep]
         if idx.size == 0:
             break
-    else:
+    out[idx] = omega
+    return out, idx
+
+
+def solve_frequency(H, p: SystemParams, regime: MotionRegime):
+    """Fixed point of omega -> 2*pi / T(H; delta_eff(omega)) at each energy H.
+
+    One _fixed_point over the energies, seeded at sqrt(2*delta1) and capped at
+    _MAX_ITER steps.  Returns a float for scalar H, else an array of H's
+    shape.  Raises inside the separatrix exclusion band, on bi-stability loss
+    at any iterate, when the iteration cap is exhausted, and when H lies below
+    the self-consistent well bottom.  Each error names the first offending
+    energy.
+    """
+    H = np.asarray(H, dtype=float)
+    band = exclusion_band(p)
+    _raise_at_first(
+        np.abs(H) < band, H, SeparatrixBandError,
+        f"inside the separatrix exclusion band (+-{band:.6g})",
+    )
+    well = regime is not MotionRegime.CROSS_WELL
+    h = H.ravel()
+
+    def frequency(omega, idx):
+        a = stiffness_margin(p, omega)
+        _raise_at_first(
+            a <= 0, h[idx], BistabilityLossError, "bi-stability lost mid-iteration"
+        )
+        h_eval = h[idx]
+        if well:
+            # a transient iterate that puts the bottom above H is treated as a
+            # collapsed orbit: the bottom's period is the harmonic one
+            h_eval = np.maximum(h_eval, well_bottom(p, a))
+        return 2.0 * math.pi / period_integral(h_eval, p, omega, regime)
+
+    out, stuck = _fixed_point(frequency, seed_frequency(p), h.size, _MAX_ITER)
+    if stuck.size:
         raise ConvergenceError(
-            f"H={h[idx][0]}: frequency iteration did not converge for {regime.name}"
+            f"H={h[stuck][0]}: frequency iteration did not converge for {regime.name}"
         )
     if well:
         _raise_below_bottom(
@@ -376,8 +395,7 @@ class FrequencyTable:
     (_pchip_slopes) and the segment [-band, band] across the band is the
     straight line between omega_neg[-1] and omega_pos[0].  coeffs[:, k]
     holds segment k's (c0, c1, c2, c3) in s = H - knots[k], so that
-    omega = c0 s^3 + c1 s^2 + c2 s + c3; slopes holds each branch's knot
-    slopes.
+    omega = c0 s^3 + c1 s^2 + c2 s + c3.
     """
 
     H_neg: np.ndarray
@@ -385,7 +403,6 @@ class FrequencyTable:
     H_pos: np.ndarray
     omega_pos: np.ndarray
     knots: np.ndarray = field(init=False, repr=False, compare=False)
-    slopes: np.ndarray = field(init=False, repr=False, compare=False)
     coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -407,20 +424,19 @@ class FrequencyTable:
         coeffs = np.stack((t / h, (secant - d[:-1]) / h - t, d[:-1], om[:-1]))
         bridge = self.H_neg.size - 1
         coeffs[:, bridge] = (0.0, 0.0, secant[bridge], om[bridge])
-        for name, arr in (("knots", H), ("slopes", d), ("coeffs", coeffs)):
+        for name, arr in (("knots", H), ("coeffs", coeffs)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def lookup_bridged(self, H, slope: bool = False):
+    def lookup_bridged(self, H):
         """Vectorized omega(H) with the exclusion band bridged linearly.
 
         Energies below the deepest tabulated sample clamp to the deepest value
         (the frequency is flat at the well bottom); energies above the cross-well
-        table range are an error.  With slope=True the pair (omega, d omega/dH)
-        is returned: the cubic's derivative, the bridge's constant slope in the
-        band and 0 below the clamp.  Each segment is closed on the left, the
+        table range are an error.  Each segment is closed on the left, the
         last one on both ends, and is evaluated in the term order of scipy's
-        PPoly.
+        PPoly.  The field solve (averaging._self_consistent_fields) iterates
+        on it.
         """
         H = np.atleast_1d(np.asarray(H, dtype=float))
         knots = self.knots
@@ -433,33 +449,7 @@ class FrequencyTable:
         s = Hc - knots[k]
         c0, c1, c2, c3 = (c[k] for c in self.coeffs)
         s2 = s * s
-        out = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
-        if not slope:
-            return out
-        d = c2 + c1 * s * 2 + c0 * s2 * 3
-        return out, np.where(H < knots[0], 0.0, d)
-
-    def slope_bound(self, lo, hi):
-        """Upper bound on |d omega/dH| of lookup_bridged over each [lo, hi].
-
-        On a cubic segment with end slopes d0, d1 and secant s the derivative
-        is d0 (1 - 4t + 3t^2) + d1 (3t^2 - 2t) + 6 s t (1 - t) for t in
-        [0, 1], so it is bounded by |d0| + |d1| + 1.5 |s|.  The bridge has its
-        own constant slope and the clamp below the table has slope 0.
-        """
-        knots, d = self.knots, np.abs(self.slopes)
-        om = np.concatenate((self.omega_neg, self.omega_pos))
-        # one bound per knot interval
-        seg = d[:-1] + d[1:] + 1.5 * np.abs(np.diff(om) / np.diff(knots))
-        bridge = self.H_neg.size - 1
-        seg[bridge] = abs(self.coeffs[2, bridge])
-        # row i holds the running maximum of seg[i:], so [i, j] is max(seg[i:j+1])
-        run = np.maximum.accumulate(
-            np.triu(np.broadcast_to(seg, (seg.size, seg.size))), axis=1
-        )
-        i = np.clip(np.searchsorted(knots, lo, side="right") - 1, 0, seg.size - 1)
-        j = np.clip(np.searchsorted(knots, hi, side="right") - 1, 0, seg.size - 1)
-        return np.where(hi < knots[0], 0.0, run[i, j])
+        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
 
 
 # Samples per branch of build_table.

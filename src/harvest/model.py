@@ -134,14 +134,6 @@ def circuit_stiffness(p: SystemParams, omega):
     return out if out.ndim else float(out)
 
 
-def _delta_eff(p: SystemParams, om: np.ndarray):
-    """delta_eff at om, and the sin(om*tau1), sin(om*tau2), cos(om*tau2) that
-    beta_eff and the slope of delta_eff share with it."""
-    sin1, sin2, cos2 = np.sin(om * p.tau1), np.sin(om * p.tau2), np.cos(om * p.tau2)
-    delta_eff = circuit_stiffness(p, om) - p.mu * np.cos(om * p.tau1) - p.nu * om * sin2
-    return delta_eff, sin1, sin2, cos2
-
-
 def effective_coeffs(p: SystemParams, omega) -> EffectiveCoeffs:
     """Effective damping/stiffness of the uncoupled equivalent oscillator.
 
@@ -153,30 +145,20 @@ def effective_coeffs(p: SystemParams, omega) -> EffectiveCoeffs:
     om = np.asarray(omega, dtype=float)
     if np.any(om <= 0):
         raise ParameterError(f"omega must be > 0, got {omega}")
-    delta_eff, sin1, _, cos2 = _delta_eff(p, om)
+    delta_eff = (
+        circuit_stiffness(p, om)
+        - p.mu * np.cos(om * p.tau1)
+        - p.nu * om * np.sin(om * p.tau2)
+    )
     beta_eff = (
         p.beta
         + p.kappa * p.alpha / (p.alpha**2 + om**2)
-        + (p.mu / om) * sin1
-        - p.nu * cos2
+        + (p.mu / om) * np.sin(om * p.tau1)
+        - p.nu * np.cos(om * p.tau2)
     )
     if om.ndim == 0:
         return EffectiveCoeffs(float(beta_eff), float(delta_eff), float(om))
     return EffectiveCoeffs(beta_eff, delta_eff, om)
-
-
-def delta_eff_and_slope(p: SystemParams, omega):
-    """effective_coeffs(p, omega).delta_eff on an array of frequencies, and
-    its frequency derivative term by term, from one sin/cos evaluation."""
-    om = np.asarray(omega, dtype=float)
-    delta_eff, sin1, sin2, cos2 = _delta_eff(p, om)
-    slope = (
-        2.0 * p.kappa * p.alpha**2 * om / (p.alpha**2 + om**2) ** 2
-        + p.mu * p.tau1 * sin1
-        - p.nu * sin2
-        - p.nu * p.tau2 * om * cos2
-    )
-    return delta_eff, slope
 
 
 def colored_noise_factors(ec: EffectiveCoeffs, c: float):

@@ -29,6 +29,7 @@ from harvest.model import (
     MotionRegime,
     NoiseParams,
     SystemParams,
+    bare_potential,
     effective_coeffs,
     equilibrium_for_regime,
     stiffness_margin,
@@ -363,9 +364,9 @@ class TestMeanPower:
 
 
 def damped_reference_fields(p, X, V, table):
-    """Transcription of the damped fixed point plus straggler bisection that
-    solved the fields before the certified Newton solve.  Returns H, omega and
-    the mask of points it bisected."""
+    """Transcription of the damped fixed point plus straggler bisection, an
+    earlier field solve.  Returns H, omega and the mask of points it
+    bisected."""
     shape = X.shape
     omega = np.full(shape, math.sqrt(2.0 * p.delta1))
     kin = 0.5 * V * V
@@ -414,55 +415,85 @@ def delayed(tau1, tau2):
                         mu=-0.005, nu=0.005, tau1=tau1, tau2=tau2)
 
 
+def fixed_point_residual(table, H, omega):
+    """|omega(H) - omega| at every point of the fields."""
+    return np.abs(table.lookup_bridged(H.ravel()).reshape(H.shape) - omega)
+
+
 class TestFieldSolve:
     @pytest.fixture
-    def fallback_sizes(self, monkeypatch):
-        sizes = []
-        damped = averaging._damped_fields
+    def bisected_bases(self, monkeypatch):
+        """The base energies B of the points each _bisected_fields call gets."""
+        bases = []
+        bisect = averaging._bisected_fields
 
         def spy(p, base, *args):
-            sizes.append(base.size)
-            return damped(p, base, *args)
+            bases.append(base.copy())
+            return bisect(p, base, *args)
 
-        monkeypatch.setattr(averaging, "_damped_fields", spy)
-        return sizes
+        monkeypatch.setattr(averaging, "_bisected_fields", spy)
+        return bases
 
     @pytest.mark.parametrize("tau", [None, (1.7, 1.6), (0.7, 0.0)])
-    def test_matches_damped_solve(self, baseline_system, tau, fallback_sizes):
-        """The certified Newton solve equals the damped solve plus bisection to
-        1e-12 in omega on the default grid; only points near the separatrix
-        (at most 1% of the grid) take the damped fallback."""
+    def test_matches_damped_solve(self, baseline_system, tau, bisected_bases):
+        """The fixed-point solve equals the damped solve plus bisection to
+        1e-12 in H on the default grid.  Every point it does not bisect is a
+        fixed point to 1e-12, and omega equals the reference's to 1e-12 wherever
+        the reference is a fixed point to 1e-12: at tau = (1.7, 1.6) the damped
+        loop stops 8.5e-12 off its fixed point.  The bisected points, the four
+        mirror images of one point at tau = (1.7, 1.6), where the iteration
+        cycles, are fixed points to 1e-9."""
         p = baseline_system if tau is None else delayed(*tau)
+        n_bisected = 4 if tau == (1.7, 1.6) else 0
         grid = GridSpec()
         x, v = grid.axes()
         X, V = np.meshgrid(x, v, indexing="ij")
         table = averaging._table_for(p, grid)
-        H_ref, om_ref, bisected = damped_reference_fields(p, X, V, table)
+        H_ref, om_ref, _ = damped_reference_fields(p, X, V, table)
         H, om, ec = averaging._self_consistent_fields(p, X, V, table)
-        assert np.max(np.abs(om - om_ref)) <= 1e-12
         assert np.max(np.abs(H - H_ref)) <= 1e-12
         assert np.array_equal(ec.omega, om)
-        assert 0 < fallback_sizes[0] <= 0.01 * X.size
-        if tau == (0.7, 0.0):
-            # the damped loop still cycles at these points, so the fallback
-            # bisects them, and they are resolved
-            assert np.count_nonzero(bisected) == 8
-            resid = np.abs(table.lookup_bridged(H[bisected]) - om[bisected])
-            assert np.max(resid) <= 1e-9
+        settled = fixed_point_residual(table, H_ref, om_ref) <= 1e-12
+        assert np.max(np.abs(om - om_ref)[settled]) <= 1e-12
+        assert sum(b.size for b in bisected_bases) == n_bisected
+        B = 0.5 * V * V + bare_potential(X, p)
+        bisected = np.isin(B, np.concatenate([np.empty(0), *bisected_bases]))
+        assert np.count_nonzero(bisected) == n_bisected
+        resid = fixed_point_residual(table, H, om)
+        assert np.max(resid[~bisected]) <= 1e-12
+        if n_bisected:
+            assert np.max(resid[bisected]) <= 1e-9
 
-    def test_multiple_roots_keep_the_damped_root(self, fallback_sizes):
+    def test_multiple_roots_keep_the_damped_root(self, bisected_bases):
         """At tau = (1.7, 1.6) the points x = +-1.25, v = +-0.75 have three
-        self-consistent energies.  Newton from the bracket would reach
-        H = 1.75e-3; the certificate sends them to the damped loop, which
-        reaches H = -2.78e-3."""
+        self-consistent energies.  The fixed-point iteration from
+        sqrt(2 delta1) reaches H = -2.78e-3, the root the damped loop
+        reached, with no bisection."""
         p = delayed(1.7, 1.6)
         table = averaging._table_for(p, GridSpec())
         X = np.array([1.25, -1.25, 1.25, -1.25])
         V = np.array([0.75, 0.75, -0.75, -0.75])
         H, om, _ = averaging._self_consistent_fields(p, X, V, table)
-        assert fallback_sizes == [4]
+        H_ref, om_ref, _ = damped_reference_fields(p, X, V, table)
+        assert bisected_bases == []
         assert H == pytest.approx(np.full(4, -2.7756e-3), abs=1e-6)
-        assert np.array_equal(om, damped_reference_fields(p, X, V, table)[1])
+        assert np.max(np.abs(H - H_ref)) <= 1e-12
+        assert np.max(fixed_point_residual(table, H, om)) <= 1e-12
+        settled = fixed_point_residual(table, H_ref, om_ref) <= 1e-12
+        assert np.max(np.abs(om - om_ref)[settled], initial=0.0) <= 1e-12
+
+    def test_bisection_finds_a_root_outside_the_delta_eff_samples(self):
+        """At tau = (1.5, 0.7) the root of x = 1.25, v = 0.75 lies at
+        H = 2.8527e-3, above B + x^2/2 max delta_eff over 64 sampled
+        frequencies (2.8446e-3); bisecting the frequency range reaches it."""
+        p = delayed(1.5, 0.7)
+        table = averaging._table_for(p, GridSpec())
+        x = np.array([1.25])
+        base = 0.5 * 0.75**2 + bare_potential(x, p)
+        om = averaging._bisected_fields(p, base, x, table)
+        H = base + 0.5 * effective_coeffs(p, om).delta_eff * x * x
+        assert H == pytest.approx([2.8527e-3], abs=1e-7)
+        assert np.max(fixed_point_residual(table, H, om)) <= 1e-12
 
 
 class TestGridAxes:

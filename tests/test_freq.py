@@ -22,6 +22,7 @@ from harvest.averaging import loop_average
 
 from harvest.errors import (
     BistabilityLossError,
+    ConvergenceError,
     EnergyRangeError,
     ParameterError,
     SeparatrixBandError,
@@ -404,6 +405,42 @@ def test_one_rule_below_the_well_bottom():
         assert verdicts in ([True] * 3, [False] * 3), H
 
 
+class TestFixedPoint:
+    """freq._fixed_point, the one iteration of solve_frequency and the field
+    solve."""
+
+    def test_contraction_freezes_every_element(self):
+        target = np.array([0.5, 1.0, 2.0, 3.0])
+        calls = []
+
+        def g(omega, idx):
+            calls.append(idx.size)
+            return 0.5 * omega + 0.5 * target[idx]
+
+        out, stuck = freq._fixed_point(g, 1.0, target.size, 50)
+        assert stuck.size == 0
+        assert np.max(np.abs(out - target)) <= 1e-12
+        # a frozen element is no longer evaluated
+        assert calls[0] == target.size and calls[-1] < target.size
+
+    def test_map_without_fixed_point_leaves_every_element_stuck(self):
+        out, stuck = freq._fixed_point(lambda omega, idx: omega + 1.0, 1.0, 3, 20)
+        assert np.array_equal(stuck, [0, 1, 2])
+        assert np.all(np.isfinite(out))
+
+    def test_cap_raises_naming_the_first_energy_still_iterating(
+        self, controlled_system, monkeypatch
+    ):
+        """The cross-well element at H = 10 freezes after 4 steps, the one at
+        H = 1 after 5: capped at 4, the error names H = 1."""
+        H = np.array([10.0, 1.0])
+        regime = MotionRegime.CROSS_WELL
+        solve_frequency(H, controlled_system, regime)
+        monkeypatch.setattr(freq, "_MAX_ITER", 4)
+        with pytest.raises(ConvergenceError, match=r"H=1\.0: frequency iteration"):
+            solve_frequency(H, controlled_system, regime)
+
+
 class TestSolveFrequency:
     def test_crosswell_reference_value(self):
         om = solve_frequency(1.0, bare(), MotionRegime.CROSS_WELL)
@@ -484,25 +521,20 @@ def table(controlled_system) -> FrequencyTable:
 
 
 def scipy_lookup(table: FrequencyTable, H: np.ndarray):
-    """(omega, d omega/dH) from scipy: one PchipInterpolator per branch, the
-    clamp below the table and the straight line across the band."""
+    """omega from scipy: one PchipInterpolator per branch, the clamp below the
+    table and the straight line across the band."""
     neg_interp = PchipInterpolator(table.H_neg, table.omega_neg)
     pos_interp = PchipInterpolator(table.H_pos, table.omega_pos)
     om = np.empty_like(H)
-    dom = np.zeros_like(H)
     band = table.H_pos[0]
     neg = H <= -band
     pos = H >= band
     mid = ~(neg | pos)
-    Hc = np.clip(H[neg], table.H_neg[0], None)
-    om[neg] = neg_interp(Hc)
-    dom[neg] = np.where(H[neg] < table.H_neg[0], 0.0, neg_interp(Hc, 1))
+    om[neg] = neg_interp(np.clip(H[neg], table.H_neg[0], None))
     om[pos] = pos_interp(H[pos])
-    dom[pos] = pos_interp(H[pos], 1)
     w_lo, w_hi = table.omega_neg[-1], table.omega_pos[0]
     om[mid] = w_lo + (w_hi - w_lo) * (H[mid] + band) / (2.0 * band)
-    dom[mid] = (w_hi - w_lo) / (2.0 * band)
-    return om, dom
+    return om
 
 
 class TestFrequencyTable:
@@ -551,14 +583,14 @@ class TestFrequencyTable:
 
     def test_arrays_are_read_only(self, table):
         for arr in (table.H_neg, table.omega_neg, table.H_pos, table.omega_pos,
-                    table.knots, table.slopes, table.coeffs):
+                    table.knots, table.coeffs):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             table.omega_pos[0] = 1.0
 
     def test_lookup_is_scipy_pchip_on_grid_energies(self, controlled_system):
         """On every energy of the default grid's field solve, off the band,
-        the one-cubic lookup and its slope are bit for bit scipy's."""
+        the one-cubic lookup is bit for bit scipy's."""
         p = controlled_system
         grid = averaging.GridSpec()
         table = averaging._table_for(p, grid)
@@ -566,14 +598,11 @@ class TestFrequencyTable:
         H = averaging._self_consistent_fields(p, X, V, table)[0].ravel()
         H = H[np.abs(H) > table.H_pos[0]]
         assert H.size > 40000
-        om, dom = table.lookup_bridged(H, slope=True)
-        ref_om, ref_dom = scipy_lookup(table, H)
-        assert np.array_equal(om, ref_om)
-        assert np.array_equal(dom, ref_dom)
+        assert np.array_equal(table.lookup_bridged(H), scipy_lookup(table, H))
 
     def test_lookup_is_scipy_pchip_off_the_band(self, table):
         """Random energies on both branches, below the table and on every
-        knot off the band: bit for bit scipy's value and slope."""
+        knot off the band: bit for bit scipy's value."""
         rng = np.random.default_rng(5)
         H = np.concatenate((
             rng.uniform(table.H_neg[0] - 1.0, -table.H_pos[0], 20000),
@@ -581,39 +610,7 @@ class TestFrequencyTable:
             table.knots,
         ))
         H = H[np.abs(H) > table.H_pos[0]]
-        om, dom = table.lookup_bridged(H, slope=True)
-        ref_om, ref_dom = scipy_lookup(table, H)
-        assert np.array_equal(om, ref_om)
-        assert np.array_equal(dom, ref_dom)
-
-    def test_slope_matches_finite_difference(self, table):
-        band = table.H_pos[0]
-        H = np.array([table.H_neg[0] - 1.0, -0.5, -0.05, -10 * band, 0.0,
-                      10 * band, 0.3, 7.0])
-        om, dom = table.lookup_bridged(H, slope=True)
-        assert np.array_equal(om, table.lookup_bridged(H))
-        h = 1e-7 * np.maximum(np.abs(H), band)
-        fd = (table.lookup_bridged(H + h) - table.lookup_bridged(H - h)) / (2 * h)
-        assert dom == pytest.approx(fd, rel=1e-5, abs=1e-9)
-        assert dom[0] == 0.0  # clamped below the table
-
-    def test_slope_bound_covers_the_slope(self, table):
-        """slope_bound(lo, hi) is at least |omega'| sampled densely on [lo, hi],
-        for intervals below, across and above the band."""
-        centers = np.concatenate([
-            -np.geomspace(table.H_pos[0], -table.H_neg[0], 40),
-            np.geomspace(table.H_pos[0], table.H_pos[-1] / 2, 40),
-        ])
-        frac = np.random.default_rng(3).uniform(0.0, 0.5, centers.size)
-        widths = frac * np.abs(centers)
-        lo, hi = centers - widths, centers + widths
-        bound = table.slope_bound(lo, hi)
-        for a, b, bnd in zip(lo, hi, bound):
-            Hs = np.linspace(a, min(b, table.H_pos[-1]), 2001)
-            _, dom = table.lookup_bridged(Hs, slope=True)
-            assert np.max(np.abs(dom)) <= bnd
-        below = table.H_neg[0] - 1.0
-        assert table.slope_bound(np.array([below - 1]), np.array([below]))[0] == 0.0
+        assert np.array_equal(table.lookup_bridged(H), scipy_lookup(table, H))
 
     def test_table_range_must_straddle_the_band(self, controlled_system):
         band = exclusion_band(controlled_system)
@@ -624,8 +621,8 @@ class TestFrequencyTable:
     def test_lookup_is_scipy_pchip_on_turning_branches(self, monkeypatch):
         """On seeded random branches that turn up and down, so that the
         three-point end slope is zeroed where it opposes the end secant and
-        clamped to three times it where the secants turn, the lookup and its
-        slope are bit for bit scipy's."""
+        clamped to three times it where the secants turn, the lookup is bit
+        for bit scipy's."""
         kinds = collections.Counter()
         end_slope = freq._pchip_end_slope
 
@@ -650,8 +647,5 @@ class TestFrequencyTable:
                 table.knots,
             ))
             H = H[np.abs(H) > band]
-            om, dom = table.lookup_bridged(H, slope=True)
-            ref_om, ref_dom = scipy_lookup(table, H)
-            assert np.array_equal(om, ref_om)
-            assert np.array_equal(dom, ref_dom)
+            assert np.array_equal(table.lookup_bridged(H), scipy_lookup(table, H))
         assert min(kinds["zero"], kinds["3 m0"], kinds["3-point"]) > 0, kinds
