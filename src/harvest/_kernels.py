@@ -20,23 +20,10 @@ which lane() names:
   command and the machine.
 - "numpy": the fallback, taken silently when no compiler is found, the
   compile fails, the cache cannot be written or is not private, or the
-  library cannot be loaded.  It is also the oracle of the C lane.  It is
-  bound by the cost of a numpy call, not by its arithmetic, so it makes 15
-  calls a step, each on contiguous operands:
-
-  - Block-precomputed feedback.  A step reads the delayed rows k1 and k2
-    steps back, so a block of min(k1, k2) + 1 steps reads only rows written
-    before the block starts; the interpolated feedback mu*x(t - tau1) and
-    nu*v(t - tau2) of the whole block is one vectorized pass.  Without delay
-    a block is one step.
-  - Stacked rows.  Two multiplies of the state row by full (3, m)
-    coefficient rows give delta1*x, -beta*v and kappa*V, and delta3*x and
-    alpha*V; the velocity and voltage increments are one contiguous pair,
-    scaled by dt in one call and added to [v, V] in another.
-  - Array operands.  Every operand of a step is a float64 array: a ufunc
-    converts a Python float operand anew on every call.  A step writes its
-    temporaries into preallocated rows and walks the state rows with
-    iterators instead of indexing them.
+  library cannot be loaded.  It is also the oracle of the C lane: its step
+  loop is harvest_steps transcribed statement for statement, one numpy
+  expression over the whole ensemble for each C statement, one step at a
+  time.  It is bound by the cost of a numpy call, not by its arithmetic.
 
 Both lanes read the per-row coefficients from one C-contiguous float64 block
 of shape (len(COEF_ROWS), m), built once per run: row r holds coefficient
@@ -201,75 +188,30 @@ def _numpy_ou(xis, draws, coef):
 
 def _numpy_steps(h, L, drive, k1, k2, dt, coef):
     """The step loop of the numpy lane: one step per row of drive, from row L
-    of the history h on."""
-    m = h.shape[2]
+    of the history h on, statement for statement that of harvest_steps."""
     beta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, _, _ = coef
-    c1 = 1.0 - f1
-    c2 = 1.0 - f2
-    # full coefficient rows against a state row [x, v, V]: p gives
-    # [delta1 x, -beta v, kappa V] and q gives [delta3 x, 0, alpha V]
-    p = np.empty((3, m))
-    q = np.empty((3, m))
-    p[0], p[1], p[2] = delta1, -beta, kappa
-    q[0], q[1], q[2] = delta3, 0.0, alpha
-    dt2 = np.full((2, m), dt)
-    dt1 = dt2[0]
-
-    # the ufuncs of the loop, bound once and given out by position: a module
-    # lookup and a keyword argument cost about 70 ns a call
-    mul, add, sub = np.multiply, np.add, np.subtract
-
-    # Step i reads the delayed rows r - k - 1 and r - k (r = L + i), so the
-    # min(k1, k2) + 1 steps of a block read only rows written before it
-    # starts: the delayed feedback of a whole block is one vectorized pass.
-    n = drive.shape[0]
-    block = min(k1, k2) + 1
-    xh = h[:, 0]
-    vh = h[:, 1]
-    # row iterators over the state: each step reads one row [x, v, V] and
-    # writes the next, as its x and its contiguous pair [v, V]
-    hs, xs, vs, vVs = iter(h[L:]), iter(xh[L:]), iter(vh[L:]), iter(h[L:, 1:])
-    hc, xc, vc, vVc = next(hs), next(xs), next(vs), next(vVs)
-    drives = iter(drive)
-    # temporaries: t and u take the state row times p and q, and ab is the
-    # contiguous pair [a, b] that advances [v, V]
-    t = np.empty((3, m))
-    u = np.empty((3, m))
-    ab = np.empty((2, m))
-    t0, t1, t2 = t
-    u0, _, u2 = u
-    a, b = ab
-    for start in range(0, n, block):
-        r0, r1 = L + start, L + min(start + block, n)
-        # the feedback mu*x(t - tau1) and nu*v(t - tau2) of each step
-        fx = xh[r0 - k1 : r1 - k1] * c1 + xh[r0 - k1 - 1 : r1 - k1 - 1] * f1
-        fx *= mu
-        fv = vh[r0 - k2 : r1 - k2] * c2 + vh[r0 - k2 - 1 : r1 - k2 - 1] * f2
-        fv *= nu
-        # fx leads the zip, so the shared iterators advance by one block
-        for fxi, fvi, d, hn, xn, vn, vVn in zip(fx, fv, drives, hs, xs, vs, vVs):
-            # a = -beta*v + delta1*x - delta3*x*x*x - kappa*V
-            #     + mu*x(t - tau1) + nu*v(t - tau2) + drive, left to right
-            mul(p, hc, t)
-            mul(q, hc, u)
-            add(t1, t0, a)
-            u0 *= xc
-            u0 *= xc
-            a -= u0
-            a -= t2
-            a += fxi
-            a += fvi
-            a += d
-            # b = v - alpha*V, and [v, V] advance by dt*[a, b]; then the
-            # semi-implicit step: position advances with the updated
-            # velocity, which avoids the secular energy injection of the
-            # fully explicit form
-            sub(vc, u2, b)
-            ab *= dt2
-            add(vVc, ab, vVn)
-            mul(dt1, vn, a)
-            add(xc, a, xn)
-            hc, xc, vc, vVc = hn, xn, vn, vVn
+    for i, d in enumerate(drive):
+        r = L + i
+        x, v, V = h[r]
+        # the feedback mu*x(t - tau1) and nu*v(t - tau2)
+        fx = (h[r - k1, 0] * (1.0 - f1) + h[r - k1 - 1, 0] * f1) * mu
+        fv = (h[r - k2, 1] * (1.0 - f2) + h[r - k2 - 1, 1] * f2) * nu
+        # a = -beta*v + delta1*x - delta3*x*x*x - kappa*V
+        #     + mu*x(t - tau1) + nu*v(t - tau2) + drive, left to right
+        a = -beta * v + delta1 * x
+        a -= delta3 * x * x * x
+        a -= kappa * V
+        a += fx
+        a += fv
+        a += d
+        b = v - alpha * V
+        # [v, V] advance by dt*[a, b], then x by dt times the new v: the
+        # semi-implicit step avoids the secular energy injection of the fully
+        # explicit form
+        vn = v + a * dt
+        h[r + 1, 1] = vn
+        h[r + 1, 2] = V + b * dt
+        h[r + 1, 0] = x + dt * vn
 
 
 def _chunk_batch(

@@ -44,11 +44,11 @@ _CHUNK = 1024
 # Post-transient samples per block of the spectral sums (_SpectralSums).
 _BLOCK = 1024
 
-# Rows of one lockstep batch of sweep cells.  A step costs far less than
+# Rows of one lockstep batch of sweep cells.  A run costs less than
 # proportionally more as the ensemble widens up to here (run_batch on the
-# noise-sweep system, 4000 steps, 2-vCPU host: 8 rows in 0.055-0.070 s, 64 in
-# 0.08-0.09 s, 128 in 0.10-0.13 s), so a batch of narrow cells costs a small
-# multiple of one cell.
+# noise-sweep system on the C lane, 4000 steps, one CPU: 8 rows in 2.0-2.1 ms,
+# 64 in 7.8-8.5 ms, 128 in 20-21.5 ms), so a batch of narrow cells costs less
+# than its cells run one at a time.
 _BATCH_ROWS = 128
 
 
@@ -99,6 +99,8 @@ class SimConfig:
             raise ParameterError("t_transient must lie in [0, t_total)")
         if self.n_traj < 1:
             raise ParameterError("n_traj must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_transient(self, ex: ExcitationParams) -> float:
         """Transient discard window; default 20% of the run, and at least 200

@@ -626,6 +626,22 @@ class TestCliCommands:
         assert err.startswith("error: ") and "'sim' is not an object" in err
         assert list(tmp_path.glob("harvest_*")) == []
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--set", "sim.seed=-3"]],
+                             ids=["seed_flag", "set_sim_seed"])
+    @pytest.mark.parametrize("subcommand", ["mcs", "power", "compare", "sweep"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, subcommand, flags):
+        """A negative master seed is a parameter error on every subcommand,
+        the analytic ones included: exit 2 with an error line, no CSV."""
+        d = doc(sweep={"axes": [{"param": "noise.D", "start": 0.004,
+                                 "stop": 0.006, "count": 2}],
+                       "quantities": ["v_rms", "efficiency"]})
+        argv = [subcommand, "--config", write_cfg(tmp_path, d),
+                "--out", str(tmp_path), "--threads", "1"]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be >= 0") and "Traceback" not in err
+        assert list(tmp_path.glob("harvest_*")) == []
+
     @pytest.mark.parametrize("below", [False, True], ids=["file", "under_file"])
     @pytest.mark.parametrize("flag", ["--out", "output.dir"])
     def test_output_directory_that_is_a_file(self, tmp_path, capsys, flag, below):

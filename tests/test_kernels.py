@@ -77,10 +77,10 @@ def _reference_chunk_batch(
     x, v, V, xi, alive, xh, vh, s0, n, forcing, draws, coef, dt, k1, k2, skip,
     hist, hist_grid, acc, series, store, sink,
 ):
-    """The one-step-at-a-time kernel that the blocked kernel replaced, kept
-    verbatim as the bit-for-bit oracle: every step reads its delayed rows and
-    evaluates the whole update in one expression.  It stores every column and
-    takes no sink, which the runs compared here do not use."""
+    """A one-step-at-a-time kernel on separate displacement and velocity
+    histories, the bit-for-bit oracle of both lanes: every step reads its
+    delayed rows and evaluates the whole update in one expression.  It stores
+    every column and takes no sink, which the runs compared here do not use."""
     beta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, E_ou, S_ou = coef
     x_min, dx, v_min, dv = hist_grid
     L = xh.shape[0] - n - 1
@@ -166,9 +166,10 @@ def _reference_on_stacked(x, v, V, xi, alive, h, *rest):
 
 
 # Two cells with their own coefficients, noise and drive that share the
-# offsets k1 = 53 and k2 = 121 (blocks of 54 steps) at fractions f1 = 0.7 and
-# 0.2, f2 = 0.3 and 0.8.  The second cell's stiff linear and weak cubic force
-# carries its rows past DIVERGENCE_LIMIT at steps that depend on their start.
+# offsets k1 = 53 and k2 = 121, longer than a 37-step chunk, at fractions
+# f1 = 0.7 and 0.2, f2 = 0.3 and 0.8.  The second cell's stiff linear and weak
+# cubic force carries its rows past DIVERGENCE_LIMIT at steps that depend on
+# their start.
 _DELAYED = (
     [
         (
@@ -186,7 +187,7 @@ _DELAYED = (
     ],
     [0.9, -0.9, 0.5, 1.0, -2.0, 0.01],
 )
-# One cell without delay: blocks of one step and 0-d coefficients.
+# One cell without delay: each step reads the current row as its delayed one.
 _UNDELAYED = (
     [
         (
@@ -223,11 +224,11 @@ class TestBlockedKernel:
         self, request, monkeypatch, lane_name, cells, x0, n_traj, n_divergent
     ):
         """Each lane reproduces the stepwise kernel bit for bit, with 37-step
-        chunks that cut the transient and the delay blocks anywhere, and rows
-        that cross the divergence limit mid-chunk.  Without delay the delayed
-        read is the current row.  One trajectory of the undelayed cell is a
-        single column, where numpy's reductions and loops take other paths
-        than on a wider batch."""
+        chunks that cut the transient anywhere and delayed reads that cross
+        the chunk edges, and rows that cross the divergence limit mid-chunk.
+        Without delay the delayed read is the current row.  One trajectory
+        of the undelayed cell is a single column, where numpy's reductions
+        and loops take other paths than on a wider batch."""
         request.getfixturevalue(f"{lane_name}_lane")
         monkeypatch.setattr(mcs, "_CHUNK", 37)
         cfg = SimConfig(
@@ -288,17 +289,28 @@ def test_kernel_signature_holds_the_names_the_tracer_binds():
         assert name in params
 
 
-# mcs-psd's delay offsets: tau1 = 0.6 and tau2 = 2.5 at dt = 0.01
-_K1, _K2 = 60, 250
+# mcs-psd's delay offsets (tau1 = 0.6 and tau2 = 2.5 at dt = 0.01), whose
+# cases carry m alone as their id; the same swapped, so tau1 > tau2; and a
+# delayed displacement with the current velocity.
+_OFFSETS = [(60, 250), (250, 60), (60, 0)]
 
 
-@pytest.mark.parametrize("m", [1, 8, 100, 128])
-def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m):
-    """Two chunks of _chunk_batch at mcs-psd's offsets leave every output
-    byte for byte the same on both lanes, with per-row coefficients, draws
-    passed as a strided view (as mcs tiles them) and a drive per row."""
+@pytest.mark.parametrize(
+    "m, k1, k2",
+    [
+        pytest.param(
+            m, k1, k2, id=str(m) if (k1, k2) == _OFFSETS[0] else f"{m}-{k1}-{k2}"
+        )
+        for k1, k2 in _OFFSETS
+        for m in (1, 8, 100, 128)
+    ],
+)
+def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m, k1, k2):
+    """Two chunks of _chunk_batch at delay offsets k1 and k2 leave every
+    output byte for byte the same on both lanes, with per-row coefficients,
+    draws passed as a strided view (as mcs tiles them) and a drive per row."""
     rng = np.random.default_rng(m)
-    n, L, skip = 1024, _K2 + 1, 300
+    n, L, skip = 1024, max(k1, k2) + 1, 300
 
     def row(lo, hi):
         return rng.uniform(lo, hi, m)
@@ -328,7 +340,7 @@ def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m):
         for c in range(2):
             _kernels._chunk_batch(
                 x, v, V, xi, alive, h, c * n, n, forcing[c * n : (c + 1) * n],
-                draws[c].T.copy().T, coef=coef, dt=0.01, k1=_K1, k2=_K2,
+                draws[c].T.copy().T, coef=coef, dt=0.01, k1=k1, k2=k2,
                 skip=skip, hist=hist, hist_grid=(-2.0, 0.1, -1.5, 0.1), acc=acc,
                 series=series, store=STORE_XVV, sink=None,
             )
