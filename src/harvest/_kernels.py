@@ -3,16 +3,15 @@
 The whole ensemble advances in lockstep, one column per trajectory; the
 columns may belong to several sweep cells, each with its own parameters,
 noise and forcing.  State is kept step-major in one history of shape
-(rows, 3, m): row r is the contiguous [x, v, V] of the ensemble at one step,
-so a delayed read is a plain row read.  The step loop does only the
-dynamics, unmasked; divergence, the accumulators, the histogram, the stored
-series and the rows handed to a sink are worked out once per chunk from the
-recorded rows, in numpy.
+(rows, 4, m): row r is the contiguous [x, v, V, xi] of the ensemble at one
+step, so a delayed read is a plain row read.  The step loop advances the
+whole state, the dynamics and the colored noise, unmasked; divergence, the
+accumulators, the histogram, the stored series and the rows handed to a
+sink are worked out once per chunk from the recorded rows, in numpy.
 
-The colored-noise recurrence and the step loop run in one of two lanes,
-which lane() names:
+The step loop runs in one of two lanes, which lane() names:
 
-- "c": the two loops of _step.c, called through ctypes on the contiguous
+- "c": harvest_steps of _step.c, called through ctypes on the contiguous
   history.  The library is compiled on first use (not at import) with the C
   compiler Python was built with (sysconfig's CC) and -O2 -fPIC -shared
   -ffp-contract=off, into a private per-user cache, $XDG_CACHE_HOME/harvest
@@ -145,13 +144,12 @@ def _library():
 
     try:
         lib = ctypes.CDLL(_build())
-        ou, steps = lib.harvest_ou, lib.harvest_steps
+        steps = lib.harvest_steps
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     n, p = ctypes.c_long, ctypes.c_void_p
-    ou.argtypes = [n, n, p, p, n, n, p]
-    steps.argtypes = [n, n, n, n, n, ctypes.c_double, p, p, p]
-    ou.restype = steps.restype = None
+    steps.argtypes = [n, n, n, n, n, ctypes.c_double, p, p, n, n, p, n, n, p]
+    steps.restype = None
     return lib
 
 
@@ -173,29 +171,18 @@ def _running_sum(start, terms):
     return np.subtract.reduce(terms, axis=0)
 
 
-def _numpy_ou(xis, draws, coef):
-    """xis[i + 1] = xis[i]*E_ou + draws[i]*S_ou for every row of draws, which
-    is overwritten."""
-    E_ou, S_ou = coef[-2:]
-    np.multiply(draws, S_ou, out=draws)
-    mul = np.multiply
-    prev = xis[0]
-    for new, d in zip(xis[1:], draws):
-        mul(prev, E_ou, new)
-        new += d
-        prev = new
-
-
-def _numpy_steps(h, L, drive, k1, k2, dt, coef):
-    """The step loop of the numpy lane: one step per row of drive, from row L
+def _numpy_steps(h, L, forcing, draws, k1, k2, dt, coef):
+    """The step loop of the numpy lane: one step per row of draws, from row L
     of the history h on, statement for statement that of harvest_steps."""
-    beta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, _, _ = coef
-    for i, d in enumerate(drive):
+    beta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, E_ou, S_ou = coef
+    for i, N in enumerate(draws):
         r = L + i
-        x, v, V = h[r]
+        x, v, V, xi = h[r]
         # the feedback mu*x(t - tau1) and nu*v(t - tau2)
         fx = (h[r - k1, 0] * (1.0 - f1) + h[r - k1 - 1, 0] * f1) * mu
         fv = (h[r - k2, 1] * (1.0 - f2) + h[r - k2 - 1, 1] * f2) * nu
+        # the drive: colored noise plus the periodic forcing
+        d = xi + forcing[i]
         # a = -beta*v + delta1*x - delta3*x*x*x - kappa*V
         #     + mu*x(t - tau1) + nu*v(t - tau2) + drive, left to right
         a = -beta * v + delta1 * x
@@ -212,6 +199,7 @@ def _numpy_steps(h, L, drive, k1, k2, dt, coef):
         h[r + 1, 1] = vn
         h[r + 1, 2] = V + b * dt
         h[r + 1, 0] = x + dt * vn
+        h[r + 1, 3] = xi * E_ou + N * S_ou
 
 
 def _chunk_batch(
@@ -222,11 +210,12 @@ def _chunk_batch(
 
     The steps run in the lane that lane() names.  State arrays x, v, V, xi
     and alive have shape (m,).  h is the C-contiguous step-major history,
-    shape (L + n + 1, 3, m), whose row h[r] is the ensemble's
-    [x, v, V] at one step: on entry rows 0 .. L-1 hold steps s0-L .. s0-1
+    shape (L + n + 1, 4, m), whose row h[r] is the ensemble's [x, v, V, xi]
+    at one step: on entry rows 0 .. L-1 hold steps s0-L .. s0-1
     (L > max(k1, k2)), and on exit they hold the last L steps of this chunk.
-    forcing is (n, 1) or (n, m); draws is (n, m) float64 and may be overwritten;
-    acc is (m, 3), series (m, 3, n_post).  coef is the C-contiguous float64
+    Step i drives xi with forcing[i], (n, 1) or (n, m), and advances it with
+    the normals draws[i], (n, m); both are float64 in any layout.  acc is
+    (m, 3), series (m, 3, n_post).  coef is the C-contiguous float64
     coefficient block (len(COEF_ROWS), m), one column per trajectory; the
     step dt and the delay offsets k1 and k2 are the whole batch's.  hist is
     (cells, nx, nv): the rows are cell-major, m // cells to a cell, and each
@@ -239,51 +228,48 @@ def _chunk_batch(
     of rows[0].
     A trajectory whose |x| exceeds DIVERGENCE_LIMIT (NaN counts) keeps the
     samples up to that step, is frozen in the state that crossed, and is
-    cleared from alive.  Mutates everything in place.
+    cleared from alive.  Mutates everything in place but forcing and draws.
     """
     L = h.shape[0] - n - 1
     m = x.shape[0]
     nx, nv = hist.shape[1:]
     x_min, dx, v_min, dv = hist_grid
-    h[L] = x, v, V
     lib = _library()
-    # colored-noise path and drive: they do not depend on the state
-    xis = np.empty((n + 1, m))
-    xis[0] = xi
-    if lib is None:
-        _numpy_ou(xis, draws, coef)
-    else:
-        # the C loops index raw memory, so check the layout they assume
-        if not (
-            h.flags.c_contiguous and h.dtype == np.float64 and h.shape[1:] == (3, m)
-            and draws.shape == (n, m) and draws.dtype == np.float64
-            and coef.flags.c_contiguous and coef.dtype == np.float64
-            and coef.shape == (len(COEF_ROWS), m)
-            and 0 <= min(k1, k2) and max(k1, k2) < L
-        ):
-            raise ValueError(
-                "h must be C-contiguous float64 of shape (L + n + 1, 3, m) with "
-                "L > max(k1, k2) >= 0, draws float64 of shape (n, m) and coef "
-                "C-contiguous float64 of shape (len(COEF_ROWS), m)"
-            )
-        di, dj = (s // draws.itemsize for s in draws.strides)
-        lib.harvest_ou(n, m, xis.ctypes.data, draws.ctypes.data, di, dj,
-                       coef.ctypes.data)
-    drive = np.ascontiguousarray(xis[:n] + forcing)
+    # the C loop indexes raw memory, so check the layout it assumes before
+    # anything is written
+    if lib is not None and not (
+        h.flags.c_contiguous and h.dtype == np.float64 and h.shape[1:] == (4, m)
+        and 0 <= min(k1, k2) and max(k1, k2) < L
+        and forcing.dtype == np.float64 and forcing.shape in ((n, 1), (n, m))
+        and draws.dtype == np.float64 and draws.shape == (n, m)
+        and coef.flags.c_contiguous and coef.dtype == np.float64
+        and coef.shape == (len(COEF_ROWS), m)
+    ):
+        raise ValueError(
+            "h must be C-contiguous float64 of shape (L + n + 1, 4, m) with "
+            "L > max(k1, k2) >= 0, forcing float64 of shape (n, 1) or (n, m), "
+            "draws float64 of shape (n, m) and coef C-contiguous float64 of "
+            "shape (len(COEF_ROWS), m)"
+        )
+    h[L] = x, v, V, xi
 
-    xh = h[:, 0]
     # Only rows past the divergence limit (dead at entry or crossing inside
     # the chunk) can overflow; their samples and state are discarded below.
     with np.errstate(over="ignore", invalid="ignore"):
         if lib is None:
-            _numpy_steps(h, L, drive, k1, k2, dt, coef)
+            _numpy_steps(h, L, forcing, draws, k1, k2, dt, coef)
         else:
-            lib.harvest_steps(n, m, L, int(k1), int(k2), dt, h.ctypes.data,
-                              drive.ctypes.data, coef.ctypes.data)
+            # an (n, 1) forcing broadcasts to stride 0 across the rows
+            fi, fj = (s // 8 for s in np.broadcast_to(forcing, (n, m)).strides)
+            di, dj = (s // 8 for s in draws.strides)
+            lib.harvest_steps(
+                n, m, L, int(k1), int(k2), dt, h.ctypes.data, forcing.ctypes.data,
+                fi, fj, draws.ctypes.data, di, dj, coef.ctypes.data,
+            )
 
         # live[j]: the steps of this chunk trajectory j took while alive; one
         # that crosses the limit at step i took steps 0 .. i
-        outside = ~(np.abs(xh[L + 1 : L + n + 1]) <= DIVERGENCE_LIMIT)
+        outside = ~(np.abs(h[L + 1 : L + n + 1, 0]) <= DIVERGENCE_LIMIT)
         crossed = outside.any(axis=0)
         live = np.where(alive, np.where(crossed, outside.argmax(axis=0) + 1, n), 0)
         alive &= ~crossed
@@ -297,8 +283,8 @@ def _chunk_batch(
             def kept(rows):
                 return rows if valid is None else np.where(valid, rows, 0.0)
 
-            xp, vp, Vp = h[L + i0 : L + n].transpose(1, 0, 2)
-            acc[:, 0] = _running_sum(acc[:, 0], kept(vp * drive[i0:]))
+            xp, vp, Vp, xip = h[L + i0 : L + n].transpose(1, 0, 2)
+            acc[:, 0] = _running_sum(acc[:, 0], kept(vp * (xip + forcing[i0:])))
             acc[:, 1] = _running_sum(acc[:, 1], kept(Vp * Vp))
             # the post-transient steps each trajectory took, the count of valid
             acc[:, 2] += np.maximum(live - i0, 0)
@@ -331,6 +317,5 @@ def _chunk_batch(
 
     # a frozen trajectory keeps the state of the step that crossed the limit
     cols = np.arange(m)
-    x[:], v[:], V[:] = h[L + live, :, cols].T
-    xi[:] = xis[live, cols]
+    x[:], v[:], V[:], xi[:] = h[L + live, :, cols].T
     h[:L] = h[n : n + L]

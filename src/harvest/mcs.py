@@ -7,9 +7,9 @@ estimators for the mean output power, RMS voltage, conversion efficiency,
 stationary histogram and a periodogram-based SNR.
 
 The ensemble is stepped in chunks of _CHUNK steps.  Each chunk keeps its
-(history + chunk, 3, m) rows of displacement, velocity and voltage, with the
-previous chunk's last steps on top, and accumulates the estimators once from
-them.
+(history + chunk, 4, m) rows of the whole state, displacement, velocity,
+voltage and colored noise, with the previous chunk's last steps on top, and
+accumulates the estimators once from them.
 plan groups the cells of a sweep into lockstep batches and run_batch steps
 each batch as the rows of one run (_step_cells); run_ensemble is a one-cell
 batch and simulate_trajectory a one-row _step_cells run.
@@ -36,9 +36,9 @@ from .model import (
     ExcitationParams, NoiseParams, SystemParams, harvested_power, well_minimum,
 )
 
-# Steps per lockstep chunk.  A chunk's step-major records (draws, noise path,
-# drive, the x, v and V history) and the temporaries of its estimators come
-# to about a dozen (1024, m) float arrays, less than (m, 16384) draws.
+# Steps per lockstep chunk.  A chunk's step-major records (draws, forcing,
+# the x, v, V and xi history) and the temporaries of its estimators come to
+# about a dozen (1024, m) float arrays, less than (m, 16384) draws.
 _CHUNK = 1024
 
 # Post-transient samples per block of the spectral sums (_SpectralSums).
@@ -46,9 +46,9 @@ _BLOCK = 1024
 
 # Rows of one lockstep batch of sweep cells.  A run costs less than
 # proportionally more as the ensemble widens up to here (run_batch on the
-# noise-sweep system on the C lane, 4000 steps, one CPU: 8 rows in 2.0-2.1 ms,
-# 64 in 7.8-8.5 ms, 128 in 20-21.5 ms), so a batch of narrow cells costs less
-# than its cells run one at a time.
+# noise-sweep system on the C lane, 4000 steps, one CPU: 8 rows in 2.1-2.3 ms,
+# 64 in 10.0-13.4 ms, 128 in 19.9-24.1 ms, no more per row than 64), so a
+# batch of narrow cells costs less than its cells run one at a time.
 _BATCH_ROWS = 128
 
 
@@ -296,10 +296,10 @@ def _step_cells(
     xi = np.array(
         [ou_initial_draw(noise, z) for _, noise, _ in cells for z in first]
     )
-    # step-major history of [x, v, V] rows; the delay history before t=0 is
-    # the start state
-    h = np.empty((n_back + min(_CHUNK, n_steps) + 1, 3, m))
-    h[:n_back] = x, v, V
+    # step-major history of [x, v, V, xi] rows; the delay history before t=0
+    # is the start state
+    h = np.empty((n_back + min(_CHUNK, n_steps) + 1, 4, m))
+    h[:n_back] = x, v, V, xi
     acc = np.zeros((m, 3))
     alive = np.ones(m, dtype=bool)
     series = (

@@ -296,19 +296,27 @@ _OFFSETS = [(60, 250), (250, 60), (60, 0)]
 
 
 @pytest.mark.parametrize(
-    "m, k1, k2",
+    "m, k1, k2, layout",
     [
         pytest.param(
-            m, k1, k2, id=str(m) if (k1, k2) == _OFFSETS[0] else f"{m}-{k1}-{k2}"
+            m, k1, k2, "rows",
+            id=str(m) if (k1, k2) == _OFFSETS[0] else f"{m}-{k1}-{k2}",
         )
         for k1, k2 in _OFFSETS
         for m in (1, 8, 100, 128)
+    ] + [
+        # the forcing layouts mcs passes: one column shared by every row, and
+        # the columns of several drives gathered per row, not C-contiguous
+        pytest.param(m, *_OFFSETS[0], layout, id=f"{m}-{layout}")
+        for layout in ("column", "gathered")
+        for m in (1, 8, 100, 128)
     ],
 )
-def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m, k1, k2):
+def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m, k1, k2, layout):
     """Two chunks of _chunk_batch at delay offsets k1 and k2 leave every
     output byte for byte the same on both lanes, with per-row coefficients,
-    draws passed as a strided view (as mcs tiles them) and a drive per row."""
+    draws passed as a strided view (as mcs tiles them) and the forcing in
+    the given layout ("rows": a C-contiguous column per row)."""
     rng = np.random.default_rng(m)
     n, L, skip = 1024, max(k1, k2) + 1, 300
 
@@ -322,12 +330,19 @@ def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m, k1, k2):
         E_ou=row(0.95, 0.99), S_ou=row(0.01, 0.05),
     )
     coef = np.array([rows[name] for name in _kernels.COEF_ROWS])
-    h0 = np.empty((L + n + 1, 3, m))
-    h0[:L] = rng.uniform(-1.0, 1.0, (L, 3, m))
+    h0 = np.zeros((L + n + 1, 4, m))
+    h0[:L, :3] = rng.uniform(-1.0, 1.0, (L, 3, m))
     start = [rng.uniform(-1.2, 1.2, m) for _ in range(3)] + [rng.normal(0, 0.1, m)]
     draws = [rng.standard_normal((m, n)).T for _ in range(2)]
     t = 0.01 * np.arange(2 * n)
-    forcing = 0.3 * np.cos(0.5 * t)[:, None] * row(0.5, 1.5)
+    column = 0.3 * np.cos(0.5 * t)[:, None]
+    forcing = {
+        "rows": column * row(0.5, 1.5),
+        "column": column,
+        "gathered": np.hstack([column, 0.2 * np.cos(0.7 * t)[:, None]])[
+            :, np.arange(m) % 2
+        ],
+    }[layout]
     cells = 2 if m % 2 == 0 else 1
 
     def run():
@@ -356,31 +371,42 @@ def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m, k1, k2):
 
 
 def test_c_lane_rejects_a_history_it_cannot_index(c_lane):
-    """The C loops index raw memory, so a history that is not C-contiguous
-    or too short for the delay, and a coefficient block with a row missing,
-    a transposed one or a float32 one, are refused before a pointer is
-    passed; the same call with a good history and block runs."""
+    """The C loop indexes raw memory, so a history that is not C-contiguous
+    or too short for the delay, a coefficient block with a row missing, a
+    transposed one or a float32 one, a float32 forcing or one of width
+    neither 1 nor m, and float32 draws are refused before a pointer is
+    passed, and before the history or the state is written; the same call
+    with good arrays runs."""
     m, n, L = 4, 8, 3
-    h = np.zeros((L + n + 1, m, 3)).transpose(0, 2, 1)
     column = [0.02, 3.0, 3.0, 0.3, 0.05, 0.0, 0.0, 0.0, 0.0, 0.9, 0.1]
     args = dict(
-        x=np.zeros(m), v=np.zeros(m), V=np.zeros(m), xi=np.zeros(m),
-        alive=np.ones(m, dtype=bool), h=h, s0=0, n=n, forcing=np.zeros((n, 1)),
-        draws=np.zeros((n, m)), coef=np.repeat(np.array(column)[:, None], m, axis=1),
+        x=np.full(m, 0.5), v=np.full(m, 0.1), V=np.full(m, 0.02),
+        xi=np.full(m, 0.03), alive=np.ones(m, dtype=bool),
+        h=np.zeros((L + n + 1, m, 4)).transpose(0, 2, 1), s0=0, n=n,
+        forcing=np.zeros((n, 1)), draws=np.zeros((n, m)),
+        coef=np.repeat(np.array(column)[:, None], m, axis=1),
         dt=0.01, k1=0, k2=0, skip=0, hist=np.zeros((1, 4, 4), dtype=np.int64),
         hist_grid=(-2.0, 1.0, -2.0, 1.0), acc=np.zeros((m, 3)),
         series=np.zeros((m, 1, 1)), store=STORE_NONE, sink=None,
     )
-    with pytest.raises(ValueError, match="C-contiguous"):
-        _kernels._chunk_batch(**args)
-    args.update(h=np.zeros((L + n + 1, 3, m)), k2=L)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        _kernels._chunk_batch(**args)
-    args.update(k2=0)
+
+    def refused(**bad):
+        call = {**args, **bad}
+        before = {k: call[k].copy() for k in ("x", "v", "V", "xi", "alive", "h")}
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _kernels._chunk_batch(**call)
+        for k, a in before.items():
+            np.testing.assert_array_equal(call[k], a)
+
+    refused()
+    args.update(h=np.zeros((L + n + 1, 4, m)))
+    refused(k2=L)
     good = args["coef"]
     for coef in (good[:-1], np.ascontiguousarray(good.T).T, good.astype(np.float32)):
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _kernels._chunk_batch(**{**args, "coef": coef})
+        refused(coef=coef)
+    refused(forcing=np.zeros((n, 1), dtype=np.float32))
+    refused(forcing=np.zeros((n, 2)))
+    refused(draws=np.zeros((n, m), dtype=np.float32))
     _kernels._chunk_batch(**args)
     assert args["acc"][:, 2].tolist() == [n] * m
 
