@@ -9,29 +9,22 @@ whole state, the dynamics and the colored noise, unmasked; divergence, the
 accumulators, the histogram, the stored series and the rows handed to a
 sink are worked out once per chunk from the recorded rows, in numpy.
 
-The step loop runs in one of two lanes, which lane() names:
+The step loop is harvest_steps of _step.c, called through ctypes on the
+contiguous history.  The library is compiled on first use (not at import)
+with the C compiler Python was built with (sysconfig's CC) and -O2 -fPIC
+-shared -ffp-contract=off, into a private per-user cache, $XDG_CACHE_HOME/
+harvest or ~/.cache/harvest, under a name keyed by the source, the compiler
+command and the machine.  When it cannot be built or loaded, stepping raises
+HarvestError naming the compiler command, the cache and the reason.
 
-- "c": harvest_steps of _step.c, called through ctypes on the contiguous
-  history.  The library is compiled on first use (not at import) with the C
-  compiler Python was built with (sysconfig's CC) and -O2 -fPIC -shared
-  -ffp-contract=off, into a private per-user cache, $XDG_CACHE_HOME/harvest
-  or ~/.cache/harvest, under a name keyed by the source, the compiler
-  command and the machine.
-- "numpy": the fallback, taken silently when no compiler is found, the
-  compile fails, the cache cannot be written or is not private, or the
-  library cannot be loaded.  It is also the oracle of the C lane: its step
-  loop is harvest_steps transcribed statement for statement, one numpy
-  expression over the whole ensemble for each C statement, one step at a
-  time.  It is bound by the cost of a numpy call, not by its arithmetic.
-
-Both lanes read the per-row coefficients from one C-contiguous float64 block
+The loop reads the per-row coefficients from one C-contiguous float64 block
 of shape (len(COEF_ROWS), m), built once per run: row r holds coefficient
 COEF_ROWS[r] of every trajectory.  dt, the delay offsets k1 and k2 and the
 transient skip are shared by the whole batch and stay scalars.
 
-In both lanes each element sees the operations of the update equations in
-the same order, each rounded to float64, so every result is bit-identical
-across the lanes and to a step-at-a-time evaluation.
+Each element sees the operations of the update equations in order, each
+rounded to float64, so every result is bit-identical to a step-at-a-time
+evaluation.
 """
 
 from __future__ import annotations
@@ -41,6 +34,8 @@ import functools
 import os
 
 import numpy as np
+
+from .errors import HarvestError
 
 # Store nothing, or displacement/velocity/voltage.
 STORE_NONE = 0
@@ -56,10 +51,12 @@ COEF_ROWS = (
     "E_ou", "S_ou",
 )
 
-# The C lane's source, shipped next to this module, and its build.
+# The step loop's source, shipped next to this module, and its build.
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _BUILD_TIMEOUT_S = 120.0
+# The lines of a failed compile's output that its error quotes, from the end.
+_OUTPUT_LINES = 10
 
 
 def _compiler() -> list[str] | None:
@@ -78,34 +75,58 @@ def _cache_dir() -> str:
     return os.path.join(base, "harvest")
 
 
+def _failure(reason: str) -> HarvestError:
+    """The error of a step loop that cannot be built or loaded: the compile
+    command, the cache directory and the reason."""
+    cc = _compiler()
+    command = " ".join([*cc, *_FLAGS]) if cc else "none"
+    return HarvestError(
+        f"cannot build or load the Monte Carlo step loop (compiler: {command}; "
+        f"cache: {_cache_dir()}): {reason}"
+    )
+
+
 def _compile(argv: list[str]) -> None:
-    """Run the compiler in its own process group, killed whole on timeout."""
+    """Run the compiler in its own process group, killed whole on timeout.
+    Raises HarvestError when it cannot be run, runs past its timeout or exits
+    with an error."""
     import signal
     import subprocess
 
-    with subprocess.Popen(
-        argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, start_new_session=True,
-    ) as proc:
+    try:
+        proc = subprocess.Popen(
+            argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, start_new_session=True,
+        )
+    except OSError as e:
+        raise _failure(f"the compiler cannot be run: {e}") from None
+    with proc:
         try:
             # reading the output to its end returns as the compiler exits,
             # where wait(timeout) would poll at intervals of up to 50 ms
-            proc.communicate(timeout=_BUILD_TIMEOUT_S)
-        except BaseException:
+            output = proc.communicate(timeout=_BUILD_TIMEOUT_S)[0]
+        except BaseException as e:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
+            if isinstance(e, subprocess.TimeoutExpired):
+                raise _failure(
+                    f"the compile ran past its {_BUILD_TIMEOUT_S:g} s timeout "
+                    "and was killed"
+                ) from None
             raise
     if proc.returncode:
-        raise subprocess.CalledProcessError(proc.returncode, argv)
+        tail = output.decode(errors="replace").splitlines()[-_OUTPUT_LINES:]
+        raise _failure(
+            "\n".join([f"the compiler exited with status {proc.returncode}", *tail])
+        )
 
 
 def _build() -> str:
     """The path of the compiled step loop, built into the cache if missing.
 
     Pool workers may race on a cold cache: each compiles to a temporary name
-    and renames it into place.  Raises OSError when there is no compiler or
-    the cache is not writable or not private, and a SubprocessError when the
-    compile fails.
+    and renames it into place.  Raises HarvestError when there is no
+    compiler, the cache is not writable or not private, or the compile fails.
     """
     import hashlib
     import platform
@@ -113,49 +134,49 @@ def _build() -> str:
 
     cc = _compiler()
     if cc is None:
-        raise FileNotFoundError("sysconfig names no C compiler")
+        raise _failure("sysconfig names no C compiler")
     argv = [*cc, *_FLAGS]
     with open(_SOURCE, "rb") as f:
         key = hashlib.sha256(f.read())
     key.update("\0".join([*argv, platform.machine()]).encode())
     cache = _cache_dir()
-    os.makedirs(cache, mode=0o700, exist_ok=True)
-    st = os.stat(cache)
-    if st.st_uid != os.getuid() or st.st_mode & 0o022:
-        raise PermissionError(f"{cache} is not private to this user")
     path = os.path.join(cache, f"step-{key.hexdigest()[:32]}.so")
-    if not os.path.exists(path):
-        fd, tmp = tempfile.mkstemp(suffix=".so", prefix=".step-", dir=cache)
-        os.close(fd)
-        try:
-            _compile([*argv, "-o", tmp, _SOURCE])
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        st = os.stat(cache)
+        if st.st_uid != os.getuid() or st.st_mode & 0o022:
+            raise _failure("the cache is not private to this user")
+        if not os.path.exists(path):
+            fd, tmp = tempfile.mkstemp(suffix=".so", prefix=".step-", dir=cache)
+            os.close(fd)
+            try:
+                _compile([*argv, "-o", tmp, _SOURCE])
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+    except OSError as e:
+        raise _failure(f"the cache cannot be written: {e}") from None
     return path
 
 
 @functools.cache
 def _library():
-    """The loaded C step loop, or None when this process runs the numpy lane."""
+    """The loaded C step loop, built on first use.  Raises HarvestError when
+    it cannot be built or loaded; that is not cached, so a later call tries
+    again."""
     import ctypes
-    import subprocess
 
+    path = _build()
     try:
-        lib = ctypes.CDLL(_build())
+        lib = ctypes.CDLL(path)
         steps = lib.harvest_steps
-    except (OSError, subprocess.SubprocessError, AttributeError):
-        return None
+    except (OSError, AttributeError) as e:
+        raise _failure(f"the library does not load: {e}") from None
     n, p = ctypes.c_long, ctypes.c_void_p
     steps.argtypes = [n, n, n, n, n, ctypes.c_double, p, p, n, n, p, n, n, p]
     steps.restype = None
     return lib
-
-
-def lane() -> str:
-    """The lane _chunk_batch steps with in this process: "c" or "numpy"."""
-    return "numpy" if _library() is None else "c"
 
 
 def _running_sum(start, terms):
@@ -171,48 +192,17 @@ def _running_sum(start, terms):
     return np.subtract.reduce(terms, axis=0)
 
 
-def _numpy_steps(h, L, forcing, draws, k1, k2, dt, coef):
-    """The step loop of the numpy lane: one step per row of draws, from row L
-    of the history h on, statement for statement that of harvest_steps."""
-    beta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, E_ou, S_ou = coef
-    for i, N in enumerate(draws):
-        r = L + i
-        x, v, V, xi = h[r]
-        # the feedback mu*x(t - tau1) and nu*v(t - tau2)
-        fx = (h[r - k1, 0] * (1.0 - f1) + h[r - k1 - 1, 0] * f1) * mu
-        fv = (h[r - k2, 1] * (1.0 - f2) + h[r - k2 - 1, 1] * f2) * nu
-        # the drive: colored noise plus the periodic forcing
-        d = xi + forcing[i]
-        # a = -beta*v + delta1*x - delta3*x*x*x - kappa*V
-        #     + mu*x(t - tau1) + nu*v(t - tau2) + drive, left to right
-        a = -beta * v + delta1 * x
-        a -= delta3 * x * x * x
-        a -= kappa * V
-        a += fx
-        a += fv
-        a += d
-        b = v - alpha * V
-        # [v, V] advance by dt*[a, b], then x by dt times the new v: the
-        # semi-implicit step avoids the secular energy injection of the fully
-        # explicit form
-        vn = v + a * dt
-        h[r + 1, 1] = vn
-        h[r + 1, 2] = V + b * dt
-        h[r + 1, 0] = x + dt * vn
-        h[r + 1, 3] = xi * E_ou + N * S_ou
-
-
 def _chunk_batch(
     x, v, V, xi, alive, h, s0, n, forcing, draws, coef, dt, k1, k2, skip,
     hist, hist_grid, acc, series, store, sink,
 ):
     """Advance every trajectory of the ensemble by n Euler steps.
 
-    The steps run in the lane that lane() names.  State arrays x, v, V, xi
-    and alive have shape (m,).  h is the C-contiguous step-major history,
-    shape (L + n + 1, 4, m), whose row h[r] is the ensemble's [x, v, V, xi]
-    at one step: on entry rows 0 .. L-1 hold steps s0-L .. s0-1
-    (L > max(k1, k2)), and on exit they hold the last L steps of this chunk.
+    State arrays x, v, V, xi and alive have shape (m,).  h is the
+    C-contiguous step-major history, shape (L + n + 1, 4, m), whose row h[r]
+    is the ensemble's [x, v, V, xi] at one step: on entry rows 0 .. L-1 hold
+    steps s0-L .. s0-1 (L > max(k1, k2)), and on exit they hold the last L
+    steps of this chunk.
     Step i drives xi with forcing[i], (n, 1) or (n, m), and advances it with
     the normals draws[i], (n, m); both are float64 in any layout.  acc is
     (m, 3), series (m, 3, n_post).  coef is the C-contiguous float64
@@ -229,6 +219,8 @@ def _chunk_batch(
     A trajectory whose |x| exceeds DIVERGENCE_LIMIT (NaN counts) keeps the
     samples up to that step, is frozen in the state that crossed, and is
     cleared from alive.  Mutates everything in place but forcing and draws.
+    Raises HarvestError, before anything is written, when the step loop
+    cannot be built or loaded (_library).
     """
     L = h.shape[0] - n - 1
     m = x.shape[0]
@@ -237,7 +229,7 @@ def _chunk_batch(
     lib = _library()
     # the C loop indexes raw memory, so check the layout it assumes before
     # anything is written
-    if lib is not None and not (
+    if not (
         h.flags.c_contiguous and h.dtype == np.float64 and h.shape[1:] == (4, m)
         and 0 <= min(k1, k2) and max(k1, k2) < L
         and forcing.dtype == np.float64 and forcing.shape in ((n, 1), (n, m))
@@ -256,16 +248,13 @@ def _chunk_batch(
     # Only rows past the divergence limit (dead at entry or crossing inside
     # the chunk) can overflow; their samples and state are discarded below.
     with np.errstate(over="ignore", invalid="ignore"):
-        if lib is None:
-            _numpy_steps(h, L, forcing, draws, k1, k2, dt, coef)
-        else:
-            # an (n, 1) forcing broadcasts to stride 0 across the rows
-            fi, fj = (s // 8 for s in np.broadcast_to(forcing, (n, m)).strides)
-            di, dj = (s // 8 for s in draws.strides)
-            lib.harvest_steps(
-                n, m, L, int(k1), int(k2), dt, h.ctypes.data, forcing.ctypes.data,
-                fi, fj, draws.ctypes.data, di, dj, coef.ctypes.data,
-            )
+        # an (n, 1) forcing broadcasts to stride 0 across the rows
+        fi, fj = (s // 8 for s in np.broadcast_to(forcing, (n, m)).strides)
+        di, dj = (s // 8 for s in draws.strides)
+        lib.harvest_steps(
+            n, m, L, int(k1), int(k2), dt, h.ctypes.data, forcing.ctypes.data,
+            fi, fj, draws.ctypes.data, di, dj, coef.ctypes.data,
+        )
 
         # live[j]: the steps of this chunk trajectory j took while alive; one
         # that crosses the limit at step i took steps 0 .. i

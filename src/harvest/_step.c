@@ -1,9 +1,9 @@
-/* The compiled lane of harvest._kernels._chunk_batch: its step loop, a
- * transcription of the numpy lane.
+/* The step loop of harvest._kernels._chunk_batch.
  *
- * Every element sees the operations of the numpy lane in their order, each
- * rounded to double: build with -ffp-contract=off (no fused multiply-add)
- * and without -ffast-math, and the results are bit-identical to it.
+ * Every element sees the operations of the update equations in their order,
+ * each rounded to double: build with -ffp-contract=off (no fused
+ * multiply-add) and without -ffast-math, and the results are bit-identical
+ * to a step-at-a-time evaluation in numpy.
  *
  * Arrays are float64.  m is the ensemble width.  coef is the C-ordered
  * coefficient block of shape (rows, m): coefficient r of trajectory j is

@@ -330,6 +330,9 @@ def run_sweep(cfg: RunConfig, threads: int = 1):
     tasks = []  # (fn, arg, the cells its result lists)
     batches = []
     if ensemble:
+        # build or load the step loop here, once: a failure raises before any
+        # batch is submitted, and forked workers inherit the loaded library
+        mcs.lane()
         # a sweep reports no spectral SNR, so it runs no psd checks or sums
         sim = dataclasses.replace(cfg.sim, psd=None)
         cells = [(c.system, c.noise, c.excitation) for c in configs]

@@ -175,9 +175,10 @@ Cell = tuple[SystemParams, NoiseParams, ExcitationParams]
 
 
 def lane() -> str:
-    """The stepping lane, recorded in run provenance: "c" when the compiled
-    step loop runs in this process, "numpy" when it fell back."""
-    return _kernels.lane()
+    """The stepping lane, recorded in run provenance: "c", the compiled step
+    loop, which this builds or loads.  Raises HarvestError when it cannot."""
+    _kernels._library()
+    return "c"
 
 
 def _ou_coefficients(noise: NoiseParams, dt: float) -> tuple[float, float]:
@@ -627,8 +628,10 @@ def estimate_snr_psd(
     spectra holds the segment sums of a cell's trajectories and divergent
     marks the trajectories to leave out.  Averages the Hann periodograms of
     every segment of every clean trajectory on the SNR bins, subtracts the
-    noise floor interpolated from neighboring bins, and attaches a bootstrap
-    standard error over segments.
+    noise floor, the plain mean of the ten background bins j - 6 .. j - 2
+    and j + 2 .. j + 6 around the drive bin j, and attaches a bootstrap
+    standard error over segments.  On a floor that falls with frequency that
+    mean exceeds the floor at j, so at small j the SNR is biased low.
 
     Called as estimate_snr_psd(p, noise, ex, cfg), with the system and noise
     parameters in the first two places, it returns

@@ -44,22 +44,6 @@ def compiler_found() -> bool:
     return cc is not None and shutil.which(cc[0]) is not None
 
 
-@pytest.fixture
-def numpy_lane(monkeypatch):
-    """_chunk_batch steps on the numpy lane: the loader finds no library."""
-    monkeypatch.setattr(_kernels, "_library", lambda: None)
-
-
-@pytest.fixture
-def c_lane():
-    """_chunk_batch steps on the C lane; skipped only when no compiler is
-    found, and a failed build with a compiler at hand fails the test."""
-    if _kernels._library() is None:
-        if compiler_found():
-            pytest.fail("the C step loop did not build or load")
-        pytest.skip("no C compiler found, so the C lane falls back to numpy")
-
-
 @pytest.fixture(scope="session")
 def baseline_system() -> SystemParams:
     """Uncontrolled baseline oscillator/circuit constants."""

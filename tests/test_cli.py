@@ -379,7 +379,7 @@ class TestCliCommands:
                 meta = json.loads((out / f"harvest_{sub}.meta.json").read_text())
                 assert meta["lane"] == mcs.lane(), sub
             built = list(cache.glob("harvest/step-*.so"))
-            assert len(built) == (mcs.lane() == "c")
+            assert len(built) == 1
         finally:
             _kernels._library.cache_clear()
 

@@ -89,7 +89,7 @@ def test_package_needs_only_numpy(path):
 def test_step_source_compiles_without_warnings(tmp_path):
     """The C lane's source builds with its own flags and every common warning
     as an error: a discarded const, an unused variable or a sign mismatch in
-    a loop bound fails here rather than in a silent numpy fallback."""
+    a loop bound fails here rather than at a user's first Monte Carlo run."""
     if not compiler_found():
         pytest.skip("no C compiler found")
     argv = [*_kernels._compiler(), *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror",

@@ -1,10 +1,13 @@
 """The stepping lane report, a hand transcription of the update equations,
-the stepwise kernel both lanes must reproduce bit for bit, the two lanes
-against each other, and the numpy fallback of the C lane's loader."""
+the stepwise kernel the C step loop must reproduce bit for bit, and the
+loader that builds the step loop or fails with an error naming why."""
 
 import inspect
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import sysconfig
 import time
 import warnings
@@ -12,8 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
+import harvest
 from harvest import _kernels, cli, mcs
 from harvest._kernels import DIVERGENCE_LIMIT, STORE_NONE, STORE_XVV, _running_sum
+from harvest.errors import HarvestError
 from harvest.mcs import SimConfig, lane, simulate_trajectory
 from harvest.model import ExcitationParams, NoiseParams, SystemParams
 
@@ -21,56 +26,41 @@ from conftest import compiler_found
 
 
 class TestLaneParity:
-    def test_lane_report(self, monkeypatch):
-        """lane() names the lane the loader resolved in this process, and
-        the numpy lane once the loader finds no library."""
-        assert lane() == ("numpy" if _kernels._library() is None else "c")
-        monkeypatch.setattr(_kernels, "_library", lambda: None)
-        assert lane() == "numpy"
-
-    def test_c_lane_report(self, c_lane):
+    def test_c_lane_report(self):
         assert lane() == "c"
 
 
 class TestKernelDirect:
-    def test_kernel_matches_python_reference(self, c_lane):
-        """A few integration steps of the C lane agree with a direct
-        transcription of the update equations."""
-        _check_against_the_update_equations()
-
-    def test_numpy_lane_matches_python_reference(self, numpy_lane):
-        _check_against_the_update_equations()
-
-
-def _check_against_the_update_equations():
-    """Replay a few steps of a one-trajectory run by hand."""
-    p = SystemParams(delta1=3.0, delta3=3.0, kappa=0.3, alpha=0.05, beta=0.02)
-    noise = NoiseParams(D=0.005, c=0.3)
-    ex = ExcitationParams(eps=0.0)
-    cfg = SimConfig(dt=0.01, t_total=0.05, t_transient=0.0, n_traj=1,
-                    seed=0, x0=0.9, v0=0.1, V0=0.02)
-    res = simulate_trajectory(p, noise, ex, cfg, 0)
-    # replay a few steps by hand from the initial state with the same
-    # noise path; stored samples hold the pre-update state of each step
-    rng = np.random.default_rng(0)
-    x, v, V = 0.9, 0.1, 0.02
-    dt = cfg.dt
-    decay = np.exp(-dt / noise.c)
-    scale = np.sqrt(noise.D / noise.c * (1.0 - decay * decay))
-    xi = np.sqrt(noise.D / noise.c) * rng.standard_normal()
-    assert res.x[0] == 0.9 and res.v[0] == 0.1 and res.V[0] == 0.02
-    n_check = 3
-    for _ in range(n_check):
-        acc = (
-            p.delta1 * x - p.delta3 * x**3 - p.beta * v - p.kappa * V + xi
-        )
-        V = V + dt * (v - p.alpha * V)
-        v = v + dt * acc
-        x = x + dt * v
-        xi = xi * decay + scale * rng.standard_normal()
-    assert res.x[n_check] == pytest.approx(x, rel=1e-12)
-    assert res.v[n_check] == pytest.approx(v, rel=1e-12)
-    assert res.V[n_check] == pytest.approx(V, rel=1e-12)
+    def test_kernel_matches_python_reference(self):
+        """A few integration steps of a one-trajectory run agree with a
+        direct transcription of the update equations, replayed by hand from
+        the initial state with the same noise path."""
+        p = SystemParams(delta1=3.0, delta3=3.0, kappa=0.3, alpha=0.05, beta=0.02)
+        noise = NoiseParams(D=0.005, c=0.3)
+        ex = ExcitationParams(eps=0.0)
+        cfg = SimConfig(dt=0.01, t_total=0.05, t_transient=0.0, n_traj=1,
+                        seed=0, x0=0.9, v0=0.1, V0=0.02)
+        res = simulate_trajectory(p, noise, ex, cfg, 0)
+        # stored samples hold the pre-update state of each step
+        rng = np.random.default_rng(0)
+        x, v, V = 0.9, 0.1, 0.02
+        dt = cfg.dt
+        decay = np.exp(-dt / noise.c)
+        scale = np.sqrt(noise.D / noise.c * (1.0 - decay * decay))
+        xi = np.sqrt(noise.D / noise.c) * rng.standard_normal()
+        assert res.x[0] == 0.9 and res.v[0] == 0.1 and res.V[0] == 0.02
+        n_check = 3
+        for _ in range(n_check):
+            acc = (
+                p.delta1 * x - p.delta3 * x**3 - p.beta * v - p.kappa * V + xi
+            )
+            V = V + dt * (v - p.alpha * V)
+            v = v + dt * acc
+            x = x + dt * v
+            xi = xi * decay + scale * rng.standard_normal()
+        assert res.x[n_check] == pytest.approx(x, rel=1e-12)
+        assert res.v[n_check] == pytest.approx(v, rel=1e-12)
+        assert res.V[n_check] == pytest.approx(V, rel=1e-12)
 
 
 def _reference_chunk_batch(
@@ -78,8 +68,8 @@ def _reference_chunk_batch(
     hist, hist_grid, acc, series, store, sink,
 ):
     """A one-step-at-a-time kernel on separate displacement and velocity
-    histories, the bit-for-bit oracle of both lanes: every step reads its
-    delayed rows and evaluates the whole update in one expression.  It stores
+    histories, the bit-for-bit oracle of the C step loop: every step reads
+    its delayed rows and evaluates the whole update in one expression.  It stores
     every column and takes no sink, which the runs compared here do not use."""
     beta, delta1, delta3, kappa, alpha, mu, nu, f1, f2, E_ou, S_ou = coef
     x_min, dx, v_min, dv = hist_grid
@@ -159,10 +149,10 @@ def _reference_chunk_batch(
     vh[:L] = vh[n : n + L]
 
 
-def _reference_on_stacked(x, v, V, xi, alive, h, *rest):
+def _reference_on_stacked(x, v, V, xi, alive, h, *rest, **kwargs):
     """_reference_chunk_batch on the displacement and velocity views of the
-    stacked history h."""
-    _reference_chunk_batch(x, v, V, xi, alive, h[:, 0], h[:, 1], *rest)
+    stacked history h, which keeps no voltage or noise history."""
+    _reference_chunk_batch(x, v, V, xi, alive, h[:, 0], h[:, 1], *rest, **kwargs)
 
 
 # Two cells with their own coefficients, noise and drive that share the
@@ -210,26 +200,19 @@ _BLOCKED_CASES = {
 
 
 class TestBlockedKernel:
-    # the C lane's cases carry the bare case name, the numpy lane's end in
-    # "-numpy"
     @pytest.mark.parametrize(
-        "lane_name, cells, x0, n_traj, n_divergent",
-        [
-            pytest.param(name, *case, id=key + suffix)
-            for name, suffix in (("c", ""), ("numpy", "-numpy"))
-            for key, case in _BLOCKED_CASES.items()
-        ],
+        "cells, x0, n_traj, n_divergent",
+        [pytest.param(*case, id=key) for key, case in _BLOCKED_CASES.items()],
     )
     def test_bit_identical_to_the_stepwise_kernel(
-        self, request, monkeypatch, lane_name, cells, x0, n_traj, n_divergent
+        self, monkeypatch, cells, x0, n_traj, n_divergent
     ):
-        """Each lane reproduces the stepwise kernel bit for bit, with 37-step
+        """The kernel reproduces the stepwise kernel bit for bit, with 37-step
         chunks that cut the transient anywhere and delayed reads that cross
         the chunk edges, and rows that cross the divergence limit mid-chunk.
         Without delay the delayed read is the current row.  One trajectory
         of the undelayed cell is a single column, where numpy's reductions
-        and loops take other paths than on a wider batch."""
-        request.getfixturevalue(f"{lane_name}_lane")
+        take other paths than on a wider batch."""
         monkeypatch.setattr(mcs, "_CHUNK", 37)
         cfg = SimConfig(
             dt=0.001, t_total=0.5, t_transient=0.05, n_traj=n_traj, seed=11
@@ -312,11 +295,13 @@ _OFFSETS = [(60, 250), (250, 60), (60, 0)]
         for m in (1, 8, 100, 128)
     ],
 )
-def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m, k1, k2, layout):
+def test_c_lane_equals_the_stepwise_kernel(m, k1, k2, layout):
     """Two chunks of _chunk_batch at delay offsets k1 and k2 leave every
-    output byte for byte the same on both lanes, with per-row coefficients,
-    draws passed as a strided view (as mcs tiles them) and the forcing in
-    the given layout ("rows": a C-contiguous column per row)."""
+    output byte for byte as the stepwise kernel does, with per-row
+    coefficients, draws passed as a strided view (as mcs tiles them) and the
+    forcing in the given layout ("rows": a C-contiguous column per row).  The
+    stepwise kernel keeps a displacement and velocity history only, so only
+    those columns of h are compared."""
     rng = np.random.default_rng(m)
     n, L, skip = 1024, max(k1, k2) + 1, 300
 
@@ -345,7 +330,7 @@ def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m, k1, k2, layout):
     }[layout]
     cells = 2 if m % 2 == 0 else 1
 
-    def run():
+    def run(kernel):
         x, v, V, xi = (a.copy() for a in start)
         h = h0.copy()
         alive = np.ones(m, dtype=bool)
@@ -353,24 +338,22 @@ def test_c_lane_equals_the_numpy_lane(monkeypatch, c_lane, m, k1, k2, layout):
         acc = np.zeros((m, 3))
         series = np.zeros((m, 3, 2 * n - skip))
         for c in range(2):
-            _kernels._chunk_batch(
+            kernel(
                 x, v, V, xi, alive, h, c * n, n, forcing[c * n : (c + 1) * n],
                 draws[c].T.copy().T, coef=coef, dt=0.01, k1=k1, k2=k2,
                 skip=skip, hist=hist, hist_grid=(-2.0, 0.1, -1.5, 0.1), acc=acc,
                 series=series, store=STORE_XVV, sink=None,
             )
-        return h, acc, hist, xi, alive, x, v, V, series
+        return h[:, :2], acc, hist, xi, alive, x, v, V, series
 
-    got = run()
-    with monkeypatch.context() as patch:
-        patch.setattr(_kernels, "_library", lambda: None)
-        want = run()
+    got = run(_kernels._chunk_batch)
+    want = run(_reference_on_stacked)
     assert got[2].sum() > 0 and got[4].all()
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-def test_c_lane_rejects_a_history_it_cannot_index(c_lane):
+def test_c_lane_rejects_a_history_it_cannot_index():
     """The C loop indexes raw memory, so a history that is not C-contiguous
     or too short for the delay, a coefficient block with a row missing, a
     transposed one or a float32 one, a float32 forcing or one of width
@@ -493,27 +476,61 @@ def _cache_is_shared(monkeypatch, tmp_path, cache):
     (cache / "harvest").chmod(0o777)
 
 
+# The runs that step an ensemble: mcs, compare, and a 2-D sweep of v_rms and
+# efficiency on one thread and on two.
+_SWEEP_DOC = {
+    **_MCS_DOC,
+    "sweep": {
+        "axes": [
+            {"param": "noise.D", "start": 0.004, "stop": 0.006, "count": 2},
+            {"param": "excitation.Omega", "start": 0.4, "stop": 0.5, "count": 2},
+        ],
+        "quantities": ["v_rms", "efficiency"],
+    },
+}
+_STEPPING_RUNS = [
+    ("mcs", _MCS_DOC, 1), ("compare", _MCS_DOC, 1),
+    ("sweep", _SWEEP_DOC, 1), ("sweep", _SWEEP_DOC, 2),
+]
+
+
 class TestLoader:
     @pytest.mark.parametrize(
         "setup", [_no_compiler, _cache_is_a_file, _cache_is_shared],
         ids=["no-compiler", "cache-not-writable", "cache-not-private"],
     )
-    def test_falls_back_to_the_numpy_lane(
-        self, monkeypatch, tmp_path, fresh_loader, mcs_reference, setup
+    def test_exits_2_without_a_step_loop(
+        self, monkeypatch, tmp_path, capsys, fresh_loader, setup
     ):
-        """Without a compiler, or without a private writable cache, mcs runs
-        on the numpy lane with the same CSV, silently and leaving no process.
-        The cache that cannot be written is a file where its directory goes,
-        since permission bits do not stop a superuser."""
+        """Without a compiler, or without a private writable cache, each run
+        that steps exits 2 with an error naming the compile command and the
+        cache, and leaves no CSV, no library and no process; a sweep fails
+        before it submits a batch, so on two threads no worker starts.  The cache that cannot be
+        written is a file where its directory goes, since permission bits do
+        not stop a superuser."""
         setup(monkeypatch, tmp_path, fresh_loader)
-        code, csv, lane_name, caught = _run_mcs(tmp_path, "out")
-        assert (code, lane_name, lane()) == (0, "numpy", "numpy")
-        assert csv == mcs_reference[1]
-        assert caught == []
-        assert _children() == set()
-        assert not (fresh_loader / "harvest").is_dir() or not any(
-            (fresh_loader / "harvest").glob("*.so")
+        submitted = []
+        run_tasks = cli._run_tasks
+        monkeypatch.setattr(
+            cli, "_run_tasks", lambda *a: submitted.append(a) or run_tasks(*a)
         )
+        command = " ".join([*_kernels._compiler(), *_kernels._FLAGS])
+        cache = fresh_loader / "harvest"
+        cfg = tmp_path / "run.json"
+        for sub, document, threads in _STEPPING_RUNS:
+            cfg.write_text(json.dumps(document))
+            code = cli.main([sub, "--config", str(cfg), "--out",
+                             str(tmp_path / "out"), "--threads", str(threads)])
+            err = capsys.readouterr().err
+            assert code == 2, (sub, threads)
+            assert err.startswith(
+                "error: cannot build or load the Monte Carlo step loop "
+                f"(compiler: {command}; cache: {cache}): "
+            ), err
+            assert _children() == set()
+        assert submitted == []
+        assert not list(tmp_path.glob("**/*.csv"))
+        assert not cache.is_dir() or not any(cache.glob("*.so"))
 
     def test_cold_cache_builds_and_loads(self, fresh_loader, mcs_reference):
         """A first run builds into a private cache, loads the library and
@@ -532,7 +549,7 @@ class TestLoader:
         self, monkeypatch, tmp_path, fresh_loader
     ):
         """A compile past its timeout is killed with every process it
-        started, and the run falls back to the numpy lane."""
+        started, and the loader raises HarvestError."""
         marker = tmp_path / "pid"
         cc = f"sh -c 'sleep 30 & echo $! > {marker}; wait' sh"
         get = sysconfig.get_config_var
@@ -540,7 +557,8 @@ class TestLoader:
             sysconfig, "get_config_var", lambda name: cc if name == "CC" else get(name)
         )
         monkeypatch.setattr(_kernels, "_BUILD_TIMEOUT_S", 0.5)
-        assert lane() == "numpy"
+        with pytest.raises(HarvestError, match="ran past its 0.5 s timeout"):
+            lane()
         assert _children() == set()
         sleeper = int(marker.read_text())
         for _ in range(100):
@@ -548,3 +566,35 @@ class TestLoader:
                 break
             time.sleep(0.05)
         assert not _running(sleeper)
+
+    def test_failed_compile_reports_its_status_and_output(
+        self, monkeypatch, fresh_loader
+    ):
+        """A compile that fails raises HarvestError with the compiler's exit
+        status and the last lines of its output, and leaves no library."""
+        cc = "sh -c 'for i in $(seq 12); do echo line $i; done; exit 3' sh"
+        get = sysconfig.get_config_var
+        monkeypatch.setattr(
+            sysconfig, "get_config_var", lambda name: cc if name == "CC" else get(name)
+        )
+        with pytest.raises(HarvestError) as failed:
+            lane()
+        tail = "\n".join(f"line {i}" for i in range(3, 13))
+        assert str(failed.value).endswith(
+            f"the compiler exited with status 3\n{tail}"
+        )
+        assert not any((fresh_loader / "harvest").glob("*.so"))
+
+    def test_warm_cache_loads_without_subprocess(self):
+        """A process that loads the step loop from a warm cache imports no
+        subprocess: only a compile runs one."""
+        lane()
+        path = [str(pathlib.Path(harvest.__file__).parents[1])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            path + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )}
+        code = ("import sys; from harvest import mcs; mcs.lane(); "
+                "print('subprocess' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
